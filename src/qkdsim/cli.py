@@ -17,8 +17,9 @@ Exit status: 0 success, 2 usage, 3 unreadable/invalid config file,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -132,14 +133,30 @@ def _load_config(req: CommandRequest) -> Config:
     return cfg.validated()
 
 
+def _check_pulses(flag: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{flag} must be a positive finite pulse count, "
+                         f"got {value}")
+
+
 def _read_tally_file(path: str) -> channel.PulseTally:
+    names = [f.name for f in fields(channel.PulseTally)]
     counts: dict[str, int] = {}
     for line in Path(path).read_text().splitlines():
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        key, _, raw = stripped.partition("=")
-        counts[key.strip()] = int(float(raw.strip()))
+        key, _, raw = (part.strip() for part in stripped.partition("="))
+        if key not in names:
+            raise ValueError(f"{path}: unknown tally key {key!r}")
+        try:
+            counts[key] = int(float(raw))
+        except (ValueError, OverflowError):
+            raise ValueError(f"{path}: {key} must be a count, got {raw!r}") \
+                from None
+    missing = [name for name in names if name not in counts]
+    if missing:
+        raise ValueError(f"{path}: missing tally keys: {', '.join(missing)}")
     tally = channel.PulseTally(**counts)
     tally.check()
     return tally
@@ -176,6 +193,7 @@ def _run_keyrate(req: CommandRequest, cfg: Config, out: _OutputTracker) -> None:
     if req.tally_file is not None:
         tally = _read_tally_file(req.tally_file)
     else:
+        _check_pulses("--n-pulses", req.n_pulses)
         tally = finite_key.expectation_tally(req.n_pulses, cfg.source, cfg.link)
     bounds = finite_key.decoy_bounds(
         finite_key.estimate_channel(tally, cfg.security), cfg.source)
@@ -199,6 +217,12 @@ def _run_keyrate(req: CommandRequest, cfg: Config, out: _OutputTracker) -> None:
 
 def _run_efficiency_curve(req: CommandRequest, cfg: Config,
                           out: _OutputTracker) -> None:
+    _check_pulses("--min-pulses", req.min_pulses)
+    _check_pulses("--max-pulses", req.max_pulses)
+    if req.min_pulses > req.max_pulses:
+        raise ValueError("--min-pulses must not exceed --max-pulses")
+    if req.points < 1:
+        raise ValueError(f"--points must be >= 1, got {req.points}")
     grid = np.logspace(np.log10(req.min_pulses), np.log10(req.max_pulses),
                        req.points)
     lines = ["n_pulses,efficiency"]
@@ -211,6 +235,7 @@ def _run_efficiency_curve(req: CommandRequest, cfg: Config,
 
 
 def _run_optimize(req: CommandRequest, cfg: Config, out: _OutputTracker) -> None:
+    _check_pulses("--n-pulses", req.n_pulses)
     settings = optimizer.SearchSettings(start=cfg.source, sweeps=req.sweeps)
     result = optimizer.optimize_source(cfg.link, cfg.security, req.n_pulses,
                                        settings)

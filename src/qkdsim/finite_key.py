@@ -2,22 +2,32 @@
 confidence bounds.
 
 Statistical parameters are never taken at face value: every estimated gain
-and error gain is replaced by its worst-case Clopper-Pearson endpoint before
-entering the two-decoy (vacuum + weak) single-photon bounds, and the final
-key length subtracts error-correction leakage and a privacy-amplification
-penalty.  The total failure probability epsilon is split half to privacy
-amplification and half equally across the six binomial bound invocations.
+and error rate is replaced by its worst-case Clopper-Pearson endpoint before
+entering the two-decoy (vacuum + weak) single-photon bounds or the
+error-correction leakage, and the final key length subtracts that leakage
+and a privacy-amplification penalty.  The total failure probability epsilon
+is split half to privacy amplification and half equally across the
+intervals that `estimate_channel` computes, one per field of
+`ChannelEstimates` (N_BOUND_CALLS of them): the signal gain and error rate,
+the two decoy gains and the two decoy error gains.  Each is computed once
+per distillation.
+
 Each endpoint is found on the forward regularized incomplete beta function
 alone and leaves at most its epsilon/2 in its tail as that function
 measures it, at any count scale and on any scipy allowed by pyproject.toml
-(the upper tail needs `special.betaincc`, new in scipy 1.11).
+(the upper tail needs `special.betaincc`, new in scipy 1.11).  The search
+starts from the Wilson score endpoint, brackets the crossing, and narrows
+the bracket down to two adjacent floats by Illinois false position on a
+near-linear transform of the tail, bisecting instead where that stalls; it
+takes about 7 forward evaluations per endpoint at the counts the program
+uses.
 """
 from __future__ import annotations
 
 import math
 import struct
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 
 from scipy import special
@@ -40,11 +50,6 @@ __all__ = [
     "expectation_tally",
     "key_efficiency",
 ]
-
-# Number of one-sided binomial bounds consumed by one distillation:
-# three gains, two decoy error gains, one signal error rate.
-N_BOUND_CALLS = 6
-
 
 def binary_entropy(x: float) -> float:
     """Shannon entropy of a bit with bias x, in bits."""
@@ -71,39 +76,82 @@ def _bits_float(i: int) -> float:
     return struct.unpack("<d", struct.pack("<q", i))[0]
 
 
+def _tail_excess(t: float, target: float, w_target: float) -> float:
+    """sqrt(-2 ln t) - sqrt(-2 ln target), positive where the tail t passes.
+
+    For a near-normal tail this grows almost linearly with the endpoint's
+    distance from k/n.  It is formed from ln(t/target), so it keeps its
+    relative precision as t nears target.  A tail of 0 passes by any margin;
+    a NaN fails.
+    """
+    if not t > 0.0:
+        return math.inf if t == 0.0 else -math.inf
+    log_ratio = math.log(t / target)
+    return -2.0 * log_ratio / (
+        math.sqrt(max(0.0, w_target * w_target - 2.0 * log_ratio)) + w_target)
+
+
 def _tail_endpoint(tail: Callable[[float], float], estimate: float,
-                   spread: float, edge: float, target: float) -> float:
+                   guess: float, edge: float, target: float) -> float:
     """Tightest float endpoint whose forward `tail` is <= target.
 
     `tail` is a binomial tail probability that falls monotonically from the
     point estimate k/n towards `edge` (0 or 1).  At k/n the binomial mean is
     the integer k, which is then also a median, so the tail there is at
-    least 1/2 > target; at `edge` it is 0.  A first outer point is taken
-    `spread` from k/n and moved out by doubling until `tail` passes there,
-    or `edge` is reached (never evaluated).  Non-negative doubles order like
-    their bit patterns, so bisecting the patterns between k/n and that point
-    ends on two adjacent floats; the one returned has passed the check or is
-    `edge` itself.  A NaN from `tail` fails the check, which errs on the
-    conservative side.  Only the forward function is trusted, because
+    least 1/2 > target; at `edge` it is 0.  The search keeps a bracket of
+    two floats: one whose tail failed the check (at first k/n) and one whose
+    tail passed (at first `edge`, which is never evaluated).  Non-negative
+    doubles order like their bit patterns, and every probe lies strictly
+    inside the bracket's patterns, so the search ends on two adjacent floats
+    and returns the one that passed.
+
+    Until a point passes it probes `guess`, then points twice as far from
+    k/n each time, and once those leave the bracket, points a quarter, a
+    sixteenth, ... of the way from the failed end to `edge`.  Then it closes
+    the bracket by Illinois false position (Dowell & Jarratt, BIT 11, 168
+    (1971)) on `_tail_excess`, interpolated over the bit patterns, which are
+    linear in the value within a binade and follow its logarithm across
+    binades; k/n, never evaluated, enters with its tail taken as 1/2.  The
+    interpolation only picks the next probe: every pass or fail is decided
+    by `tail` itself.  After four probes in a row on one side it bisects
+    the patterns instead.  A NaN from `tail` fails the check, which errs on
+    the conservative side.  Only the forward function is trusted, because
     `special.betaincinv` can return finite but wrong endpoints at large
     counts.
     """
-    step = math.copysign(spread, edge - estimate)
-    while True:
-        outer = estimate + step
-        if not 0.0 < outer < 1.0:
-            outer = edge
-            break
-        if tail(outer) <= target:
-            break
-        step *= 2.0
-    inside, outside = _float_bits(estimate), _float_bits(outer)
+    w_target = math.sqrt(-2.0 * math.log(target))
+    edge_bits = _float_bits(edge)
+    inside, h_in = _float_bits(estimate), _tail_excess(0.5, target, w_target)
+    outside, h_out = edge_bits, math.inf
+    offset, shrink = guess - estimate, 0.25
+    last_passed, streak = None, 0
     while abs(outside - inside) > 1:
-        mid = (inside + outside) // 2
-        if tail(_bits_float(mid)) <= target:
-            outside = mid
+        if outside == edge_bits:
+            x = estimate + offset
+            offset *= 2.0
+            failed = _bits_float(inside)
+            if not min(failed, edge) < x < max(failed, edge):
+                x = edge + (failed - edge) * shrink
+                shrink *= shrink
+            probe = _float_bits(x)
+        elif streak < 4 and -math.inf < h_in < h_out < math.inf:
+            probe = inside + int(h_in / (h_in - h_out) * (outside - inside))
         else:
-            inside = mid
+            probe = (inside + outside) // 2
+        probe = min(max(probe, min(inside, outside) + 1),
+                    max(inside, outside) - 1)
+        t = tail(_bits_float(probe))
+        passed = t <= target
+        streak = streak + 1 if passed == last_passed else 1
+        last_passed = passed
+        if passed:
+            outside, h_out = probe, _tail_excess(t, target, w_target)
+            if streak > 1:
+                h_in *= 0.5
+        else:
+            inside, h_in = probe, _tail_excess(t, target, w_target)
+            if streak > 1:
+                h_out *= 0.5
     return _bits_float(outside)
 
 
@@ -126,34 +174,42 @@ def clopper_pearson(successes: int, trials: int,
     half = confidence_epsilon / 2.0
     k, n = successes, trials
     estimate = k / n
-    # first outer point: a little beyond the normal approximation
-    spread = (1.25 * max(1.0, -special.ndtri(half))
-              * math.sqrt(k * (n - k) / n) / n)
+    # first guesses: the Wilson score interval at the same normal quantile
+    z = -special.ndtri(half)
+    center = (k + z * z / 2.0) / (n + z * z)
+    width = z * math.sqrt(k * (n - k) / n + z * z / 4.0) / (n + z * z)
     if k == 0:
         lower = 0.0
     else:
         lower = _tail_endpoint(
             partial(special.betainc, float(k), float(n - k + 1)),
-            estimate, spread, 0.0, half)
+            estimate, center - width, 0.0, half)
     if k == n:
         upper = 1.0
     else:
         upper = _tail_endpoint(
             partial(special.betaincc, float(k + 1), float(n - k)),
-            estimate, spread, 1.0, half)
+            estimate, center + width, 1.0, half)
     return BinomialBound(lower=lower, upper=upper)
 
 
 @dataclass(frozen=True)
 class ChannelEstimates:
-    """Confidence intervals on per-class gains Q_c and error gains E_c*Q_c
-    (probabilities per sent pulse, sifting undone)."""
+    """Confidence intervals on per-class gains Q_c and decoy error gains
+    E_c*Q_c (probabilities per sent pulse, sifting undone), and on the signal
+    error rate E_mu (per sifted bit)."""
 
     q_mu: BinomialBound
+    e_mu: BinomialBound
     q_nu1: BinomialBound
     q_nu2: BinomialBound
     eq_nu1: BinomialBound
     eq_nu2: BinomialBound
+
+
+# One distillation spends epsilon/2 on privacy amplification and splits the
+# other half equally across the intervals that estimate_channel returns.
+N_BOUND_CALLS = len(fields(ChannelEstimates))
 
 
 def _scaled_cp(successes: int, trials: int, eps: float) -> BinomialBound:
@@ -164,11 +220,14 @@ def _scaled_cp(successes: int, trials: int, eps: float) -> BinomialBound:
 
 
 def estimate_channel(tally: PulseTally, security: SecurityConfig) -> ChannelEstimates:
-    """Clopper-Pearson intervals for the decoy analysis, each at its share of
-    the epsilon budget."""
+    """Clopper-Pearson intervals for the key-length analysis, each at its
+    share of the epsilon budget.  Without sifted signal bits there is no
+    error rate to bound, and e_mu is the whole of [0, 1]."""
     eps = security.epsilon / 2.0 / N_BOUND_CALLS
     return ChannelEstimates(
         q_mu=_scaled_cp(tally.sifted_mu, tally.sent_mu, eps),
+        e_mu=(clopper_pearson(tally.errors_mu, tally.sifted_mu, eps)
+              if tally.sifted_mu > 0 else BinomialBound(0.0, 1.0)),
         q_nu1=_scaled_cp(tally.sifted_nu1, tally.sent_nu1, eps),
         q_nu2=_scaled_cp(tally.sifted_nu2, tally.sent_nu2, eps),
         eq_nu1=_scaled_cp(tally.errors_nu1, tally.sent_nu1, eps),
@@ -178,12 +237,13 @@ def estimate_channel(tally: PulseTally, security: SecurityConfig) -> ChannelEsti
 
 def point_estimates(tally: PulseTally) -> ChannelEstimates:
     """Zero-width intervals at the observed ratios (infinite-statistics limit)."""
-    def ratio(k: int, n: int) -> BinomialBound:
-        p = min(1.0, 2.0 * k / n) if n > 0 else 0.0
+    def ratio(k: int, n: int, scale: float = 2.0) -> BinomialBound:
+        p = min(1.0, scale * k / n) if n > 0 else 0.0
         return BinomialBound(p, p)
 
     return ChannelEstimates(
         q_mu=ratio(tally.sifted_mu, tally.sent_mu),
+        e_mu=ratio(tally.errors_mu, tally.sifted_mu, scale=1.0),
         q_nu1=ratio(tally.sifted_nu1, tally.sent_nu1),
         q_nu2=ratio(tally.sifted_nu2, tally.sent_nu2),
         eq_nu1=ratio(tally.errors_nu1, tally.sent_nu1),
@@ -193,11 +253,14 @@ def point_estimates(tally: PulseTally) -> ChannelEstimates:
 
 @dataclass(frozen=True)
 class DecoyBounds:
-    """Single-photon characterization from the decoy classes."""
+    """Single-photon characterization from the decoy classes, with the
+    signal-class endpoints the key length needs."""
 
-    y1_lower: float   # single-photon yield, lower bound
-    e1_upper: float   # single-photon error rate, upper bound
-    y0_lower: float   # background yield, lower bound
+    y1_lower: float     # single-photon yield, lower bound
+    e1_upper: float     # single-photon error rate, upper bound
+    y0_lower: float     # background yield, lower bound
+    q_mu_upper: float   # signal gain, upper bound
+    e_mu_upper: float   # signal error rate, upper bound
 
 
 def decoy_bounds(estimates: ChannelEstimates, source: SourceConfig) -> DecoyBounds:
@@ -215,25 +278,23 @@ def decoy_bounds(estimates: ChannelEstimates, source: SourceConfig) -> DecoyBoun
     # The vacuum+weak inference is only sound for nu1 + nu2 < mu (the
     # multi-photon comparison between classes flips sign otherwise); outside
     # that region report no single-photon knowledge at all.
-    if nu1 + nu2 >= mu:
-        return DecoyBounds(y1_lower=0.0, e1_upper=0.5, y0_lower=y0_lower)
-
-    denom = mu * (nu1 - nu2) - nu1 ** 2 + nu2 ** 2
-    y1 = (mu / denom) * (
-        estimates.q_nu1.lower * e_nu1
-        - estimates.q_nu2.upper * e_nu2
-        - ((nu1 ** 2 - nu2 ** 2) / mu ** 2)
-        * (estimates.q_mu.upper * math.exp(mu) - y0_lower)
-    )
-    y1_lower = min(1.0, max(0.0, y1))
-
-    if y1_lower <= 0.0:
-        e1_upper = 0.5
-    else:
-        e1 = (estimates.eq_nu1.upper * e_nu1 - estimates.eq_nu2.lower * e_nu2) \
-            / ((nu1 - nu2) * y1_lower)
-        e1_upper = min(0.5, max(0.0, e1))
-    return DecoyBounds(y1_lower=y1_lower, e1_upper=e1_upper, y0_lower=y0_lower)
+    y1_lower, e1_upper = 0.0, 0.5
+    if nu1 + nu2 < mu:
+        denom = mu * (nu1 - nu2) - nu1 ** 2 + nu2 ** 2
+        y1 = (mu / denom) * (
+            estimates.q_nu1.lower * e_nu1
+            - estimates.q_nu2.upper * e_nu2
+            - ((nu1 ** 2 - nu2 ** 2) / mu ** 2)
+            * (estimates.q_mu.upper * math.exp(mu) - y0_lower)
+        )
+        y1_lower = min(1.0, max(0.0, y1))
+        if y1_lower > 0.0:
+            e1 = (estimates.eq_nu1.upper * e_nu1
+                  - estimates.eq_nu2.lower * e_nu2) / ((nu1 - nu2) * y1_lower)
+            e1_upper = min(0.5, max(0.0, e1))
+    return DecoyBounds(y1_lower=y1_lower, e1_upper=e1_upper, y0_lower=y0_lower,
+                       q_mu_upper=estimates.q_mu.upper,
+                       e_mu_upper=estimates.e_mu.upper)
 
 
 @dataclass(frozen=True)
@@ -250,15 +311,15 @@ class KeyResult:
 
 def _key_terms(tally: PulseTally, bounds: DecoyBounds,
                security: SecurityConfig, source: SourceConfig,
-               q_mu_upper: float, e_mu_upper: float,
                finite_size: bool) -> tuple[float, float, float]:
     n_sift = tally.sifted_mu
-    if n_sift == 0 or q_mu_upper <= 0.0:
+    if n_sift == 0 or bounds.q_mu_upper <= 0.0:
         return 0.0, 0.0, 0.0
     p1 = source.mu * math.exp(-source.mu)
-    n1_lower = n_sift * p1 * bounds.y1_lower / q_mu_upper
+    n1_lower = n_sift * p1 * bounds.y1_lower / bounds.q_mu_upper
     single = n1_lower * (1.0 - binary_entropy(bounds.e1_upper))
-    leakage = security.ec_efficiency * n_sift * binary_entropy(min(0.5, e_mu_upper))
+    leakage = security.ec_efficiency * n_sift * binary_entropy(
+        min(0.5, bounds.e_mu_upper))
     pa = math.log2(2.0 / (security.epsilon / 2.0)) if finite_size else 0.0
     return single, leakage, pa
 
@@ -269,28 +330,21 @@ def secure_key_length(tally: PulseTally, bounds: DecoyBounds,
     """Extractable secure bits for one window's tally.
 
     Key bits come from the signal class only; the decoy classes enter through
-    `bounds`.  `bounds` must have been computed from the same tally with
-    `estimate_channel` so the epsilon accounting lines up.
+    `bounds`, which also carries the signal gain and error-rate endpoints.
+    `bounds` must have been computed from the same tally with
+    `decoy_bounds(estimate_channel(tally, security), source)`: then the
+    N_BOUND_CALLS intervals behind it fail with epsilon/2 in total, privacy
+    amplification with the other epsilon/2, and the key is epsilon-secure.
     """
-    eps_bound = security.epsilon / 2.0 / N_BOUND_CALLS
-    if tally.sifted_mu > 0 and tally.sent_mu > 0:
-        q_mu_upper = min(1.0, 2.0 * clopper_pearson(
-            tally.sifted_mu, tally.sent_mu, eps_bound).upper)
-        e_mu_upper = clopper_pearson(
-            tally.errors_mu, tally.sifted_mu, eps_bound).upper
-    else:
-        q_mu_upper, e_mu_upper = 0.0, 0.5
     single, leakage, pa = _key_terms(tally, bounds, security, source,
-                                     q_mu_upper, e_mu_upper, finite_size=True)
+                                     finite_size=True)
     secure = max(0, math.floor(single - leakage - pa))
 
     # Infinite-statistics reference from the very same counts, for the
     # efficiency ratio.
     ref_bounds = decoy_bounds(point_estimates(tally), source)
-    q_hat = 2.0 * tally.sifted_mu / tally.sent_mu if tally.sent_mu else 0.0
-    e_hat = (tally.errors_mu / tally.sifted_mu) if tally.sifted_mu else 0.5
     ref_single, ref_leak, _ = _key_terms(tally, ref_bounds, security, source,
-                                         q_hat, e_hat, finite_size=False)
+                                         finite_size=False)
     reference = max(0.0, ref_single - ref_leak)
     efficiency = min(1.0, secure / reference) if reference > 0 else 0.0
     return KeyResult(
@@ -311,6 +365,7 @@ def asymptotic_rate(source: SourceConfig, link: LinkConfig,
     rates = class_rates(DriftState(), source, link)
     est = ChannelEstimates(
         q_mu=BinomialBound(rates.q_mu, rates.q_mu),
+        e_mu=BinomialBound(rates.e_mu, rates.e_mu),
         q_nu1=BinomialBound(rates.q_nu1, rates.q_nu1),
         q_nu2=BinomialBound(rates.q_nu2, rates.q_nu2),
         eq_nu1=BinomialBound(rates.e_nu1 * rates.q_nu1, rates.e_nu1 * rates.q_nu1),

@@ -100,6 +100,8 @@ def optimize_source(link: LinkConfig, security: SecurityConfig, n_pulses: float,
     settings = settings or SearchSettings()
     if settings.mu_bounds[0] >= settings.mu_bounds[1]:
         raise ValueError("infeasible mu bounds")
+    if settings.sweeps < 0:
+        raise ValueError(f"sweeps must be >= 0, got {settings.sweeps}")
 
     result = OptimizationResult(best=_project(settings.start, settings), rate=-1.0)
 

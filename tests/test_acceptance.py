@@ -162,11 +162,12 @@ def _exact_estimates(source, eta, y0, e_mis):
         q = expected_gain(m, eta, y0)
         return q, expected_qber(m, eta, y0, e_mis) * q
 
-    qm, _ = point(source.mu)
+    qm, eqm = point(source.mu)
     q1, eq1 = point(source.nu1)
     q2, eq2 = point(source.nu2)
     return ChannelEstimates(
-        q_mu=BinomialBound(qm, qm), q_nu1=BinomialBound(q1, q1),
+        q_mu=BinomialBound(qm, qm), e_mu=BinomialBound(eqm / qm, eqm / qm),
+        q_nu1=BinomialBound(q1, q1),
         q_nu2=BinomialBound(q2, q2), eq_nu1=BinomialBound(eq1, eq1),
         eq_nu2=BinomialBound(eq2, eq2))
 

@@ -162,3 +162,64 @@ def test_output_tracker_cleanup_removes_partial_files(tmp_path):
     assert path.exists()
     tracker.cleanup()
     assert not path.exists()
+
+
+def _assert_rejected(argv, capsys, message):
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert message in err
+
+
+def _write_tally(path, preset, extra=(), drop=()):
+    tally = expectation_tally(1.2e12, preset.source, preset.link)
+    lines = [f"{name} = {getattr(tally, name)}"
+             for name in ("sent_mu", "sifted_mu", "errors_mu", "sent_nu1",
+                          "sifted_nu1", "errors_nu1", "sent_nu2",
+                          "sifted_nu2", "errors_nu2") if name not in drop]
+    path.write_text("\n".join([*lines, *extra]) + "\n")
+    return path
+
+
+def test_keyrate_rejects_unknown_tally_key(tmp_path, capsys, preset):
+    counts = _write_tally(tmp_path / "counts.txt", preset,
+                          extra=["sent_mu_typo = 5"])
+    _assert_rejected(["keyrate", "--out", str(tmp_path), "--tally-file",
+                      str(counts)], capsys, "unknown tally key 'sent_mu_typo'")
+    assert not (tmp_path / "keyrate.csv").exists()
+
+
+def test_keyrate_rejects_missing_tally_key(tmp_path, capsys, preset):
+    counts = _write_tally(tmp_path / "counts.txt", preset, drop=["errors_nu2"])
+    _assert_rejected(["keyrate", "--out", str(tmp_path), "--tally-file",
+                      str(counts)], capsys, "missing tally keys: errors_nu2")
+    assert not (tmp_path / "keyrate.csv").exists()
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_efficiency_curve_rejects_non_positive_points(tmp_path, capsys, points):
+    _assert_rejected(["efficiency-curve", "--out", str(tmp_path),
+                      "--points", points], capsys, "--points must be >= 1")
+    assert not (tmp_path / "efficiency_curve.csv").exists()
+
+
+def test_efficiency_curve_rejects_reversed_range(tmp_path, capsys):
+    _assert_rejected(["efficiency-curve", "--out", str(tmp_path),
+                      "--min-pulses", "1e13", "--max-pulses", "1e10"], capsys,
+                     "--min-pulses must not exceed --max-pulses")
+
+
+@pytest.mark.parametrize("flag,value", [("--min-pulses", "0"),
+                                        ("--min-pulses", "-1e9"),
+                                        ("--max-pulses", "inf")])
+def test_efficiency_curve_rejects_non_positive_pulses(tmp_path, capsys, flag,
+                                                      value):
+    _assert_rejected(["efficiency-curve", "--out", str(tmp_path),
+                      f"{flag}={value}"], capsys,
+                     f"{flag} must be a positive finite pulse count")
+
+
+def test_optimize_rejects_negative_sweeps(tmp_path, capsys):
+    _assert_rejected(["optimize", "--out", str(tmp_path), "--sweeps", "-1"],
+                     capsys, "sweeps must be >= 0")
+    assert not (tmp_path / "optimize.txt").exists()

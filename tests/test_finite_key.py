@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special, stats
 
-from qkdsim.channel import DriftState, class_rates, expected_gain, expected_qber
+from qkdsim import finite_key
+from qkdsim.channel import (DriftState, PulseTally, class_rates, expected_gain,
+                            expected_qber)
 from qkdsim.config import LinkConfig, SecurityConfig, SourceConfig
 from qkdsim.finite_key import (N_BOUND_CALLS, BinomialBound, ChannelEstimates,
                                asymptotic_rate, binary_entropy, clopper_pearson,
@@ -189,11 +192,12 @@ def _exact_estimates(source: SourceConfig, eta: float, y0: float,
         q = expected_gain(m, eta, y0)
         return q, expected_qber(m, eta, y0, e_mis) * q
 
-    qm, _ = point(source.mu)
+    qm, eqm = point(source.mu)
     q1, eq1 = point(source.nu1)
     q2, eq2 = point(source.nu2)
     return ChannelEstimates(
-        q_mu=BinomialBound(qm, qm), q_nu1=BinomialBound(q1, q1),
+        q_mu=BinomialBound(qm, qm), e_mu=BinomialBound(eqm / qm, eqm / qm),
+        q_nu1=BinomialBound(q1, q1),
         q_nu2=BinomialBound(q2, q2), eq_nu1=BinomialBound(eq1, eq1),
         eq_nu2=BinomialBound(eq2, eq2))
 
@@ -299,6 +303,59 @@ def test_expectation_tally_bounds_spend_their_epsilon_share(preset, n_pulses):
             assert (1 - 1e-6) * eps / 2 <= tail <= eps / 2, (k, n)
 
 
+def test_one_distillation_computes_each_interval_once(preset, monkeypatch):
+    # the epsilon ledger: one clopper_pearson call per ChannelEstimates
+    # field, each at its equal share of half the budget, and none repeated
+    calls = []
+    inner = finite_key.clopper_pearson
+
+    def counted(successes, trials, confidence_epsilon):
+        calls.append((successes, trials, confidence_epsilon))
+        return inner(successes, trials, confidence_epsilon)
+
+    monkeypatch.setattr(finite_key, "clopper_pearson", counted)
+    tally = expectation_tally(1.2e12, preset.source, preset.link)
+    security = SecurityConfig()
+    bounds = decoy_bounds(estimate_channel(tally, security), preset.source)
+    secure_key_length(tally, bounds, security, preset.source)
+    assert N_BOUND_CALLS == len(dataclasses.fields(ChannelEstimates)) == 6
+    assert len(calls) == len(set(calls)) == N_BOUND_CALLS
+    assert {eps for _, _, eps in calls} == {security.epsilon / 2 / N_BOUND_CALLS}
+    assert (tally.errors_mu, tally.sifted_mu) in {(k, n) for k, n, _ in calls}
+
+
+class _CountingSpecial:
+    """Stands in for scipy.special, counting forward beta evaluations."""
+
+    def __init__(self):
+        self.forward = 0
+
+    def __getattr__(self, name):
+        return getattr(special, name)
+
+    def betainc(self, *args):
+        self.forward += 1
+        return special.betainc(*args)
+
+    def betaincc(self, *args):
+        self.forward += 1
+        return special.betaincc(*args)
+
+
+def test_endpoint_search_forward_evaluation_budget(preset, monkeypatch):
+    # the endpoint search needs about 7 forward evaluations per endpoint at
+    # the counts the program feeds it (bisection over bit patterns took ~45)
+    counter = _CountingSpecial()
+    monkeypatch.setattr(finite_key, "special", counter)
+    security = SecurityConfig()
+    endpoints = 0
+    for n_pulses in np.logspace(9, 15, 25):
+        tally = expectation_tally(n_pulses, preset.source, preset.link)
+        estimate_channel(tally, security)
+        endpoints += 2 * N_BOUND_CALLS
+    assert counter.forward / endpoints <= 12
+
+
 # ---------------------------------------------------------------------------
 # key length and efficiency
 # ---------------------------------------------------------------------------
@@ -315,6 +372,18 @@ def test_secure_key_positive_at_session_scale(preset):
         math.log2(2 / (1e-7 / 2)), rel=1e-12)
     assert 0 < result.efficiency <= 1
     assert result.epsilon_spent == 1e-7
+
+
+def test_window_without_sifted_signal_bits_yields_no_key(preset):
+    tally = PulseTally(sent_mu=10**9, sent_nu1=10**8, sifted_nu1=10**5,
+                       errors_nu1=10**3, sent_nu2=10**8, sifted_nu2=10**3,
+                       errors_nu2=500)
+    security = SecurityConfig()
+    estimates = estimate_channel(tally, security)
+    assert estimates.e_mu == BinomialBound(0.0, 1.0)
+    result = secure_key_length(tally, decoy_bounds(estimates, preset.source),
+                               security, preset.source)
+    assert result.secure_bits == 0 and result.efficiency == 0.0
 
 
 def test_secure_key_never_exceeds_single_photon_budget(preset):
