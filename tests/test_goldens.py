@@ -35,6 +35,10 @@ GOLDENS = {
         "best_config.cfg":
             "4dae3cfc386ac26a379f754ddb15bdbdb6e9b4af582c77f1ea50405d3654ac3a",
     },
+    ("calibrate",): {
+        "calibrated.cfg":
+            "d7813c20073f543ade477375de3422459051c426c858320735a694cb9d9cc569",
+    },
 }
 
 
