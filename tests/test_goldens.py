@@ -21,6 +21,26 @@ GOLDENS = {
         "summary.txt":
             "bd202840eccc4e95e0652b8e63624c826275b64499b39e59e6924c9cb49c3813",
     },
+    # ~1 pulse per step per decoy class: every telemetry row has empty
+    # cells, and the feedback loops see dark channels.
+    ("simulate", "--seed", "13", "--duration", "600", "--clock-rate", "100",
+     "--distill-interval", "120"): {
+        "telemetry.csv":
+            "b12d861a385afc48a6764b283afe468c615b3f3dd153cf613fec9b6ca8dc3165",
+        "keys.csv":
+            "5e35ccc6988cf250ea076da26a7718253a2d320b2be33b27d4ae43b414430787",
+        "summary.txt":
+            "725d2b4dd1ee1e4aae1eea3f78018c7fdc589fa6f2fa241cd36de04f0a2eafbb",
+    },
+    ("simulate", "--seed", "13", "--duration", "600",
+     "--stabilization-enabled", "false"): {
+        "telemetry.csv":
+            "43f9542e1eff2cd6ce4bbcdb78a42fdaefa7aa7d2a177390aa12dd7f3611d82f",
+        "keys.csv":
+            "7f9cdfeee1c587b81aa0f2673a842ea5303624041f4685aa434e8f89be1167e7",
+        "summary.txt":
+            "3779182509f49543c48530f97b6aeb85115277aa514570ae554a45d1ce3d0ae5",
+    },
     ("keyrate",): {
         "keyrate.csv":
             "0984456c233c819c19ac108e4ed3d2e23587ecdb342497c8d93113123f07238d",
