@@ -1,7 +1,13 @@
 #!/usr/bin/env python3
-"""Run matched sessions with the feedback loops on and off and tabulate the
-signal transmittance decay, reproducing the stabilized-versus-free-running
+"""Run sessions with the feedback loops on and off and tabulate the signal
+transmittance decay, reproducing the stabilized-versus-free-running
 comparison.
+
+The two sessions share a seed but are not step-matched: one random stream
+feeds both the environmental drift and the detection counts, and the
+binomial draws consume a variable amount of it, so the two runs see
+different drift paths after the first few steps.  They become step-matched
+only once the environment and the detections draw from separate streams.
 """
 import argparse
 import dataclasses

@@ -8,7 +8,8 @@ GHz-clocked session tractable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +32,7 @@ __all__ = [
 CLASSES = ("mu", "nu1", "nu2")
 
 
-@dataclass(frozen=True)
-class DriftState:
+class DriftState(NamedTuple):
     """Instantaneous physical misalignment of the link (hidden truth).
 
     phase_error: interferometer path-difference mismatch, radians.
@@ -47,8 +47,7 @@ class DriftState:
     power_factor: float = 1.0
 
 
-@dataclass(frozen=True)
-class ClassRates:
+class ClassRates(NamedTuple):
     """Per-class detection probability per sent pulse (gain) and QBER."""
 
     q_mu: float
@@ -65,9 +64,11 @@ class ClassRates:
         return getattr(self, f"e_{cls}")
 
 
-@dataclass(frozen=True)
-class PulseTally:
-    """Per-class counts for one interval: sent, sifted detections, sifted errors."""
+class PulseTally(NamedTuple):
+    """Per-class counts for one interval: sent, sifted detections, sifted errors.
+
+    Adding two tallies adds them field by field (not tuple concatenation).
+    """
 
     sent_mu: int = 0
     sifted_mu: int = 0
@@ -95,13 +96,7 @@ class PulseTally:
         return self.sifted_mu + self.sifted_nu1 + self.sifted_nu2
 
     def __add__(self, other: "PulseTally") -> "PulseTally":
-        return PulseTally(*(a + b for a, b in
-                            zip(self._astuple(), other._astuple())))
-
-    def _astuple(self) -> tuple[int, ...]:
-        return (self.sent_mu, self.sifted_mu, self.errors_mu,
-                self.sent_nu1, self.sifted_nu1, self.errors_nu1,
-                self.sent_nu2, self.sifted_nu2, self.errors_nu2)
+        return PulseTally._make(map(operator.add, self, other))
 
     def check(self) -> None:
         for cls in CLASSES:
@@ -142,13 +137,21 @@ def expected_qber(mean_photons: float, eta_total: float, background_yield: float
     Detections split into photon clicks (erroneous with the misalignment
     probability) and background-only clicks (random, error 1/2).
     """
-    q = expected_gain(mean_photons, eta_total, background_yield)
+    return _gain_and_qber(mean_photons, eta_total, background_yield,
+                          min(misalignment_prob, 0.5))[1]
+
+
+def _gain_and_qber(mean_photons: float, eta_total: float,
+                   background_yield: float,
+                   e_mis: float) -> tuple[float, float]:
+    """(expected_gain, expected_qber) from one exponential; e_mis <= 0.5."""
+    no_photon = math.exp(-mean_photons * eta_total)
+    q = 1.0 - (1.0 - background_yield) * no_photon
     if q <= 0.0:
-        return 0.5
-    signal = 1.0 - math.exp(-mean_photons * eta_total)
+        return q, 0.5
+    signal = 1.0 - no_photon
     background_only = background_yield * (1.0 - signal)
-    e_mis = min(misalignment_prob, 0.5)
-    return min(0.5, (0.5 * background_only + e_mis * signal) / q)
+    return q, min(0.5, (0.5 * background_only + e_mis * signal) / q)
 
 
 def class_rates(drift: DriftState, source: SourceConfig,
@@ -159,12 +162,11 @@ def class_rates(drift: DriftState, source: SourceConfig,
                  * link.detector_efficiency * eta_factor)
     y0 = link.background_yield()
     e_mis = min(link.intrinsic_misalignment_error + phase_error_prob, 0.5)
-    values = []
-    for intensity in (source.mu, source.nu1, source.nu2):
-        m = intensity * drift.power_factor
-        values.append(expected_gain(m, eta_total, y0))
-        values.append(expected_qber(m, eta_total, y0, e_mis))
-    return ClassRates(*values)
+    power = drift.power_factor
+    return ClassRates(
+        *_gain_and_qber(source.mu * power, eta_total, y0, e_mis),
+        *_gain_and_qber(source.nu1 * power, eta_total, y0, e_mis),
+        *_gain_and_qber(source.nu2 * power, eta_total, y0, e_mis))
 
 
 def sample_tally(rates: ClassRates, source: SourceConfig, step: float,
@@ -176,20 +178,23 @@ def sample_tally(rates: ClassRates, source: SourceConfig, step: float,
     fractional remainder carried in `carry` across calls; sifted and error
     counts are binomial with the 1/2 basis-sifting factor.
     """
+    binomial = rng.binomial
+    pulses = source.clock_rate * step
     counts = []
-    for cls, p_cls in zip(CLASSES, (source.p_mu, source.p_nu1, source.p_nu2)):
-        exact = source.clock_rate * step * p_cls
+    for cls, p_cls, q, e in zip(CLASSES,
+                                (source.p_mu, source.p_nu1, source.p_nu2),
+                                (rates.q_mu, rates.q_nu1, rates.q_nu2),
+                                (rates.e_mu, rates.e_nu1, rates.e_nu2)):
+        exact = pulses * p_cls
         if carry is not None:
             exact += carry.get(cls, 0.0)
-        sent = int(math.floor(exact + 1e-9))
+        sent = math.floor(exact + 1e-9)
         if carry is not None:
             carry[cls] = exact - sent
-        q = rates.gain(cls)
-        sifted = int(rng.binomial(sent, q / 2.0)) if sent > 0 and q > 0 else 0
-        e = rates.qber(cls)
-        errors = int(rng.binomial(sifted, e)) if sifted > 0 and e > 0 else 0
-        counts.extend((sent, sifted, errors))
-    return PulseTally(*counts)
+        sifted = int(binomial(sent, q / 2.0)) if sent > 0 and q > 0 else 0
+        errors = int(binomial(sifted, e)) if sifted > 0 and e > 0 else 0
+        counts += (sent, sifted, errors)
+    return PulseTally._make(counts)
 
 
 def calibrate_misalignment(source: SourceConfig, link: LinkConfig,

@@ -11,15 +11,15 @@ Every configuration key is exposed both in the key=value config file and as
 a command-line override flag; overrides apply after the file, before
 validation.  All randomness flows from a single seed.
 
-Exit status: 0 success, 2 usage, 3 unreadable/invalid config file,
-4 configuration validation error, 5 output I/O failure.
+Exit status: 0 success, 2 usage, 3 unreadable config or input file,
+4 configuration or input validation error, 5 output I/O failure.
 """
 from __future__ import annotations
 
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -139,10 +139,18 @@ def _check_pulses(flag: str, value: float) -> None:
                          f"got {value}")
 
 
+class _UnreadableInputError(Exception):
+    """An input file named on the command line could not be read."""
+
+
 def _read_tally_file(path: str) -> channel.PulseTally:
-    names = [f.name for f in fields(channel.PulseTally)]
+    names = channel.PulseTally._fields
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise _UnreadableInputError(f"cannot read tally file: {exc}") from exc
     counts: dict[str, int] = {}
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -285,9 +293,11 @@ def dispatch(request: CommandRequest) -> int:
     out = _OutputTracker(request.out_dir)
     try:
         _RUNNERS[request.subcommand](request, cfg, out)
-    except (OSError, ValueError) as exc:
+    except (_UnreadableInputError, OSError, ValueError) as exc:
         out.cleanup()
         print(f"qkdsim: {exc}", file=sys.stderr)
+        if isinstance(exc, _UnreadableInputError):
+            return EXIT_CONFIG_FILE
         return EXIT_IO if isinstance(exc, OSError) else EXIT_VALIDATION
     return EXIT_OK
 

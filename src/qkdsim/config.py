@@ -78,8 +78,8 @@ class SourceConfig:
                 out.append(f"{name} must lie in (0, 1)")
         if abs(self.p_mu + self.p_nu1 + self.p_nu2 - 1.0) > 1e-12:
             out.append("probabilities must sum to 1 (tolerance 1e-12)")
-        if not self.clock_rate > 0:
-            out.append("clock_rate must be > 0")
+        if not 0 < self.clock_rate < math.inf:
+            out.append("clock_rate must be finite and > 0")
         return out
 
 
@@ -158,10 +158,10 @@ class SimConfig:
 
     def _problems(self) -> list[str]:
         out = []
-        if not self.time_step > 0:
-            out.append("time_step must be > 0")
-        if not self.duration >= 0:
-            out.append("duration must be >= 0")
+        if not 0 < self.time_step < math.inf:
+            out.append("time_step must be finite and > 0")
+        if not 0 <= self.duration < math.inf:
+            out.append("duration must be finite and >= 0")
         if 0 < self.duration < self.time_step:
             out.append("duration must be >= time_step")
         return out

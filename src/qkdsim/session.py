@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +49,7 @@ KEYS_HEADER = ("window_start_s,window_end_s,"
                "qber_mu,y1_lower,e1_upper,secure_bits,secure_rate_bps,efficiency")
 
 
-@dataclass(frozen=True)
-class TelemetryRow:
+class TelemetryRow(NamedTuple):
     """One time step of observable statistics plus hidden diagnostic truth.
 
     QBER/transmittance fields are None when no counts were available that
@@ -155,6 +155,8 @@ def run_session(config: Config, duration: float | None = None,
     ctrl = ControllerState(control=control)
     carry: dict[str, float] = {}
     stabilize = sim.stabilization_enabled
+    # monitored flux at zero drift and nominal attenuation
+    nominal_flux = source.clock_rate * source.mean_intensity()
 
     stretcher_every = _steps_per(control.stretcher_interval, dt)
     epc_every = _steps_per(control.epc_interval, dt)
@@ -165,8 +167,7 @@ def run_session(config: Config, duration: float | None = None,
 
     rows: list[TelemetryRow] = []
     records: list[SecureKeyRecord] = []
-    window_tally = PulseTally()
-    window_start_step = 0
+    window: list[PulseTally] = []  # this window's step tallies
 
     last_qber: float | None = None
     last_count_rate: float | None = None
@@ -176,7 +177,6 @@ def run_session(config: Config, duration: float | None = None,
     max_qber: float | None = None
 
     for i in range(n_steps):
-        t = i * dt
         drift = step_drift(drift, link, dt, rng)
 
         if stabilize:
@@ -187,56 +187,41 @@ def run_session(config: Config, duration: float | None = None,
             if i % gate_every == gate_offset:
                 ctrl = gate_delay_feedback(last_count_rate, ctrl)
             if i % intensity_every == 0:
-                measured = (source.clock_rate * source.mean_intensity()
-                            * drift.power_factor
+                measured = (nominal_flux * drift.power_factor
                             * 10.0 ** (-ctrl.attenuator_setting / 10.0))
                 ctrl = intensity_feedback(measured, source, ctrl)
 
         residual = apply_controls(drift, ctrl)
         rates = class_rates(residual, source, link)
         tally = sample_tally(rates, source, dt, rng, carry)
+        (sent_mu, sifted_mu, errors_mu, sent_nu1, sifted_nu1, errors_nu1,
+         sent_nu2, sifted_nu2, errors_nu2) = tally
 
-        qber_obs = {}
-        trans_obs = {}
-        for cls in CLASSES:
-            sifted = tally.sifted(cls)
-            qber_obs[cls] = tally.errors(cls) / sifted if sifted > 0 else None
-            sent = tally.sent(cls)
-            trans_obs[cls] = 2.0 * sifted / sent if sent > 0 else None
-
-        last_qber = qber_obs["mu"]
-        last_count_rate = tally.total_sifted() / dt
-
-        if qber_obs["mu"] is not None:
-            max_qber = qber_obs["mu"] if max_qber is None else max(max_qber,
-                                                                   qber_obs["mu"])
-        total_errors += tally.errors_mu
-        total_sifted += tally.sifted_mu
+        qber_mu = errors_mu / sifted_mu if sifted_mu > 0 else None
+        last_qber = qber_mu
+        last_count_rate = (sifted_mu + sifted_nu1 + sifted_nu2) / dt
+        if qber_mu is not None and (max_qber is None or qber_mu > max_qber):
+            max_qber = qber_mu
+        total_errors += errors_mu
+        total_sifted += sifted_mu
 
         rows.append(TelemetryRow(
-            time_s=t,
-            qber_mu=qber_obs["mu"], qber_nu1=qber_obs["nu1"],
-            qber_nu2=qber_obs["nu2"],
-            trans_mu=trans_obs["mu"], trans_nu1=trans_obs["nu1"],
-            trans_nu2=trans_obs["nu2"],
-            stretcher=ctrl.stretcher_setting,
-            epc1=ctrl.epc_settings[0], epc2=ctrl.epc_settings[1],
-            epc3=ctrl.epc_settings[2], epc4=ctrl.epc_settings[3],
-            gate_delay_ps=ctrl.gate_delay,
-            atten_db=ctrl.attenuator_setting,
-            hidden_phase_rad=drift.phase_error,
-            hidden_pol_rad=drift.polarization_angle,
-            hidden_timing_ps=drift.timing_offset,
-            hidden_power=drift.power_factor,
-        ))
+            i * dt,
+            qber_mu,
+            errors_nu1 / sifted_nu1 if sifted_nu1 > 0 else None,
+            errors_nu2 / sifted_nu2 if sifted_nu2 > 0 else None,
+            2.0 * sifted_mu / sent_mu if sent_mu > 0 else None,
+            2.0 * sifted_nu1 / sent_nu1 if sent_nu1 > 0 else None,
+            2.0 * sifted_nu2 / sent_nu2 if sent_nu2 > 0 else None,
+            ctrl.stretcher_setting, *ctrl.epc_settings, ctrl.gate_delay,
+            ctrl.attenuator_setting, *drift))  # hidden_*: DriftState order
 
-        window_tally = window_tally + tally
-        if (i + 1 - window_start_step) == window_steps:
+        window.append(tally)
+        if len(window) == window_steps:
             records.append(distill_window(
-                window_tally, config,
-                window_start_step * dt, (i + 1) * dt))
-            window_tally = PulseTally()
-            window_start_step = i + 1
+                PulseTally._make(map(sum, zip(*window))), config,
+                (i + 1 - window_steps) * dt, (i + 1) * dt))
+            window = []
 
     total_bits = sum(r.key.secure_bits for r in records)
     window_time = len(records) * window_steps * dt
@@ -264,6 +249,18 @@ def _fmt(value: float | int | None) -> str:
     return f"{value:.9g}"
 
 
+# A telemetry row whose cells are all floats formats in one operation; a row
+# with an absent (None) cell fails it and goes through _fmt cell by cell.
+_TELEMETRY_LINE = ",".join(["%.9g"] * len(TelemetryRow._fields)) + "\n"
+
+
+def _telemetry_line(row: TelemetryRow) -> str:
+    try:
+        return _TELEMETRY_LINE % row
+    except TypeError:
+        return ",".join(map(_fmt, row)) + "\n"
+
+
 def format_summary(summary: SessionSummary) -> str:
     lines = [
         f"duration_s: {_fmt(summary.duration)}",
@@ -288,14 +285,7 @@ def export_timeseries(rows: list[TelemetryRow], records: list[SecureKeyRecord],
         telemetry_path = dest / "telemetry.csv"
         with telemetry_path.open("w") as fh:
             fh.write(TELEMETRY_HEADER + "\n")
-            for r in rows:
-                fh.write(",".join(_fmt(v) for v in (
-                    r.time_s, r.qber_mu, r.qber_nu1, r.qber_nu2,
-                    r.trans_mu, r.trans_nu1, r.trans_nu2,
-                    r.stretcher, r.epc1, r.epc2, r.epc3, r.epc4,
-                    r.gate_delay_ps, r.atten_db,
-                    r.hidden_phase_rad, r.hidden_pol_rad,
-                    r.hidden_timing_ps, r.hidden_power)) + "\n")
+            fh.writelines(map(_telemetry_line, rows))
         keys_path = dest / "keys.csv"
         with keys_path.open("w") as fh:
             fh.write(KEYS_HEADER + "\n")
@@ -322,17 +312,18 @@ def _parse_cell(cell: str) -> float | None:
     return None if cell == "" else float(cell)
 
 
-def load_telemetry_csv(path: str | Path) -> list[dict[str, float | None]]:
+def _load_csv(path: str | Path, header: str) -> list[dict[str, float | None]]:
     lines = Path(path).read_text().splitlines()
-    header = lines[0].split(",")
-    assert lines[0] == TELEMETRY_HEADER, "unexpected telemetry schema"
-    return [dict(zip(header, map(_parse_cell, line.split(","))))
+    if not lines or lines[0] != header:
+        raise ValueError(f"{path}: unexpected header, expected {header!r}")
+    names = header.split(",")
+    return [dict(zip(names, map(_parse_cell, line.split(","))))
             for line in lines[1:]]
+
+
+def load_telemetry_csv(path: str | Path) -> list[dict[str, float | None]]:
+    return _load_csv(path, TELEMETRY_HEADER)
 
 
 def load_keys_csv(path: str | Path) -> list[dict[str, float | None]]:
-    lines = Path(path).read_text().splitlines()
-    header = lines[0].split(",")
-    assert lines[0] == KEYS_HEADER, "unexpected keys schema"
-    return [dict(zip(header, map(_parse_cell, line.split(","))))
-            for line in lines[1:]]
+    return _load_csv(path, KEYS_HEADER)

@@ -12,7 +12,7 @@ telemetry without a full polarization-state simulation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +34,7 @@ __all__ = [
 EPC_WEIGHTS = (1.0, 0.25, 0.1, 0.04)
 
 
-@dataclass(frozen=True)
-class ControllerState:
+class ControllerState(NamedTuple):
     """Actuator settings plus the per-loop dither memory."""
 
     control: ControlConfig = ControlConfig()
@@ -53,21 +52,23 @@ class ControllerState:
     last_count_gate: float | None = None
 
     def net_epc_angle(self) -> float:
-        return sum(w * s for w, s in zip(EPC_WEIGHTS, self.epc_settings))
+        (w1, w2, w3, w4), (s1, s2, s3, s4) = EPC_WEIGHTS, self.epc_settings
+        return w1 * s1 + w2 * s2 + w3 * s3 + w4 * s4
 
 
 def step_drift(drift: DriftState, link: LinkConfig, dt: float,
                rng: np.random.Generator) -> DriftState:
     """Advance the environment by dt seconds (diffusions plus timing ramp)."""
-    g = rng.standard_normal(4)
+    # Python floats, not numpy scalars: the same values, cheaper arithmetic.
+    g_phase, g_pol, g_timing, g_power = rng.standard_normal(4).tolist()
     return DriftState(
-        phase_error=drift.phase_error + math.sqrt(link.phase_diffusion * dt) * g[0],
-        polarization_angle=(drift.polarization_angle
-                            + math.sqrt(link.polarization_diffusion * dt) * g[1]),
-        timing_offset=(drift.timing_offset + link.timing_drift_rate * dt
-                       + math.sqrt(link.timing_diffusion * dt) * g[2]),
-        power_factor=(drift.power_factor
-                      * math.exp(math.sqrt(link.laser_power_diffusion * dt) * g[3])),
+        drift.phase_error + math.sqrt(link.phase_diffusion * dt) * g_phase,
+        drift.polarization_angle
+        + math.sqrt(link.polarization_diffusion * dt) * g_pol,
+        drift.timing_offset + link.timing_drift_rate * dt
+        + math.sqrt(link.timing_diffusion * dt) * g_timing,
+        drift.power_factor
+        * math.exp(math.sqrt(link.laser_power_diffusion * dt) * g_power),
     )
 
 
@@ -79,8 +80,7 @@ def stretcher_feedback(qber_estimate: float | None,
     direction = state.stretcher_dir
     if state.last_qber is not None and qber_estimate > state.last_qber:
         direction = -direction
-    return replace(
-        state,
+    return state._replace(
         stretcher_dir=direction,
         stretcher_setting=(state.stretcher_setting
                            + direction * state.control.stretcher_step),
@@ -98,7 +98,7 @@ def polarization_feedback(count_rate: float | None,
     last = state.last_counts_epc[ch]
     if count_rate == 0.0 and (last is None or last == 0.0):
         # channel dark: no gradient signal, hold everything
-        return replace(state, epc_cycle=(ch + 1) % 4)
+        return state._replace(epc_cycle=(ch + 1) % 4)
     direction = state.epc_dirs[ch]
     if last is not None and count_rate < last:
         direction = -direction
@@ -108,8 +108,7 @@ def polarization_feedback(count_rate: float | None,
     dirs[ch] = direction
     lasts = list(state.last_counts_epc)
     lasts[ch] = count_rate
-    return replace(
-        state,
+    return state._replace(
         epc_settings=tuple(settings),
         epc_dirs=tuple(dirs),
         last_counts_epc=tuple(lasts),
@@ -128,8 +127,7 @@ def gate_delay_feedback(count_rate: float | None,
     direction = state.gate_dir
     if state.last_count_gate is not None and count_rate < state.last_count_gate:
         direction = -direction
-    return replace(
-        state,
+    return state._replace(
         gate_dir=direction,
         gate_delay=state.gate_delay + direction * state.control.gate_step,
         last_count_gate=count_rate,
@@ -144,8 +142,7 @@ def intensity_feedback(measured_flux: float, source: SourceConfig,
     if measured_flux <= 0.0 or target <= 0.0:
         return state
     correction = 10.0 * math.log10(measured_flux / target)
-    return replace(
-        state,
+    return state._replace(
         attenuator_setting=(state.attenuator_setting
                             + state.control.intensity_gain * correction),
     )
@@ -154,8 +151,8 @@ def intensity_feedback(measured_flux: float, source: SourceConfig,
 def apply_controls(drift: DriftState, state: ControllerState) -> DriftState:
     """Residual drift seen by the optics after the actuators act."""
     return DriftState(
-        phase_error=drift.phase_error + state.stretcher_setting,
-        polarization_angle=drift.polarization_angle + state.net_epc_angle(),
-        timing_offset=drift.timing_offset - state.gate_delay,
-        power_factor=drift.power_factor * 10.0 ** (-state.attenuator_setting / 10.0),
+        drift.phase_error + state.stretcher_setting,
+        drift.polarization_angle + state.net_epc_angle(),
+        drift.timing_offset - state.gate_delay,
+        drift.power_factor * 10.0 ** (-state.attenuator_setting / 10.0),
     )

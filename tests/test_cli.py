@@ -223,3 +223,25 @@ def test_optimize_rejects_negative_sweeps(tmp_path, capsys):
     _assert_rejected(["optimize", "--out", str(tmp_path), "--sweeps", "-1"],
                      capsys, "sweeps must be >= 0")
     assert not (tmp_path / "optimize.txt").exists()
+
+
+@pytest.mark.parametrize("flag,key", [("--duration", "duration"),
+                                      ("--time-step", "time_step"),
+                                      ("--clock-rate", "clock_rate")])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_simulate_rejects_non_finite_settings(tmp_path, capsys, flag, key,
+                                              value):
+    _assert_rejected(["simulate", "--out", str(tmp_path), f"{flag}={value}"],
+                     capsys, f"{key} must be finite")
+    assert not (tmp_path / "telemetry.csv").exists()
+
+
+def test_keyrate_unreadable_tally_file_exits_with_input_status(tmp_path,
+                                                               capsys):
+    status = main(["keyrate", "--out", str(tmp_path), "--tally-file",
+                   str(tmp_path / "missing.txt")])
+    assert status == EXIT_CONFIG_FILE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "cannot read tally file" in err
+    assert not (tmp_path / "keyrate.csv").exists()

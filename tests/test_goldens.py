@@ -12,6 +12,13 @@ import pytest
 
 from qkdsim.cli import EXIT_OK, main
 
+SPARSE = ("simulate", "--seed", "13", "--duration", "600", "--clock-rate",
+          "100", "--distill-interval", "120")
+LOOPS_OFF = ("simulate", "--seed", "13", "--duration", "600",
+             "--stabilization-enabled", "false")
+# test ids: the subcommand, or a name for a further run of one
+NAMES = {SPARSE: "simulate-sparse", LOOPS_OFF: "simulate-loops-off"}
+
 GOLDENS = {
     ("simulate", "--seed", "13", "--duration", "3600"): {
         "telemetry.csv":
@@ -23,8 +30,7 @@ GOLDENS = {
     },
     # ~1 pulse per step per decoy class: every telemetry row has empty
     # cells, and the feedback loops see dark channels.
-    ("simulate", "--seed", "13", "--duration", "600", "--clock-rate", "100",
-     "--distill-interval", "120"): {
+    SPARSE: {
         "telemetry.csv":
             "b12d861a385afc48a6764b283afe468c615b3f3dd153cf613fec9b6ca8dc3165",
         "keys.csv":
@@ -32,8 +38,7 @@ GOLDENS = {
         "summary.txt":
             "725d2b4dd1ee1e4aae1eea3f78018c7fdc589fa6f2fa241cd36de04f0a2eafbb",
     },
-    ("simulate", "--seed", "13", "--duration", "600",
-     "--stabilization-enabled", "false"): {
+    LOOPS_OFF: {
         "telemetry.csv":
             "43f9542e1eff2cd6ce4bbcdb78a42fdaefa7aa7d2a177390aa12dd7f3611d82f",
         "keys.csv":
@@ -62,7 +67,8 @@ GOLDENS = {
 }
 
 
-@pytest.mark.parametrize("argv", list(GOLDENS), ids=lambda a: a[0])
+@pytest.mark.parametrize("argv", list(GOLDENS),
+                         ids=lambda a: NAMES.get(a, a[0]))
 def test_cli_outputs_match_goldens(argv, tmp_path, capsys):
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()

@@ -147,6 +147,18 @@ def test_absent_values_export_as_empty_cells(preset, tmp_path):
     assert any(r["qber_nu2"] is None for r in loaded)
 
 
+@pytest.mark.parametrize("name,loader", [("telemetry.csv", load_telemetry_csv),
+                                         ("keys.csv", load_keys_csv)])
+def test_loaders_reject_wrong_header(tmp_path, name, loader):
+    path = tmp_path / name
+    path.write_text("time_s,qber\n0,0.04\n")
+    with pytest.raises(ValueError, match="unexpected header"):
+        loader(path)
+    path.write_text("")
+    with pytest.raises(ValueError, match="unexpected header"):
+        loader(path)
+
+
 def test_format_summary_fields(short_session):
     text = format_summary(short_session.summary)
     assert "windows: 2" in text
