@@ -133,10 +133,18 @@ def _load_config(req: CommandRequest) -> Config:
     return cfg.validated()
 
 
-def _check_pulses(flag: str, value: float) -> None:
+def _check_pulses(flag: str, value: float,
+                  source: config_mod.SourceConfig) -> None:
+    """Reject a pulse budget whose expectation tally leaves a class without
+    pulses (each class gets round(value * p_class) of them)."""
     if not 0.0 < value < math.inf:
         raise ValueError(f"{flag} must be a positive finite pulse count, "
                          f"got {value}")
+    for cls in channel.CLASSES:
+        p = getattr(source, f"p_{cls}")
+        if round(value * p) < 1:
+            raise ValueError(f"{flag} {value:g} gives class {cls} no pulses "
+                             f"at p_{cls} = {p:g}; it must exceed {0.5 / p:g}")
 
 
 class _UnreadableInputError(Exception):
@@ -167,6 +175,9 @@ def _read_tally_file(path: str) -> channel.PulseTally:
         raise ValueError(f"{path}: missing tally keys: {', '.join(missing)}")
     tally = channel.PulseTally(**counts)
     tally.check()
+    for cls in channel.CLASSES:
+        if tally.sent(cls) == 0:
+            raise ValueError(f"{path}: class {cls} has no pulses (sent_{cls} = 0)")
     return tally
 
 
@@ -201,7 +212,7 @@ def _run_keyrate(req: CommandRequest, cfg: Config, out: _OutputTracker) -> None:
     if req.tally_file is not None:
         tally = _read_tally_file(req.tally_file)
     else:
-        _check_pulses("--n-pulses", req.n_pulses)
+        _check_pulses("--n-pulses", req.n_pulses, cfg.source)
         tally = finite_key.expectation_tally(req.n_pulses, cfg.source, cfg.link)
     bounds = finite_key.decoy_bounds(
         finite_key.estimate_channel(tally, cfg.security), cfg.source)
@@ -225,8 +236,8 @@ def _run_keyrate(req: CommandRequest, cfg: Config, out: _OutputTracker) -> None:
 
 def _run_efficiency_curve(req: CommandRequest, cfg: Config,
                           out: _OutputTracker) -> None:
-    _check_pulses("--min-pulses", req.min_pulses)
-    _check_pulses("--max-pulses", req.max_pulses)
+    _check_pulses("--min-pulses", req.min_pulses, cfg.source)
+    _check_pulses("--max-pulses", req.max_pulses, cfg.source)
     if req.min_pulses > req.max_pulses:
         raise ValueError("--min-pulses must not exceed --max-pulses")
     if req.points < 1:
@@ -243,7 +254,7 @@ def _run_efficiency_curve(req: CommandRequest, cfg: Config,
 
 
 def _run_optimize(req: CommandRequest, cfg: Config, out: _OutputTracker) -> None:
-    _check_pulses("--n-pulses", req.n_pulses)
+    _check_pulses("--n-pulses", req.n_pulses, cfg.source)
     settings = optimizer.SearchSettings(start=cfg.source, sweeps=req.sweeps)
     result = optimizer.optimize_source(cfg.link, cfg.security, req.n_pulses,
                                        settings)

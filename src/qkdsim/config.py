@@ -27,6 +27,7 @@ __all__ = [
     "apply_overrides",
     "config_to_text",
     "config_keys",
+    "steps_per",
     "DEFAULT_MISALIGNMENT",
 ]
 
@@ -34,6 +35,11 @@ __all__ = [
 # default link is exactly 3.85%.  Recompute with `qkdsim calibrate` if any
 # link constant changes; tests assert consistency with fresh calibration.
 DEFAULT_MISALIGNMENT = 0.03749724321045597
+
+# numpy draws from a class's per-step sent count as a C long (int64).
+_MAX_STEP_PULSES = 2.0 ** 63
+_CADENCES = ("stretcher_interval", "epc_interval", "gate_interval",
+             "intensity_interval")
 
 
 class ConfigError(ValueError):
@@ -142,8 +148,8 @@ class SecurityConfig:
             out.append("epsilon must lie in (0, 1)")
         if not self.ec_efficiency >= 1:
             out.append("ec_efficiency must be >= 1")
-        if not self.distill_interval > 0:
-            out.append("distill_interval must be > 0")
+        if not 0 < self.distill_interval < math.inf:
+            out.append("distill_interval must be finite and > 0")
         return out
 
 
@@ -185,10 +191,9 @@ class ControlConfig:
         for name in ("stretcher_step", "epc_step", "gate_step"):
             if not getattr(self, name) > 0:
                 out.append(f"{name} must be > 0")
-        for name in ("stretcher_interval", "epc_interval", "gate_interval",
-                     "intensity_interval"):
-            if not getattr(self, name) > 0:
-                out.append(f"{name} must be > 0")
+        for name in _CADENCES:
+            if not 0 < getattr(self, name) < math.inf:
+                out.append(f"{name} must be finite and > 0")
         if not 0 < self.intensity_gain <= 2:
             out.append("intensity_gain must lie in (0, 2]")
         return out
@@ -207,9 +212,37 @@ class Config:
     def validated(self) -> "Config":
         validate_config(self.source, self.link, self.security, self.sim)
         problems = self.control._problems()
+        if not problems:
+            problems = self._step_problems()
         if problems:
             raise ConfigError(problems)
         return self
+
+    def _step_problems(self) -> list[str]:
+        """Counts the session makes integers of: steps per interval, sent
+        pulses per class and step, and per class and distillation window."""
+        source, dt = self.source, self.sim.time_step
+        intervals = {"duration": self.sim.duration,
+                     "distill_interval": self.security.distill_interval,
+                     **{name: getattr(self.control, name) for name in _CADENCES}}
+        out = [f"{name} / time_step must be finite"
+               for name, value in intervals.items()
+               if not math.isfinite(value / dt)]
+        if out:
+            return out
+        window = steps_per(self.security.distill_interval, dt) * dt
+        for cls in ("mu", "nu1", "nu2"):
+            p = getattr(source, f"p_{cls}")
+            per_step = source.clock_rate * dt * p
+            per_window = source.clock_rate * window * p
+            if not per_step < _MAX_STEP_PULSES:
+                out.append(f"clock_rate * time_step * p_{cls} = {per_step:.3g} "
+                           f"pulses of class {cls} per step; must be < 2**63")
+            elif not per_window >= 1.0:
+                out.append(f"clock_rate * distill_interval * p_{cls} = "
+                           f"{per_window:.3g}: class {cls} gets no pulses in a "
+                           f"distillation window; must be >= 1")
+        return out
 
 
 def validate_config(
@@ -224,6 +257,11 @@ def validate_config(
     if problems:
         raise ConfigError(problems)
     return source, link, security, sim
+
+
+def steps_per(interval: float, dt: float) -> int:
+    """Whole time steps in `interval`, at least one."""
+    return max(1, int(round(interval / dt)))
 
 
 def default_config() -> Config:

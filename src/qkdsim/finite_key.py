@@ -10,7 +10,8 @@ is split half to privacy amplification and half equally across the
 intervals that `estimate_channel` computes, one per field of
 `ChannelEstimates` (N_BOUND_CALLS of them): the signal gain and error rate,
 the two decoy gains and the two decoy error gains.  Each is computed once
-per distillation.
+per distillation.  An optimizer search memoizes the intervals, so a
+tally class that a line search leaves unchanged is not bounded again.
 
 Each endpoint is found on the forward regularized incomplete beta function
 alone and leaves at most its epsilon/2 in its tail as that function
@@ -212,26 +213,32 @@ class ChannelEstimates:
 N_BOUND_CALLS = len(fields(ChannelEstimates))
 
 
-def _scaled_cp(successes: int, trials: int, eps: float) -> BinomialBound:
+def _doubled(b: BinomialBound) -> BinomialBound:
     # Sifted counts are binomial in Q/2 per sent pulse; scale back to Q.
-    b = clopper_pearson(successes, trials, eps)
     return BinomialBound(lower=min(1.0, 2.0 * b.lower),
                          upper=min(1.0, 2.0 * b.upper))
 
 
-def estimate_channel(tally: PulseTally, security: SecurityConfig) -> ChannelEstimates:
+def estimate_channel(tally: PulseTally, security: SecurityConfig,
+                     interval: Callable[[int, int, float], BinomialBound]
+                     | None = None) -> ChannelEstimates:
     """Clopper-Pearson intervals for the key-length analysis, each at its
     share of the epsilon budget.  Without sifted signal bits there is no
-    error rate to bound, and e_mu is the whole of [0, 1]."""
+    error rate to bound, and e_mu is the whole of [0, 1].
+
+    `interval` computes each interval in place of `clopper_pearson`; a
+    search passes a memo of it, so that tallies it has seen are not bounded
+    twice."""
+    cp = interval or clopper_pearson
     eps = security.epsilon / 2.0 / N_BOUND_CALLS
     return ChannelEstimates(
-        q_mu=_scaled_cp(tally.sifted_mu, tally.sent_mu, eps),
-        e_mu=(clopper_pearson(tally.errors_mu, tally.sifted_mu, eps)
+        q_mu=_doubled(cp(tally.sifted_mu, tally.sent_mu, eps)),
+        e_mu=(cp(tally.errors_mu, tally.sifted_mu, eps)
               if tally.sifted_mu > 0 else BinomialBound(0.0, 1.0)),
-        q_nu1=_scaled_cp(tally.sifted_nu1, tally.sent_nu1, eps),
-        q_nu2=_scaled_cp(tally.sifted_nu2, tally.sent_nu2, eps),
-        eq_nu1=_scaled_cp(tally.errors_nu1, tally.sent_nu1, eps),
-        eq_nu2=_scaled_cp(tally.errors_nu2, tally.sent_nu2, eps),
+        q_nu1=_doubled(cp(tally.sifted_nu1, tally.sent_nu1, eps)),
+        q_nu2=_doubled(cp(tally.sifted_nu2, tally.sent_nu2, eps)),
+        eq_nu1=_doubled(cp(tally.errors_nu1, tally.sent_nu1, eps)),
+        eq_nu2=_doubled(cp(tally.errors_nu2, tally.sent_nu2, eps)),
     )
 
 

@@ -5,12 +5,19 @@ line search per coordinate.  p_nu2 is derived as the simplex remainder, and
 every candidate is projected back inside the source invariants before
 evaluation, so gradients through the clamped (max with zero) regions of the
 objective are never needed.
+
+A line search moves one coordinate, so the classes it leaves alone keep
+their counts and their Clopper-Pearson intervals.  Each search therefore
+keeps its own memo of `finite_key.clopper_pearson`, and computes each
+distinct interval once; the memo ends with the search.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
+from . import finite_key
 from .config import LinkConfig, SecurityConfig, SourceConfig
 from .finite_key import (decoy_bounds, estimate_channel, expectation_tally,
                          secure_key_length)
@@ -30,14 +37,17 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def objective(source: SourceConfig, link: LinkConfig, security: SecurityConfig,
-              n_pulses: float) -> float:
+              n_pulses: float, interval=None) -> float:
     """Deterministic finite-size secure bits per emitted pulse at expectation
-    tallies (no sampling)."""
+    tallies (no sampling); 0 where a class gets no pulses.  `interval` is
+    passed on to `estimate_channel`."""
     if not (source.mu > source.nu1 > source.nu2 >= 0.0
             and source.nu1 + source.nu2 < source.mu):
         return 0.0
     tally = expectation_tally(n_pulses, source, link)
-    bounds = decoy_bounds(estimate_channel(tally, security), source)
+    if 0 in (tally.sent_mu, tally.sent_nu1, tally.sent_nu2):
+        return 0.0    # a class without pulses bounds nothing
+    bounds = decoy_bounds(estimate_channel(tally, security, interval), source)
     result = secure_key_length(tally, bounds, security, source)
     return result.secure_bits / n_pulses
 
@@ -104,10 +114,11 @@ def optimize_source(link: LinkConfig, security: SecurityConfig, n_pulses: float,
         raise ValueError(f"sweeps must be >= 0, got {settings.sweeps}")
 
     result = OptimizationResult(best=_project(settings.start, settings), rate=-1.0)
+    interval = lru_cache(maxsize=None)(finite_key.clopper_pearson)
 
     def evaluate(candidate: SourceConfig) -> float:
         result.evaluations += 1
-        rate = objective(candidate, link, security, n_pulses)
+        rate = objective(candidate, link, security, n_pulses, interval)
         if rate > result.rate:
             result.rate = rate
             result.best = candidate

@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import (CLASSES, DriftState, PulseTally, class_rates,
                       sample_tally)
-from .config import Config
+from .config import Config, steps_per
 from .finite_key import (KeyResult, decoy_bounds, estimate_channel,
                          secure_key_length)
 from .stabilization import (ControllerState, apply_controls,
@@ -132,10 +132,6 @@ def distill_window(tally: PulseTally, config: Config, window_start: float,
     )
 
 
-def _steps_per(interval: float, dt: float) -> int:
-    return max(1, int(round(interval / dt)))
-
-
 def run_session(config: Config, duration: float | None = None,
                 seed: int | None = None) -> SessionResult:
     """Run a full closed-loop session and distill every complete window."""
@@ -158,12 +154,12 @@ def run_session(config: Config, duration: float | None = None,
     # monitored flux at zero drift and nominal attenuation
     nominal_flux = source.clock_rate * source.mean_intensity()
 
-    stretcher_every = _steps_per(control.stretcher_interval, dt)
-    epc_every = _steps_per(control.epc_interval, dt)
-    gate_every = _steps_per(control.gate_interval, dt)
+    stretcher_every = steps_per(control.stretcher_interval, dt)
+    epc_every = steps_per(control.epc_interval, dt)
+    gate_every = steps_per(control.gate_interval, dt)
     gate_offset = gate_every // 2  # interleave with the EPC loop
-    intensity_every = _steps_per(control.intensity_interval, dt)
-    window_steps = _steps_per(security.distill_interval, dt)
+    intensity_every = steps_per(control.intensity_interval, dt)
+    window_steps = steps_per(security.distill_interval, dt)
 
     rows: list[TelemetryRow] = []
     records: list[SecureKeyRecord] = []

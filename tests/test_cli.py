@@ -236,6 +236,52 @@ def test_simulate_rejects_non_finite_settings(tmp_path, capsys, flag, key,
     assert not (tmp_path / "telemetry.csv").exists()
 
 
+@pytest.mark.parametrize("flags,message", [
+    # numpy draws from the per-step sent count as a C long
+    (["--clock-rate", "1e19", "--duration", "5"],
+     "pulses of class mu per step; must be < 2**63"),
+    # a step count that overflows an int
+    (["--duration", "1e308", "--time-step", "1e-300"],
+     "duration / time_step must be finite"),
+    (["--distill-interval", "inf"], "distill_interval must be finite"),
+    (["--epc-interval", "1e308", "--time-step", "1e-10"],
+     "epc_interval / time_step must be finite"),
+])
+def test_simulate_rejects_counts_it_cannot_hold(tmp_path, capsys, flags,
+                                                message):
+    _assert_rejected(["simulate", "--out", str(tmp_path), *flags], capsys,
+                     message)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["simulate", "--clock-rate", "0.01", "--duration", "600",
+      "--distill-interval", "120"],
+     "clock_rate * distill_interval * p_nu1 = 0.00936: class nu1 gets no "
+     "pulses in a distillation window"),
+    (["keyrate", "--n-pulses", "1"], "--n-pulses 1 gives class nu1 no pulses"),
+    (["optimize", "--n-pulses", "10"],
+     "--n-pulses 10 gives class nu1 no pulses"),
+    (["efficiency-curve", "--min-pulses", "100", "--max-pulses", "1e12"],
+     "--min-pulses 100 gives class nu2 no pulses"),
+])
+def test_class_without_pulses_rejected_before_any_work(
+        tmp_path, capsys, monkeypatch, argv, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the input was rejected")
+    monkeypatch.setattr("qkdsim.session.run_session", no_work)
+    monkeypatch.setattr("qkdsim.finite_key.clopper_pearson", no_work)
+    _assert_rejected([*argv, "--out", str(tmp_path)], capsys, message)
+
+
+def test_keyrate_rejects_tally_without_pulses(tmp_path, capsys, preset):
+    counts = _write_tally(tmp_path / "counts.txt", preset,
+                          extra=["sent_nu2 = 0", "sifted_nu2 = 0",
+                                 "errors_nu2 = 0"],
+                          drop=["sent_nu2", "sifted_nu2", "errors_nu2"])
+    _assert_rejected(["keyrate", "--out", str(tmp_path), "--tally-file",
+                      str(counts)], capsys, "class nu2 has no pulses")
+
+
 def test_keyrate_unreadable_tally_file_exits_with_input_status(tmp_path,
                                                                capsys):
     status = main(["keyrate", "--out", str(tmp_path), "--tally-file",

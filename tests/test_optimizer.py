@@ -1,8 +1,13 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
+from qkdsim import finite_key
 from qkdsim.config import (LinkConfig, SecurityConfig, SimConfig, SourceConfig,
                            validate_config)
+from qkdsim.finite_key import (N_BOUND_CALLS, clopper_pearson,
+                               estimate_channel, expectation_tally)
 from qkdsim.optimizer import (MU_BOUNDS, SearchSettings, objective,
                               optimize_source)
 
@@ -109,3 +114,54 @@ def test_infeasible_bounds_rejected(preset):
 
 def test_mu_stays_inside_bounds(search_result):
     assert MU_BOUNDS[0] <= search_result.best.mu <= MU_BOUNDS[1]
+
+
+def test_objective_zero_when_a_class_gets_no_pulses(preset):
+    # 1000 pulses at p_nu2 = 1e-4, the search's floor, send no nu2 pulse
+    sparse = SourceConfig(p_mu=0.9899, p_nu1=0.01, p_nu2=1e-4)
+    assert expectation_tally(1000, sparse, preset.link).sent_nu2 == 0
+    assert objective(sparse, preset.link, preset.security, 1000) == 0.0
+    result = optimize_source(preset.link, preset.security, 1000,
+                             SearchSettings(sweeps=1, line_search_iters=8))
+    assert result.rate >= 0.0
+
+
+def _count_intervals(monkeypatch) -> list[tuple]:
+    """Record every call that reaches `finite_key.clopper_pearson`."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return clopper_pearson(*args)
+    monkeypatch.setattr(finite_key, "clopper_pearson", counted)
+    return calls
+
+
+def test_search_bounds_each_distinct_interval_once(preset, monkeypatch):
+    calls = _count_intervals(monkeypatch)
+    result = optimize_source(preset.link, preset.security, N_PULSES)
+    # a line search moves one class's counts and leaves the others' intervals
+    # as they were (measured: 0.45 of N_BOUND_CALLS per evaluation)
+    assert len(calls) <= 0.6 * N_BOUND_CALLS * result.evaluations
+    assert len(calls) == len(set(calls))
+
+
+def test_no_interval_memo_outlives_a_search(preset, monkeypatch):
+    calls = _count_intervals(monkeypatch)
+    settings = SearchSettings(sweeps=1, line_search_iters=10)
+    first = optimize_source(preset.link, preset.security, N_PULSES, settings)
+    n_first = len(calls)
+    second = optimize_source(preset.link, preset.security, N_PULSES, settings)
+    assert n_first > 0
+    assert len(calls) == 2 * n_first
+    assert (second.best, second.rate, second.evaluations, second.trace) == \
+        (first.best, first.rate, first.evaluations, first.trace)
+
+
+def test_estimate_channel_same_with_interval_memo(preset):
+    tally = expectation_tally(N_PULSES, preset.source, preset.link)
+    memo = lru_cache(maxsize=None)(clopper_pearson)
+    direct = estimate_channel(tally, preset.security)
+    assert estimate_channel(tally, preset.security, memo) == direct
+    assert estimate_channel(tally, preset.security, memo) == direct
+    assert memo.cache_info().hits == N_BOUND_CALLS
