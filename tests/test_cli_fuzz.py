@@ -92,7 +92,8 @@ def run_cli(argv: list[str]) -> tuple[int, str]:
 @given(arguments())
 # the per-step sent count overflowed a C long in numpy's binomial draw
 @example(["simulate", "--clock-rate=1e19", "--duration=5"])
-# a class got no pulses: found only at the first window, or the first bound
+# a class got no pulses: once found only when a window closed or an interval
+# was computed, after the work before it
 @example(["simulate", "--clock-rate=0.01", "--duration=60",
           "--distill-interval=30"])
 @example(["keyrate", "--n-pulses=1"])
