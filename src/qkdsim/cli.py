@@ -202,7 +202,7 @@ class _OutputTracker:
 
 def _run_simulate(req: CommandRequest, cfg: Config, out: _OutputTracker) -> None:
     result = session.run_session(cfg)
-    paths = session.export_timeseries(result.rows, result.records, out.dir,
+    paths = session.export_timeseries(result.telemetry, result.records, out.dir,
                                       summary=result.summary)
     out.written.extend(paths)
     sys.stdout.write(session.format_summary(result.summary))

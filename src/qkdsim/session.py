@@ -5,11 +5,18 @@ controllers only quantities an operator could observe - sampled counts and
 the QBER computed from them - while the true drift state is logged as
 hidden diagnostic truth.  Completed distillation windows are turned into
 secure key records; a trailing partial window is discarded.
+
+The telemetry is one float64 array with a row per step and a column per
+`TelemetryRow` field.  NaN marks an absent cell: a QBER or transmittance of
+a class that sent or sifted nothing that step.  It is written to
+telemetry.csv as an empty field.
 """
 from __future__ import annotations
 
 import math
+from math import nan
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -105,9 +112,16 @@ class SessionSummary:
 
 @dataclass(frozen=True)
 class SessionResult:
-    rows: list[TelemetryRow]
+    telemetry: np.ndarray  # (n_steps, len(TelemetryRow._fields)), NaN = absent
     records: list[SecureKeyRecord]
     summary: SessionSummary
+
+    @cached_property
+    def rows(self) -> list[TelemetryRow]:
+        """The telemetry as one `TelemetryRow` per step, None for NaN; built
+        on first access and kept."""
+        return [TelemetryRow._make([None if v != v else v for v in row])
+                for row in self.telemetry.tolist()]
 
 
 def distill_window(tally: PulseTally, config: Config, window_start: float,
@@ -161,7 +175,7 @@ def run_session(config: Config, duration: float | None = None,
     intensity_every = steps_per(control.intensity_interval, dt)
     window_steps = steps_per(security.distill_interval, dt)
 
-    rows: list[TelemetryRow] = []
+    telemetry = np.empty((n_steps, len(TelemetryRow._fields)))
     records: list[SecureKeyRecord] = []
     window: list[PulseTally] = []  # this window's step tallies
 
@@ -193,24 +207,26 @@ def run_session(config: Config, duration: float | None = None,
         (sent_mu, sifted_mu, errors_mu, sent_nu1, sifted_nu1, errors_nu1,
          sent_nu2, sifted_nu2, errors_nu2) = tally
 
-        qber_mu = errors_mu / sifted_mu if sifted_mu > 0 else None
-        last_qber = qber_mu
+        if sifted_mu > 0:
+            qber_mu = last_qber = errors_mu / sifted_mu
+            if max_qber is None or qber_mu > max_qber:
+                max_qber = qber_mu
+        else:
+            qber_mu, last_qber = nan, None
         last_count_rate = (sifted_mu + sifted_nu1 + sifted_nu2) / dt
-        if qber_mu is not None and (max_qber is None or qber_mu > max_qber):
-            max_qber = qber_mu
         total_errors += errors_mu
         total_sifted += sifted_mu
 
-        rows.append(TelemetryRow(
+        telemetry[i] = (
             i * dt,
             qber_mu,
-            errors_nu1 / sifted_nu1 if sifted_nu1 > 0 else None,
-            errors_nu2 / sifted_nu2 if sifted_nu2 > 0 else None,
-            2.0 * sifted_mu / sent_mu if sent_mu > 0 else None,
-            2.0 * sifted_nu1 / sent_nu1 if sent_nu1 > 0 else None,
-            2.0 * sifted_nu2 / sent_nu2 if sent_nu2 > 0 else None,
+            errors_nu1 / sifted_nu1 if sifted_nu1 > 0 else nan,
+            errors_nu2 / sifted_nu2 if sifted_nu2 > 0 else nan,
+            2.0 * sifted_mu / sent_mu if sent_mu > 0 else nan,
+            2.0 * sifted_nu1 / sent_nu1 if sent_nu1 > 0 else nan,
+            2.0 * sifted_nu2 / sent_nu2 if sent_nu2 > 0 else nan,
             ctrl.stretcher_setting, *ctrl.epc_settings, ctrl.gate_delay,
-            ctrl.attenuator_setting, *drift))  # hidden_*: DriftState order
+            ctrl.attenuator_setting, *drift)  # hidden_*: DriftState order
 
         window.append(tally)
         if len(window) == window_steps:
@@ -230,7 +246,7 @@ def run_session(config: Config, duration: float | None = None,
         mean_qber_signal=total_errors / total_sifted if total_sifted > 0 else None,
         max_qber_signal=max_qber,
     )
-    return SessionResult(rows=rows, records=records, summary=summary)
+    return SessionResult(telemetry=telemetry, records=records, summary=summary)
 
 
 # ---------------------------------------------------------------------------
@@ -245,16 +261,22 @@ def _fmt(value: float | int | None) -> str:
     return f"{value:.9g}"
 
 
-# A telemetry row whose cells are all floats formats in one operation; a row
-# with an absent (None) cell fails it and goes through _fmt cell by cell.
+# A telemetry row without an absent (NaN) cell formats in one operation; a
+# row with one goes through _fmt cell by cell, NaN as an empty field.
 _TELEMETRY_LINE = ",".join(["%.9g"] * len(TelemetryRow._fields)) + "\n"
+# Rows converted to Python floats at a time: converting the whole array at
+# once would hold a boxed float per cell of the session.
+_EXPORT_BLOCK = 4096
 
 
-def _telemetry_line(row: TelemetryRow) -> str:
-    try:
-        return _TELEMETRY_LINE % row
-    except TypeError:
-        return ",".join(map(_fmt, row)) + "\n"
+def _telemetry_block(block: np.ndarray) -> str:
+    lines = []
+    for row, absent in zip(block.tolist(), np.isnan(block).any(axis=1).tolist()):
+        if absent:
+            lines.append(",".join(["" if v != v else _fmt(v) for v in row]) + "\n")
+        else:
+            lines.append(_TELEMETRY_LINE % tuple(row))
+    return "".join(lines)
 
 
 def format_summary(summary: SessionSummary) -> str:
@@ -270,18 +292,20 @@ def format_summary(summary: SessionSummary) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_timeseries(rows: list[TelemetryRow], records: list[SecureKeyRecord],
+def export_timeseries(telemetry: np.ndarray, records: list[SecureKeyRecord],
                       destination: str | Path,
                       summary: SessionSummary | None = None) -> list[Path]:
-    """Write telemetry.csv and keys.csv (and summary.txt when given) under
-    the destination directory; returns the written paths."""
+    """Write telemetry.csv (from a `SessionResult.telemetry` array) and
+    keys.csv, and summary.txt when given, under the destination directory;
+    returns the written paths."""
     dest = Path(destination)
     try:
         dest.mkdir(parents=True, exist_ok=True)
         telemetry_path = dest / "telemetry.csv"
         with telemetry_path.open("w") as fh:
             fh.write(TELEMETRY_HEADER + "\n")
-            fh.writelines(map(_telemetry_line, rows))
+            for start in range(0, len(telemetry), _EXPORT_BLOCK):
+                fh.write(_telemetry_block(telemetry[start:start + _EXPORT_BLOCK]))
         keys_path = dest / "keys.csv"
         with keys_path.open("w") as fh:
             fh.write(KEYS_HEADER + "\n")

@@ -231,7 +231,7 @@ def test_criterion_09_optimizer_matches_grid_oracle(preset):
 def test_criterion_10_byte_identical_outputs_for_same_seed(preset, tmp_path):
     for name in ("a", "b"):
         result = run_session(preset, duration=3600.0, seed=13)
-        export_timeseries(result.rows, result.records, tmp_path / name,
+        export_timeseries(result.telemetry, result.records, tmp_path / name,
                           summary=result.summary)
     for fname in ("telemetry.csv", "keys.csv", "summary.txt"):
         assert (tmp_path / "a" / fname).read_bytes() == \

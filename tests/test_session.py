@@ -108,7 +108,7 @@ def test_distill_window_matches_direct_pipeline(preset):
 
 
 def test_csv_export_round_trip(short_session, tmp_path):
-    paths = export_timeseries(short_session.rows, short_session.records,
+    paths = export_timeseries(short_session.telemetry, short_session.records,
                               tmp_path, summary=short_session.summary)
     names = sorted(p.name for p in paths)
     assert names == ["keys.csv", "summary.txt", "telemetry.csv"]
@@ -129,7 +129,7 @@ def test_csv_export_round_trip(short_session, tmp_path):
 
 
 def test_csv_headers_are_stable(tmp_path, short_session):
-    export_timeseries(short_session.rows[:1], [], tmp_path)
+    export_timeseries(short_session.telemetry[:1], [], tmp_path)
     first = (tmp_path / "telemetry.csv").read_text().splitlines()[0]
     assert first == TELEMETRY_HEADER
     assert (tmp_path / "keys.csv").read_text().splitlines()[0] == KEYS_HEADER
@@ -140,7 +140,7 @@ def test_absent_values_export_as_empty_cells(preset, tmp_path):
                               source=SourceConfig(clock_rate=1e3),
                               sim=SimConfig(stabilization_enabled=False))
     result = run_session(cfg, duration=50.0, seed=2)
-    export_timeseries(result.rows, result.records, tmp_path)
+    export_timeseries(result.telemetry, result.records, tmp_path)
     body = (tmp_path / "telemetry.csv").read_text().splitlines()[1:]
     assert any(",," in line for line in body)
     loaded = load_telemetry_csv(tmp_path / "telemetry.csv")
@@ -170,7 +170,7 @@ def test_export_to_unwritable_destination_raises(short_session, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("x")
     with pytest.raises(OSError):
-        export_timeseries(short_session.rows[:1], [], blocker / "sub")
+        export_timeseries(short_session.telemetry[:1], [], blocker / "sub")
 
 
 def test_zero_duration_session(preset):
