@@ -3,11 +3,8 @@
 transmittance decay, reproducing the stabilized-versus-free-running
 comparison.
 
-The two sessions share a seed but are not step-matched: one random stream
-feeds both the environmental drift and the detection counts, and the
-binomial draws consume a variable amount of it, so the two runs see
-different drift paths after the first few steps.  They become step-matched
-only once the environment and the detections draw from separate streams.
+The two sessions share a seed and so see the same environmental drift,
+step for step: only the feedback loops differ between them.
 """
 import argparse
 import dataclasses

@@ -160,7 +160,10 @@ def run_session(config: Config, duration: float | None = None,
         seed = sim.rng_seed
     n_steps = int(math.floor(duration / dt + 1e-9))
 
-    rng = np.random.default_rng(seed)
+    # The environment and the detections draw from streams of their own, so
+    # sessions with one seed see one drift path whatever their counts draw.
+    env_rng, count_rng = map(np.random.default_rng,
+                             np.random.SeedSequence(seed).spawn(2))
     drift = DriftState()
     ctrl = ControllerState(control=control)
     carry: dict[str, float] = {}
@@ -187,7 +190,7 @@ def run_session(config: Config, duration: float | None = None,
     max_qber: float | None = None
 
     for i in range(n_steps):
-        drift = step_drift(drift, link, dt, rng)
+        drift = step_drift(drift, link, dt, env_rng)
 
         if stabilize:
             if i % stretcher_every == 0:
@@ -203,7 +206,7 @@ def run_session(config: Config, duration: float | None = None,
 
         residual = apply_controls(drift, ctrl)
         rates = class_rates(residual, source, link)
-        tally = sample_tally(rates, source, dt, rng, carry)
+        tally = sample_tally(rates, source, dt, count_rng, carry)
         (sent_mu, sifted_mu, errors_mu, sent_nu1, sifted_nu1, errors_nu1,
          sent_nu2, sifted_nu2, errors_nu2) = tally
 

@@ -1,14 +1,15 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from qkdsim.config import Config, SecurityConfig, SimConfig, SourceConfig
 from qkdsim.finite_key import (decoy_bounds, estimate_channel,
                                expectation_tally, secure_key_length)
-from qkdsim.session import (KEYS_HEADER, TELEMETRY_HEADER, distill_window,
-                            export_timeseries, format_summary, load_keys_csv,
-                            load_telemetry_csv, run_session)
+from qkdsim.session import (KEYS_HEADER, TELEMETRY_HEADER, TelemetryRow,
+                            distill_window, export_timeseries, format_summary,
+                            load_keys_csv, load_telemetry_csv, run_session)
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +78,20 @@ def test_stabilization_off_leaves_actuators_parked(preset):
         assert (row.epc1, row.epc2, row.epc3, row.epc4) == (0, 0, 0, 0)
         assert row.gate_delay_ps == 0.0
         assert row.atten_db == 0.0
+
+
+def test_loops_on_and_off_see_the_same_environment(preset):
+    # the drift draws from a stream of its own, so the count draws, which
+    # differ between the two runs, cannot shift it
+    off = dataclasses.replace(preset, sim=SimConfig(stabilization_enabled=False))
+    on_run = run_session(preset, duration=300.0, seed=1)
+    off_run = run_session(off, duration=300.0, seed=1)
+    hidden = TelemetryRow._fields.index("hidden_phase_rad")
+    # the loops moved the actuators and so changed what was counted
+    assert on_run.telemetry[:, 7:hidden].any()
+    assert not off_run.telemetry[:, 7:hidden].any()
+    np.testing.assert_array_equal(on_run.telemetry[:, hidden:],
+                                  off_run.telemetry[:, hidden:])
 
 
 def test_stabilization_on_moves_actuators(short_session):
