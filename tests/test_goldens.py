@@ -22,29 +22,29 @@ NAMES = {SPARSE: "simulate-sparse", LOOPS_OFF: "simulate-loops-off"}
 GOLDENS = {
     ("simulate", "--seed", "13", "--duration", "3600"): {
         "telemetry.csv":
-            "7df97dca4edb942f2ccb835f572b7d8d23a16c01a328bf7aaf1d1d574badcdde",
+            "2089244094d46ce386f1ee1450bc3da81857938fcd428a6737f25334333e8722",
         "keys.csv":
-            "1f6c67cfd4491707d316b79e02395fd2c89ae02040fa6a2a29053a93575dde3b",
+            "4f92b08307dde323203c340e5c1c92c5919522a3eaff6e98c408241ad2f7d19e",
         "summary.txt":
-            "bd202840eccc4e95e0652b8e63624c826275b64499b39e59e6924c9cb49c3813",
+            "7496b1fe874554040e7c4b9fda82f490f93ae813ca36dd0746c72f9250e931ec",
     },
     # ~1 pulse per step per decoy class: every telemetry row has empty
     # cells, and the feedback loops see dark channels.
     SPARSE: {
         "telemetry.csv":
-            "b12d861a385afc48a6764b283afe468c615b3f3dd153cf613fec9b6ca8dc3165",
+            "c077371e88c855880f344a58195e49f339eb794af21fcbfb3fc71a03a7e34fb4",
         "keys.csv":
-            "5e35ccc6988cf250ea076da26a7718253a2d320b2be33b27d4ae43b414430787",
+            "8a1ec562cf906f60a4b6397c27c6af2967886d3e607eccfe50802a26e594069e",
         "summary.txt":
-            "725d2b4dd1ee1e4aae1eea3f78018c7fdc589fa6f2fa241cd36de04f0a2eafbb",
+            "c60366486e4636230a184c1c292282bee0b5aa139719b20247a8e18bd1df79b3",
     },
     LOOPS_OFF: {
         "telemetry.csv":
-            "43f9542e1eff2cd6ce4bbcdb78a42fdaefa7aa7d2a177390aa12dd7f3611d82f",
+            "c1a0c486336af376969a90251a1f09122cacd0eaea4b13e19e3d3222adff5ad2",
         "keys.csv":
             "7f9cdfeee1c587b81aa0f2673a842ea5303624041f4685aa434e8f89be1167e7",
         "summary.txt":
-            "3779182509f49543c48530f97b6aeb85115277aa514570ae554a45d1ce3d0ae5",
+            "0ef5dce9979eb3f0d9b0b3406874e3fad6c1d179b840962390cca68913e3802a",
     },
     ("keyrate",): {
         "keyrate.csv":
