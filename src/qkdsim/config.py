@@ -28,6 +28,8 @@ __all__ = [
     "config_to_text",
     "config_keys",
     "steps_per",
+    "session_steps",
+    "MAX_SESSION_STEPS",
     "DEFAULT_MISALIGNMENT",
 ]
 
@@ -38,6 +40,9 @@ DEFAULT_MISALIGNMENT = 0.03749724321045597
 
 # numpy draws from a class's per-step sent count as a C long (int64).
 _MAX_STEP_PULSES = 2.0 ** 63
+# A session keeps 18 float64 telemetry cells per step, so this bounds its
+# telemetry at 1.44 GB; the 36 h default is 129,600 steps.
+MAX_SESSION_STEPS = 10**7
 _CADENCES = ("stretcher_interval", "epc_interval", "gate_interval",
              "intensity_interval")
 
@@ -230,6 +235,10 @@ class Config:
                if not math.isfinite(value / dt)]
         if out:
             return out
+        try:
+            session_steps(self.sim.duration, dt)
+        except ConfigError as exc:
+            out.extend(exc.problems)
         window = steps_per(self.security.distill_interval, dt) * dt
         for cls in ("mu", "nu1", "nu2"):
             p = getattr(source, f"p_{cls}")
@@ -262,6 +271,17 @@ def validate_config(
 def steps_per(interval: float, dt: float) -> int:
     """Whole time steps in `interval`, at least one."""
     return max(1, int(round(interval / dt)))
+
+
+def session_steps(duration: float, dt: float) -> int:
+    """Whole time steps in a session of `duration`, a trailing fraction of a
+    step dropped; ConfigError unless that is 0 to MAX_SESSION_STEPS."""
+    ratio = duration / dt
+    steps = int(ratio + 1e-9) if 0 <= ratio < math.inf else -1
+    if not 0 <= steps <= MAX_SESSION_STEPS:
+        raise ConfigError([f"duration / time_step = {ratio:.9g} steps; must "
+                           f"lie in [0, {MAX_SESSION_STEPS:,}]"])
+    return steps
 
 
 def default_config() -> Config:

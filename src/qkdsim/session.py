@@ -13,10 +13,9 @@ telemetry.csv as an empty field.
 """
 from __future__ import annotations
 
-import math
-from math import nan
 from dataclasses import dataclass
 from functools import cached_property
+from math import nan
 from pathlib import Path
 from typing import NamedTuple
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from .channel import (CLASSES, DriftState, PulseTally, class_rates,
                       sample_tally)
-from .config import Config, steps_per
+from .config import Config, session_steps, steps_per
 from .finite_key import (KeyResult, decoy_bounds, estimate_channel,
                          secure_key_length)
 from .stabilization import (ControllerState, apply_controls,
@@ -158,7 +157,7 @@ def run_session(config: Config, duration: float | None = None,
         duration = sim.duration
     if seed is None:
         seed = sim.rng_seed
-    n_steps = int(math.floor(duration / dt + 1e-9))
+    n_steps = session_steps(duration, dt)
 
     # The environment and the detections draw from streams of their own, so
     # sessions with one seed see one drift path whatever their counts draw.

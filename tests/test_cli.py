@@ -246,6 +246,11 @@ def test_simulate_rejects_non_finite_settings(tmp_path, capsys, flag, key,
     (["--distill-interval", "inf"], "distill_interval must be finite"),
     (["--epc-interval", "1e308", "--time-step", "1e-10"],
      "epc_interval / time_step must be finite"),
+    # more steps than a session may hold, each one a telemetry row
+    (["--time-step", "1e-6", "--duration", "60"],
+     "duration / time_step = 60000000 steps; must lie in [0, 10,000,000]"),
+    (["--time-step", "1e-3", "--duration", "1e9"],
+     "duration / time_step = 1e+12 steps"),
 ])
 def test_simulate_rejects_counts_it_cannot_hold(tmp_path, capsys, flags,
                                                 message):

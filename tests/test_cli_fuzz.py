@@ -92,6 +92,10 @@ def run_cli(argv: list[str]) -> tuple[int, str]:
 @given(arguments())
 # the per-step sent count overflowed a C long in numpy's binomial draw
 @example(["simulate", "--clock-rate=1e19", "--duration=5"])
+# more steps than a session may hold: ran for hours, then could not
+# allocate its telemetry
+@example(["simulate", "--time-step=1e-6", "--duration=60"])
+@example(["simulate", "--time-step=1e-3", "--duration=1e9"])
 # a class got no pulses: once found only when a window closed or an interval
 # was computed, after the work before it
 @example(["simulate", "--clock-rate=0.01", "--duration=60",

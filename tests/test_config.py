@@ -3,10 +3,10 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
-from qkdsim.config import (Config, ConfigError, LinkConfig, SecurityConfig,
-                           SimConfig, SourceConfig, apply_overrides,
-                           config_keys, config_to_text, parse_config_text,
-                           validate_config)
+from qkdsim.config import (MAX_SESSION_STEPS, Config, ConfigError,
+                           LinkConfig, SecurityConfig, SimConfig, SourceConfig,
+                           apply_overrides, config_keys, config_to_text,
+                           parse_config_text, session_steps, validate_config)
 
 
 def test_preset_passes_validation():
@@ -52,6 +52,20 @@ def test_one_diagnostic_per_violation():
     assert any("p_mu" in p for p in problems)
     assert any("loss_coefficient" in p for p in problems)
     assert any("epsilon" in p for p in problems)
+
+
+def test_session_step_limit():
+    longest = Config(sim=SimConfig(duration=MAX_SESSION_STEPS * 0.5,
+                                   time_step=0.5))
+    assert longest.validated() is longest
+    with pytest.raises(ConfigError, match="duration / time_step"):
+        dataclasses.replace(longest, sim=SimConfig(
+            duration=(MAX_SESSION_STEPS + 1) * 0.5, time_step=0.5)).validated()
+    assert session_steps(129600.0, 1.0) == 129600
+    assert session_steps(0.0, 1.0) == 0
+    for duration in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            session_steps(duration, 1.0)
 
 
 def test_background_yield_counts_both_detectors():

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from qkdsim.config import Config, SecurityConfig, SimConfig, SourceConfig
+from qkdsim.config import (MAX_SESSION_STEPS, Config, ConfigError,
+                           SecurityConfig, SimConfig, SourceConfig)
 from qkdsim.finite_key import (decoy_bounds, estimate_channel,
                                expectation_tally, secure_key_length)
 from qkdsim.session import (KEYS_HEADER, TELEMETRY_HEADER, TelemetryRow,
@@ -186,6 +187,28 @@ def test_export_to_unwritable_destination_raises(short_session, tmp_path):
     blocker.write_text("x")
     with pytest.raises(OSError):
         export_timeseries(short_session.telemetry[:1], [], blocker / "sub")
+
+
+def test_session_beyond_step_limit_rejected_before_it_starts(preset):
+    # run_session(duration=...) is not checked by Config.validated
+    with pytest.raises(ConfigError, match="duration / time_step"):
+        run_session(preset, duration=MAX_SESSION_STEPS + 1.0, seed=1)
+
+
+def test_telemetry_is_one_float64_array(short_session):
+    assert short_session.telemetry.dtype == np.float64
+    assert short_session.telemetry.shape == (3000, len(TelemetryRow._fields))
+
+
+def test_nan_cells_are_the_cells_read_back_as_absent(preset, tmp_path):
+    cfg = dataclasses.replace(preset, source=SourceConfig(clock_rate=100.0),
+                              security=SecurityConfig(distill_interval=120.0))
+    result = run_session(cfg, duration=600.0, seed=13)
+    export_timeseries(result.telemetry, result.records, tmp_path)
+    loaded = load_telemetry_csv(tmp_path / "telemetry.csv")
+    absent = [[v is None for v in row.values()] for row in loaded]
+    assert np.array_equal(np.isnan(result.telemetry), absent)
+    assert 0 < np.isnan(result.telemetry).sum() < result.telemetry.size
 
 
 def test_zero_duration_session(preset):
