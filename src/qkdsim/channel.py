@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
+from math import nan
 from typing import NamedTuple
 
 import numpy as np
@@ -17,19 +18,22 @@ from .config import LinkConfig, SourceConfig
 
 __all__ = [
     "CLASSES",
+    "SIFTING",
     "DriftState",
-    "ClassRates",
     "PulseTally",
     "channel_transmittance",
     "drift_penalties",
-    "expected_gain",
-    "expected_qber",
+    "expected_rates",
     "class_rates",
+    "observed",
     "sample_tally",
     "calibrate_misalignment",
 ]
 
 CLASSES = ("mu", "nu1", "nu2")
+# Fraction of detections kept by basis sifting: sender and receiver choose
+# between two bases with equal probability.
+SIFTING = 0.5
 
 
 class DriftState(NamedTuple):
@@ -47,26 +51,11 @@ class DriftState(NamedTuple):
     power_factor: float = 1.0
 
 
-class ClassRates(NamedTuple):
-    """Per-class detection probability per sent pulse (gain) and QBER."""
-
-    q_mu: float
-    e_mu: float
-    q_nu1: float
-    e_nu1: float
-    q_nu2: float
-    e_nu2: float
-
-    def gain(self, cls: str) -> float:
-        return getattr(self, f"q_{cls}")
-
-    def qber(self, cls: str) -> float:
-        return getattr(self, f"e_{cls}")
-
-
 class PulseTally(NamedTuple):
     """Per-class counts for one interval: sent, sifted detections, sifted errors.
 
+    The layout is class-major: `tally[0::3]`, `tally[1::3]` and
+    `tally[2::3]` are the sent, sifted and error counts in CLASSES order.
     Adding two tallies adds them field by field (not tuple concatenation).
     """
 
@@ -80,27 +69,11 @@ class PulseTally(NamedTuple):
     sifted_nu2: int = 0
     errors_nu2: int = 0
 
-    def sent(self, cls: str) -> int:
-        return getattr(self, f"sent_{cls}")
-
-    def sifted(self, cls: str) -> int:
-        return getattr(self, f"sifted_{cls}")
-
-    def errors(self, cls: str) -> int:
-        return getattr(self, f"errors_{cls}")
-
-    def total_sent(self) -> int:
-        return self.sent_mu + self.sent_nu1 + self.sent_nu2
-
-    def total_sifted(self) -> int:
-        return self.sifted_mu + self.sifted_nu1 + self.sifted_nu2
-
     def __add__(self, other: "PulseTally") -> "PulseTally":
         return PulseTally._make(map(operator.add, self, other))
 
     def check(self) -> None:
-        for cls in CLASSES:
-            s, d, e = self.sent(cls), self.sifted(cls), self.errors(cls)
+        for cls, s, d, e in zip(CLASSES, self[0::3], self[1::3], self[2::3]):
             if not 0 <= e <= d <= s:
                 raise ValueError(f"tally invariant violated for class {cls}: "
                                  f"sent={s} sifted={d} errors={e}")
@@ -124,27 +97,16 @@ def drift_penalties(drift: DriftState, link: LinkConfig) -> tuple[float, float]:
     return eta_factor, phase_error_prob
 
 
-def expected_gain(mean_photons: float, eta_total: float,
-                  background_yield: float) -> float:
-    """Detection probability per sent pulse: Poissonian source, threshold detector."""
-    return 1.0 - (1.0 - background_yield) * math.exp(-mean_photons * eta_total)
-
-
-def expected_qber(mean_photons: float, eta_total: float, background_yield: float,
-                  misalignment_prob: float) -> float:
-    """Error probability given a detection.
-
-    Detections split into photon clicks (erroneous with the misalignment
-    probability) and background-only clicks (random, error 1/2).
-    """
-    return _gain_and_qber(mean_photons, eta_total, background_yield,
-                          min(misalignment_prob, 0.5))[1]
-
-
-def _gain_and_qber(mean_photons: float, eta_total: float,
+def expected_rates(mean_photons: float, eta_total: float,
                    background_yield: float,
                    e_mis: float) -> tuple[float, float]:
-    """(expected_gain, expected_qber) from one exponential; e_mis <= 0.5."""
+    """(gain, QBER): detection probability per sent pulse for a Poissonian
+    source and threshold detector, and error probability given a detection.
+
+    Detections split into photon clicks (erroneous with the misalignment
+    probability e_mis) and background-only clicks (random, error 1/2); the
+    QBER is capped at 1/2.
+    """
     no_photon = math.exp(-mean_photons * eta_total)
     q = 1.0 - (1.0 - background_yield) * no_photon
     if q <= 0.0:
@@ -155,43 +117,56 @@ def _gain_and_qber(mean_photons: float, eta_total: float,
 
 
 def class_rates(drift: DriftState, source: SourceConfig,
-                link: LinkConfig) -> ClassRates:
-    """Instantaneous (gain, QBER) per intensity class under the given drift."""
+                link: LinkConfig) -> tuple[tuple[float, float], ...]:
+    """Instantaneous (gain, QBER) of each intensity class, in CLASSES order,
+    under the given drift."""
     eta_factor, phase_error_prob = drift_penalties(drift, link)
     eta_total = (channel_transmittance(link.loss_coefficient, link.fiber_length)
                  * link.detector_efficiency * eta_factor)
     y0 = link.background_yield()
     e_mis = min(link.intrinsic_misalignment_error + phase_error_prob, 0.5)
     power = drift.power_factor
-    return ClassRates(
-        *_gain_and_qber(source.mu * power, eta_total, y0, e_mis),
-        *_gain_and_qber(source.nu1 * power, eta_total, y0, e_mis),
-        *_gain_and_qber(source.nu2 * power, eta_total, y0, e_mis))
+    return (expected_rates(source.mu * power, eta_total, y0, e_mis),
+            expected_rates(source.nu1 * power, eta_total, y0, e_mis),
+            expected_rates(source.nu2 * power, eta_total, y0, e_mis))
 
 
-def sample_tally(rates: ClassRates, source: SourceConfig, step: float,
-                 rng: np.random.Generator,
-                 carry: dict[str, float] | None = None) -> PulseTally:
-    """Draw one interval's counts.
+def observed(tally: PulseTally) -> tuple[float, ...]:
+    """The QBER of each class, then the transmittance of each class (sifted
+    over sent detections, the sifting undone), in CLASSES order; NaN where
+    a class sifted or sent nothing.  Unrolled: the session calls it every
+    step."""
+    s_mu, d_mu, e_mu, s_nu1, d_nu1, e_nu1, s_nu2, d_nu2, e_nu2 = tally
+    return (e_mu / d_mu if d_mu > 0 else nan,
+            e_nu1 / d_nu1 if d_nu1 > 0 else nan,
+            e_nu2 / d_nu2 if d_nu2 > 0 else nan,
+            d_mu / SIFTING / s_mu if s_mu > 0 else nan,
+            d_nu1 / SIFTING / s_nu1 if s_nu1 > 0 else nan,
+            d_nu2 / SIFTING / s_nu2 if s_nu2 > 0 else nan)
+
+
+def sample_tally(rates: tuple[tuple[float, float], ...], source: SourceConfig,
+                 step: float, rng: np.random.Generator,
+                 carry: list[float] | None = None) -> PulseTally:
+    """Draw one interval's counts from `class_rates` output.
 
     Sent counts are deterministic (clock_rate * step * p_class) with the
-    fractional remainder carried in `carry` across calls; sifted and error
-    counts are binomial with the 1/2 basis-sifting factor.
+    fractional remainder of each class carried in `carry`, a list indexed
+    like CLASSES, across calls; sifted and error counts are binomial with
+    the basis-sifting factor.
     """
     binomial = rng.binomial
     pulses = source.clock_rate * step
     counts = []
-    for cls, p_cls, q, e in zip(CLASSES,
-                                (source.p_mu, source.p_nu1, source.p_nu2),
-                                (rates.q_mu, rates.q_nu1, rates.q_nu2),
-                                (rates.e_mu, rates.e_nu1, rates.e_nu2)):
+    for i, (p_cls, (q, e)) in enumerate(zip(
+            (source.p_mu, source.p_nu1, source.p_nu2), rates)):
         exact = pulses * p_cls
         if carry is not None:
-            exact += carry.get(cls, 0.0)
+            exact += carry[i]
         sent = math.floor(exact + 1e-9)
         if carry is not None:
-            carry[cls] = exact - sent
-        sifted = int(binomial(sent, q / 2.0)) if sent > 0 and q > 0 else 0
+            carry[i] = exact - sent
+        sifted = int(binomial(sent, q * SIFTING)) if sent > 0 and q > 0 else 0
         errors = int(binomial(sifted, e)) if sifted > 0 and e > 0 else 0
         counts += (sent, sifted, errors)
     return PulseTally._make(counts)
@@ -204,7 +179,7 @@ def calibrate_misalignment(source: SourceConfig, link: LinkConfig,
     eta_total = (channel_transmittance(link.loss_coefficient, link.fiber_length)
                  * link.detector_efficiency)
     y0 = link.background_yield()
-    f = lambda e: expected_qber(source.mu, eta_total, y0, e) - target_qber
+    f = lambda e: expected_rates(source.mu, eta_total, y0, e)[1] - target_qber
     lo, hi = 0.0, 0.5
     if f(lo) > 0 or f(hi) < 0:
         raise ValueError(f"target QBER {target_qber} unreachable on this link")

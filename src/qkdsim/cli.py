@@ -175,8 +175,8 @@ def _read_tally_file(path: str) -> channel.PulseTally:
         raise ValueError(f"{path}: missing tally keys: {', '.join(missing)}")
     tally = channel.PulseTally(**counts)
     tally.check()
-    for cls in channel.CLASSES:
-        if tally.sent(cls) == 0:
+    for cls, sent in zip(channel.CLASSES, tally[0::3]):
+        if sent == 0:
             raise ValueError(f"{path}: class {cls} has no pulses (sent_{cls} = 0)")
     return tally
 

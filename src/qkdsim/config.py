@@ -20,7 +20,6 @@ __all__ = [
     "SimConfig",
     "ControlConfig",
     "Config",
-    "validate_config",
     "default_config",
     "load_config_file",
     "parse_config_text",
@@ -175,6 +174,8 @@ class SimConfig:
             out.append("duration must be finite and >= 0")
         if 0 < self.duration < self.time_step:
             out.append("duration must be >= time_step")
+        if not self.rng_seed >= 0:
+            out.append("rng_seed must be >= 0")
         return out
 
 
@@ -215,10 +216,12 @@ class Config:
     control: ControlConfig = ControlConfig()
 
     def validated(self) -> "Config":
-        validate_config(self.source, self.link, self.security, self.sim)
-        problems = self.control._problems()
-        if not problems:
-            problems = self._step_problems()
+        """Check every invariant; return self unchanged or raise ConfigError
+        naming every violation.  The step counts are checked only once each
+        section is valid on its own."""
+        problems = [problem for section in fields(self)
+                    for problem in getattr(self, section.name)._problems()]
+        problems = problems or self._step_problems()
         if problems:
             raise ConfigError(problems)
         return self
@@ -254,20 +257,6 @@ class Config:
         return out
 
 
-def validate_config(
-    source: SourceConfig,
-    link: LinkConfig,
-    security: SecurityConfig,
-    sim: SimConfig,
-) -> tuple[SourceConfig, LinkConfig, SecurityConfig, SimConfig]:
-    """Check every invariant; return the bundle unchanged or raise ConfigError."""
-    problems = (source._problems() + link._problems()
-                + security._problems() + sim._problems())
-    if problems:
-        raise ConfigError(problems)
-    return source, link, security, sim
-
-
 def steps_per(interval: float, dt: float) -> int:
     """Whole time steps in `interval`, at least one."""
     return max(1, int(round(interval / dt)))
@@ -292,13 +281,8 @@ def default_config() -> Config:
 # Flat key=value configuration file support.
 # ---------------------------------------------------------------------------
 
-_SECTIONS = {
-    "source": SourceConfig,
-    "link": LinkConfig,
-    "security": SecurityConfig,
-    "sim": SimConfig,
-    "control": ControlConfig,
-}
+# section attr on Config -> its dataclass
+_SECTIONS = {f.name: type(f.default) for f in fields(Config)}
 
 # key -> (section attr on Config, field name, python type)
 _KEYS: dict[str, tuple[str, str, type]] = {}

@@ -33,7 +33,7 @@ from functools import partial
 
 from scipy import special
 
-from .channel import CLASSES, DriftState, PulseTally, class_rates
+from .channel import SIFTING, DriftState, PulseTally, class_rates
 from .config import LinkConfig, SecurityConfig, SourceConfig
 
 __all__ = [
@@ -214,9 +214,9 @@ N_BOUND_CALLS = len(fields(ChannelEstimates))
 
 
 def _doubled(b: BinomialBound) -> BinomialBound:
-    # Sifted counts are binomial in Q/2 per sent pulse; scale back to Q.
-    return BinomialBound(lower=min(1.0, 2.0 * b.lower),
-                         upper=min(1.0, 2.0 * b.upper))
+    # Sifted counts are binomial in Q * SIFTING per sent pulse; scale back to Q.
+    return BinomialBound(lower=min(1.0, b.lower / SIFTING),
+                         upper=min(1.0, b.upper / SIFTING))
 
 
 def estimate_channel(tally: PulseTally, security: SecurityConfig,
@@ -244,7 +244,7 @@ def estimate_channel(tally: PulseTally, security: SecurityConfig,
 
 def point_estimates(tally: PulseTally) -> ChannelEstimates:
     """Zero-width intervals at the observed ratios (infinite-statistics limit)."""
-    def ratio(k: int, n: int, scale: float = 2.0) -> BinomialBound:
+    def ratio(k: int, n: int, scale: float = 1.0 / SIFTING) -> BinomialBound:
         p = min(1.0, scale * k / n) if n > 0 else 0.0
         return BinomialBound(p, p)
 
@@ -369,20 +369,21 @@ def asymptotic_rate(source: SourceConfig, link: LinkConfig,
     """Secure bits per emitted pulse for an infinitely long session on the
     drift-free channel (decoy bounds at their infinite-statistics point
     estimates, statistical penalties gone)."""
-    rates = class_rates(DriftState(), source, link)
+    (q_mu, e_mu), (q_nu1, e_nu1), (q_nu2, e_nu2) = class_rates(
+        DriftState(), source, link)
     est = ChannelEstimates(
-        q_mu=BinomialBound(rates.q_mu, rates.q_mu),
-        e_mu=BinomialBound(rates.e_mu, rates.e_mu),
-        q_nu1=BinomialBound(rates.q_nu1, rates.q_nu1),
-        q_nu2=BinomialBound(rates.q_nu2, rates.q_nu2),
-        eq_nu1=BinomialBound(rates.e_nu1 * rates.q_nu1, rates.e_nu1 * rates.q_nu1),
-        eq_nu2=BinomialBound(rates.e_nu2 * rates.q_nu2, rates.e_nu2 * rates.q_nu2),
+        q_mu=BinomialBound(q_mu, q_mu),
+        e_mu=BinomialBound(e_mu, e_mu),
+        q_nu1=BinomialBound(q_nu1, q_nu1),
+        q_nu2=BinomialBound(q_nu2, q_nu2),
+        eq_nu1=BinomialBound(e_nu1 * q_nu1, e_nu1 * q_nu1),
+        eq_nu2=BinomialBound(e_nu2 * q_nu2, e_nu2 * q_nu2),
     )
     bounds = decoy_bounds(est, source)
     q1 = source.mu * math.exp(-source.mu) * bounds.y1_lower
-    rate = 0.5 * source.p_mu * (
+    rate = SIFTING * source.p_mu * (
         q1 * (1.0 - binary_entropy(bounds.e1_upper))
-        - security.ec_efficiency * rates.q_mu * binary_entropy(rates.e_mu)
+        - security.ec_efficiency * q_mu * binary_entropy(e_mu)
     )
     return max(0.0, rate)
 
@@ -391,12 +392,12 @@ def expectation_tally(n_pulses: float, source: SourceConfig,
                       link: LinkConfig) -> PulseTally:
     """Deterministic expected counts for n_pulses emitted on the drift-free
     channel (no sampling)."""
-    rates = class_rates(DriftState(), source, link)
     counts = []
-    for cls, p_cls in zip(CLASSES, (source.p_mu, source.p_nu1, source.p_nu2)):
+    for p_cls, (q, e) in zip((source.p_mu, source.p_nu1, source.p_nu2),
+                             class_rates(DriftState(), source, link)):
         sent = round(n_pulses * p_cls)
-        sifted = round(sent * rates.gain(cls) / 2.0)
-        errors = round(sifted * rates.qber(cls))
+        sifted = round(sent * q * SIFTING)
+        errors = round(sifted * e)
         counts.extend((int(sent), int(sifted), int(errors)))
     return PulseTally(*counts)
 

@@ -45,7 +45,7 @@ def objective(source: SourceConfig, link: LinkConfig, security: SecurityConfig,
             and source.nu1 + source.nu2 < source.mu):
         return 0.0
     tally = expectation_tally(n_pulses, source, link)
-    if 0 in (tally.sent_mu, tally.sent_nu1, tally.sent_nu2):
+    if 0 in tally[0::3]:
         return 0.0    # a class without pulses bounds nothing
     bounds = decoy_bounds(estimate_channel(tally, security, interval), source)
     result = secure_key_length(tally, bounds, security, source)

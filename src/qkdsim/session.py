@@ -13,15 +13,14 @@ telemetry.csv as an empty field.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from math import nan
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .channel import (CLASSES, DriftState, PulseTally, class_rates,
+from .channel import (CLASSES, DriftState, PulseTally, class_rates, observed,
                       sample_tally)
 from .config import Config, session_steps, steps_per
 from .finite_key import (KeyResult, decoy_bounds, estimate_channel,
@@ -44,11 +43,6 @@ __all__ = [
     "TELEMETRY_HEADER",
     "KEYS_HEADER",
 ]
-
-TELEMETRY_HEADER = ("time_s,qber_mu,qber_nu1,qber_nu2,"
-                    "trans_mu,trans_nu1,trans_nu2,"
-                    "stretcher,epc1,epc2,epc3,epc4,gate_delay_ps,atten_db,"
-                    "hidden_phase_rad,hidden_pol_rad,hidden_timing_ps,hidden_power")
 
 KEYS_HEADER = ("window_start_s,window_end_s,"
                "sifted_mu,errors_mu,sifted_nu1,errors_nu1,sifted_nu2,errors_nu2,"
@@ -81,6 +75,9 @@ class TelemetryRow(NamedTuple):
     hidden_pol_rad: float
     hidden_timing_ps: float
     hidden_power: float
+
+
+TELEMETRY_HEADER = ",".join(TelemetryRow._fields)
 
 
 @dataclass(frozen=True)
@@ -129,15 +126,13 @@ def distill_window(tally: PulseTally, config: Config, window_start: float,
     bounds = decoy_bounds(estimate_channel(tally, config.security), config.source)
     key = secure_key_length(tally, bounds, config.security, config.source)
     interval = window_end - window_start
-    trans = {cls: (2.0 * tally.sifted(cls) / tally.sent(cls)
-                   if tally.sent(cls) > 0 else None) for cls in CLASSES}
-    qber = (tally.errors_mu / tally.sifted_mu) if tally.sifted_mu > 0 else None
+    rates = [None if v != v else v for v in observed(tally)]  # NaN -> None
     return SecureKeyRecord(
         window_start=window_start,
         window_end=window_end,
         tally=tally,
-        qber_signal=qber,
-        transmittance=trans,
+        qber_signal=rates[0],
+        transmittance=dict(zip(CLASSES, rates[len(CLASSES):])),
         key=key,
         secure_rate=key.secure_bits / interval,
         y1_lower=bounds.y1_lower,
@@ -147,7 +142,12 @@ def distill_window(tally: PulseTally, config: Config, window_start: float,
 
 def run_session(config: Config, duration: float | None = None,
                 seed: int | None = None) -> SessionResult:
-    """Run a full closed-loop session and distill every complete window."""
+    """Run a full closed-loop session and distill every complete window.
+
+    `duration` and `seed` stand in for the config's `duration` and
+    `rng_seed` when given."""
+    if seed is not None:
+        config = replace(config, sim=replace(config.sim, rng_seed=seed))
     config = config.validated()
     source, link, security, sim = (config.source, config.link,
                                    config.security, config.sim)
@@ -155,17 +155,15 @@ def run_session(config: Config, duration: float | None = None,
     dt = sim.time_step
     if duration is None:
         duration = sim.duration
-    if seed is None:
-        seed = sim.rng_seed
     n_steps = session_steps(duration, dt)
 
     # The environment and the detections draw from streams of their own, so
     # sessions with one seed see one drift path whatever their counts draw.
     env_rng, count_rng = map(np.random.default_rng,
-                             np.random.SeedSequence(seed).spawn(2))
+                             np.random.SeedSequence(sim.rng_seed).spawn(2))
     drift = DriftState()
     ctrl = ControllerState(control=control)
-    carry: dict[str, float] = {}
+    carry = [0.0] * len(CLASSES)
     stabilize = sim.stabilization_enabled
     # monitored flux at zero drift and nominal attenuation
     nominal_flux = source.clock_rate * source.mean_intensity()
@@ -183,10 +181,6 @@ def run_session(config: Config, duration: float | None = None,
 
     last_qber: float | None = None
     last_count_rate: float | None = None
-
-    total_errors = 0
-    total_sifted = 0
-    max_qber: float | None = None
 
     for i in range(n_steps):
         drift = step_drift(drift, link, dt, env_rng)
@@ -206,27 +200,12 @@ def run_session(config: Config, duration: float | None = None,
         residual = apply_controls(drift, ctrl)
         rates = class_rates(residual, source, link)
         tally = sample_tally(rates, source, dt, count_rng, carry)
-        (sent_mu, sifted_mu, errors_mu, sent_nu1, sifted_nu1, errors_nu1,
-         sent_nu2, sifted_nu2, errors_nu2) = tally
-
-        if sifted_mu > 0:
-            qber_mu = last_qber = errors_mu / sifted_mu
-            if max_qber is None or qber_mu > max_qber:
-                max_qber = qber_mu
-        else:
-            qber_mu, last_qber = nan, None
-        last_count_rate = (sifted_mu + sifted_nu1 + sifted_nu2) / dt
-        total_errors += errors_mu
-        total_sifted += sifted_mu
+        seen = observed(tally)
+        last_qber = seen[0] if seen[0] == seen[0] else None  # NaN -> None
+        last_count_rate = sum(tally[1::3]) / dt
 
         telemetry[i] = (
-            i * dt,
-            qber_mu,
-            errors_nu1 / sifted_nu1 if sifted_nu1 > 0 else nan,
-            errors_nu2 / sifted_nu2 if sifted_nu2 > 0 else nan,
-            2.0 * sifted_mu / sent_mu if sent_mu > 0 else nan,
-            2.0 * sifted_nu1 / sent_nu1 if sent_nu1 > 0 else nan,
-            2.0 * sifted_nu2 / sent_nu2 if sent_nu2 > 0 else nan,
+            i * dt, *seen,  # qber_*, then trans_*
             ctrl.stretcher_setting, *ctrl.epc_settings, ctrl.gate_delay,
             ctrl.attenuator_setting, *drift)  # hidden_*: DriftState order
 
@@ -239,14 +218,18 @@ def run_session(config: Config, duration: float | None = None,
 
     total_bits = sum(r.key.secure_bits for r in records)
     window_time = len(records) * window_steps * dt
+    total = sum([r.tally for r in records] + window, PulseTally())
+    qber_mu = telemetry[:, TelemetryRow._fields.index("qber_mu")]
+    qber_mu = qber_mu[~np.isnan(qber_mu)]
     summary = SessionSummary(
         duration=n_steps * dt,
         n_steps=n_steps,
         n_windows=len(records),
         total_secure_bits=total_bits,
         mean_secure_rate_bps=total_bits / window_time if window_time > 0 else 0.0,
-        mean_qber_signal=total_errors / total_sifted if total_sifted > 0 else None,
-        max_qber_signal=max_qber,
+        mean_qber_signal=(total.errors_mu / total.sifted_mu
+                          if total.sifted_mu > 0 else None),
+        max_qber_signal=float(qber_mu.max()) if qber_mu.size else None,
     )
     return SessionResult(telemetry=telemetry, records=records, summary=summary)
 
@@ -263,8 +246,9 @@ def _fmt(value: float | int | None) -> str:
     return f"{value:.9g}"
 
 
-# A telemetry row without an absent (NaN) cell formats in one operation; a
-# row with one goes through _fmt cell by cell, NaN as an empty field.
+# A block of telemetry rows formats in one operation.  %.9g writes every NaN,
+# signed or not, as "nan", which no number's text contains, so replacing it
+# leaves the absent cells empty.
 _TELEMETRY_LINE = ",".join(["%.9g"] * len(TelemetryRow._fields)) + "\n"
 # Rows converted to Python floats at a time: converting the whole array at
 # once would hold a boxed float per cell of the session.
@@ -272,13 +256,8 @@ _EXPORT_BLOCK = 4096
 
 
 def _telemetry_block(block: np.ndarray) -> str:
-    lines = []
-    for row, absent in zip(block.tolist(), np.isnan(block).any(axis=1).tolist()):
-        if absent:
-            lines.append(",".join(["" if v != v else _fmt(v) for v in row]) + "\n")
-        else:
-            lines.append(_TELEMETRY_LINE % tuple(row))
-    return "".join(lines)
+    return ((_TELEMETRY_LINE * len(block)) % tuple(block.ravel().tolist())
+            ).replace("nan", "")
 
 
 def format_summary(summary: SessionSummary) -> str:

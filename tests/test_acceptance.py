@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from qkdsim.channel import DriftState, class_rates, expected_gain, expected_qber, sample_tally
+from qkdsim.channel import DriftState, class_rates, expected_rates, sample_tally
 from qkdsim.config import SecurityConfig, SimConfig, SourceConfig
 from qkdsim.finite_key import (BinomialBound, ChannelEstimates, asymptotic_rate,
                                clopper_pearson, decoy_bounds, estimate_channel,
@@ -85,7 +85,8 @@ def test_criterion_05_intensity_ratio_stability(full_run):
     result, _ = full_run
     assert len(result.records) == 108  # 36 h of aligned 20-min windows
     for cls in ("nu1", "nu2"):
-        ratios = np.array([rec.tally.sifted(cls) / rec.tally.sifted_mu
+        ratios = np.array([getattr(rec.tally, f"sifted_{cls}")
+                           / rec.tally.sifted_mu
                            for rec in result.records])
         assert np.std(ratios) / np.mean(ratios) < 0.005
 
@@ -159,8 +160,8 @@ def test_criterion_06_clopper_pearson_oracle_equivalence():
 
 def _exact_estimates(source, eta, y0, e_mis):
     def point(m):
-        q = expected_gain(m, eta, y0)
-        return q, expected_qber(m, eta, y0, e_mis) * q
+        q, e = expected_rates(m, eta, y0, e_mis)
+        return q, e * q
 
     qm, eqm = point(source.mu)
     q1, eq1 = point(source.nu1)

@@ -4,14 +4,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qkdsim.config import (MAX_SESSION_STEPS, Config, ConfigError,
-                           LinkConfig, SecurityConfig, SimConfig, SourceConfig,
-                           apply_overrides, config_keys, config_to_text,
-                           parse_config_text, session_steps, validate_config)
+                           ControlConfig, LinkConfig, SecurityConfig,
+                           SimConfig, SourceConfig, apply_overrides,
+                           config_keys, config_to_text, parse_config_text,
+                           session_steps)
 
 
 def test_preset_passes_validation():
-    source, link, security, sim = validate_config(
-        SourceConfig(), LinkConfig(), SecurityConfig(), SimConfig())
+    cfg = Config(SourceConfig(), LinkConfig(), SecurityConfig(),
+                 SimConfig()).validated()
+    source, link, security = cfg.source, cfg.link, cfg.security
     assert source.mu == 0.5
     assert source.nu1 == 0.1
     assert source.nu2 == 0.0007
@@ -24,34 +26,36 @@ def test_preset_passes_validation():
 
 
 def test_validation_is_idempotent():
-    bundle = (SourceConfig(), LinkConfig(), SecurityConfig(), SimConfig())
-    once = validate_config(*bundle)
-    twice = validate_config(*once)
+    bundle = Config(SourceConfig(), LinkConfig(), SecurityConfig(), SimConfig())
+    once = bundle.validated()
+    twice = once.validated()
     assert once == twice == bundle
 
 
 def test_intensity_ordering_violation():
     with pytest.raises(ConfigError, match="mu must exceed nu1"):
-        validate_config(SourceConfig(mu=0.1, nu1=0.5),
-                        LinkConfig(), SecurityConfig(), SimConfig())
+        Config(SourceConfig(mu=0.1, nu1=0.5),
+               LinkConfig(), SecurityConfig(), SimConfig()).validated()
 
 
 def test_probability_normalization_violation():
     with pytest.raises(ConfigError, match="probabilities must sum to 1"):
-        validate_config(SourceConfig(p_mu=0.5, p_nu1=0.5, p_nu2=0.5),
-                        LinkConfig(), SecurityConfig(), SimConfig())
+        Config(SourceConfig(p_mu=0.5, p_nu1=0.5, p_nu2=0.5),
+               LinkConfig(), SecurityConfig(), SimConfig()).validated()
 
 
 def test_one_diagnostic_per_violation():
     with pytest.raises(ConfigError) as exc:
-        validate_config(SourceConfig(mu=0.1, nu1=0.5, p_mu=1.5),
-                        LinkConfig(loss_coefficient=-1),
-                        SecurityConfig(epsilon=2.0), SimConfig())
+        Config(SourceConfig(mu=0.1, nu1=0.5, p_mu=1.5),
+               LinkConfig(loss_coefficient=-1),
+               SecurityConfig(epsilon=2.0), SimConfig(),
+               ControlConfig(intensity_gain=3.0)).validated()
     problems = exc.value.problems
     assert any("mu must exceed nu1" in p for p in problems)
     assert any("p_mu" in p for p in problems)
     assert any("loss_coefficient" in p for p in problems)
     assert any("epsilon" in p for p in problems)
+    assert any("intensity_gain" in p for p in problems)
 
 
 def test_session_step_limit():
@@ -117,11 +121,12 @@ def test_every_key_is_typed_and_defaulted():
 def test_ordering_invariant_enforced(mu, nu1):
     source = SourceConfig(mu=mu, nu1=nu1)
     if mu > nu1:
-        assert validate_config(source, LinkConfig(), SecurityConfig(),
-                               SimConfig())[0] is source
+        assert Config(source, LinkConfig(), SecurityConfig(),
+                      SimConfig()).validated().source is source
     else:
         with pytest.raises(ConfigError):
-            validate_config(source, LinkConfig(), SecurityConfig(), SimConfig())
+            Config(source, LinkConfig(), SecurityConfig(),
+                   SimConfig()).validated()
 
 
 def test_overrides_do_not_mutate():

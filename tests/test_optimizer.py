@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from qkdsim import finite_key
-from qkdsim.config import (LinkConfig, SecurityConfig, SimConfig, SourceConfig,
-                           validate_config)
+from qkdsim.config import Config, LinkConfig, SourceConfig
 from qkdsim.finite_key import (N_BOUND_CALLS, clopper_pearson,
                                estimate_channel, expectation_tally)
 from qkdsim.optimizer import (MU_BOUNDS, SearchSettings, objective,
@@ -62,8 +61,7 @@ def test_optimizer_is_deterministic(preset):
 
 
 def test_optimizer_output_satisfies_source_invariants(search_result):
-    validate_config(search_result.best, LinkConfig(), SecurityConfig(),
-                    SimConfig())
+    Config(source=search_result.best).validated()
     best = search_result.best
     assert best.nu1 + best.nu2 < best.mu
 
