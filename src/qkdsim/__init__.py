@@ -3,10 +3,9 @@
 from .config import (Config, ConfigError, ControlConfig, LinkConfig,
                      SecurityConfig, SimConfig, SourceConfig, default_config,
                      load_config_file)
-from .channel import (CLASSES, SIFTING, DriftState, PulseTally,
-                      calibrate_misalignment, channel_transmittance,
-                      class_rates, drift_penalties, expected_rates, observed,
-                      sample_tally)
+from .channel import (SIFTING, DriftState, PulseTally, calibrate_misalignment,
+                      channel_transmittance, class_rates, drift_penalties,
+                      expected_rates, observed, sample_tally)
 from .finite_key import (BinomialBound, DecoyBounds, KeyResult, asymptotic_rate,
                          binary_entropy, clopper_pearson, decoy_bounds,
                          estimate_channel, expectation_tally, key_efficiency,

@@ -60,6 +60,31 @@ def test_invalid_override_exits_with_validation_status(tmp_path, capsys):
     assert "mu must exceed nu1" in capsys.readouterr().err
 
 
+def test_negative_seed_names_rng_seed(tmp_path, capsys):
+    status = main(["simulate", "--out", str(tmp_path), "--duration", "10",
+                   "--seed=-1"])
+    assert status == EXIT_VALIDATION
+    assert "rng_seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "telemetry.csv").exists()
+
+
+def test_loops_on_and_off_runs_share_one_drift_path(tmp_path, capsys):
+    # the stabilized-versus-free-running comparison: two simulate runs with
+    # one seed write telemetry that lines up step for step
+    columns = {}
+    for loops in ("true", "false"):
+        assert main(["simulate", "--out", str(tmp_path / loops), "--duration",
+                     "600", "--seed", "1", "--stabilization-enabled",
+                     loops]) == EXIT_OK
+        lines = (tmp_path / loops / "telemetry.csv").read_text().splitlines()
+        hidden = [i for i, name in enumerate(lines[0].split(","))
+                  if name.startswith("hidden_")]
+        columns[loops] = [[line.split(",")[i] for i in hidden]
+                          for line in lines]
+    assert len(hidden) == 4 and len(columns["true"]) == 601
+    assert columns["true"] == columns["false"]
+
+
 def test_missing_config_file_exits_with_config_status(tmp_path, capsys):
     status = main(["keyrate", "--config", str(tmp_path / "absent.cfg"),
                    "--out", str(tmp_path)])

@@ -104,6 +104,8 @@ def run_cli(argv: list[str]) -> tuple[int, str]:
 @example(["optimize", "--n-pulses=10"])
 @example(["efficiency-curve", "--min-pulses=1", "--max-pulses=100",
           "--points=2"])
+# a negative seed reached numpy, whose message named no key
+@example(["simulate", "--seed=-1", "--duration=5"])
 def test_cli_exits_with_a_documented_status(argv):
     status, err = run_cli(argv)
     assert status in DOCUMENTED_EXITS, (status, err)

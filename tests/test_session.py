@@ -196,6 +196,11 @@ def test_session_beyond_step_limit_rejected_before_it_starts(preset):
         run_session(preset, duration=MAX_SESSION_STEPS + 1.0, seed=1)
 
 
+def test_negative_seed_rejected_before_it_starts(preset):
+    with pytest.raises(ConfigError, match="rng_seed must be >= 0"):
+        run_session(preset, duration=10.0, seed=-1)
+
+
 def test_telemetry_is_one_float64_array(short_session):
     assert short_session.telemetry.dtype == np.float64
     assert short_session.telemetry.shape == (3000, len(TelemetryRow._fields))
