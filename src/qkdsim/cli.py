@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,32 +27,13 @@ import numpy as np
 from . import channel, config as config_mod, finite_key, optimizer, session
 from .config import Config, ConfigError
 
-__all__ = ["CommandRequest", "parse_command", "dispatch", "main"]
+__all__ = ["parse_command", "dispatch", "main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CONFIG_FILE = 3
 EXIT_VALIDATION = 4
 EXIT_IO = 5
-
-SUBCOMMANDS = ("simulate", "keyrate", "efficiency-curve", "optimize", "calibrate")
-
-
-@dataclass
-class CommandRequest:
-    subcommand: str
-    config_path: str | None = None
-    out_dir: str = "."
-    overrides: dict[str, str] = field(default_factory=dict)
-    seed: int | None = None
-    # subcommand-specific settings
-    n_pulses: float = 1.2e12
-    tally_file: str | None = None
-    min_pulses: float = 1e9
-    max_pulses: float = 1e15
-    points: int = 20
-    sweeps: int = 5
-    target_qber: float = 0.0385
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,7 +43,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and distill finite-size secure keys.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add(name: str, run, **kwargs) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(run=run)
         p.add_argument("--config", metavar="FILE",
                        help="key=value configuration file (all keys optional)")
         p.add_argument("--out", metavar="DIR", default=".",
@@ -73,58 +56,49 @@ def _build_parser() -> argparse.ArgumentParser:
             flag = "--" + key.replace("_", "-")
             p.add_argument(flag, dest=f"key_{key}", metavar=typ.__name__.upper(),
                            help=f"override {key} (default: {default})")
+        return p
 
-    p = sub.add_parser("simulate", help="run a closed-loop session")
-    add_common(p)
+    add("simulate", _run_simulate, help="run a closed-loop session")
 
-    p = sub.add_parser("keyrate", help="distill a single window")
-    add_common(p)
+    p = add("keyrate", _run_keyrate, help="distill a single window")
     p.add_argument("--n-pulses", type=float, default=1.2e12,
                    help="pulse budget for expectation tallies (default: 1.2e12)")
     p.add_argument("--tally-file", metavar="FILE",
                    help="key=value counts (sent_mu, sifted_mu, errors_mu, ...) "
                         "used instead of expectation tallies")
 
-    p = sub.add_parser("efficiency-curve",
-                       help="key-extraction efficiency vs. pulse count")
-    add_common(p)
+    p = add("efficiency-curve", _run_efficiency_curve,
+            help="key-extraction efficiency vs. pulse count")
     p.add_argument("--min-pulses", type=float, default=1e9)
     p.add_argument("--max-pulses", type=float, default=1e15)
     p.add_argument("--points", type=int, default=20)
 
-    p = sub.add_parser("optimize", help="optimize source parameters")
-    add_common(p)
+    p = add("optimize", _run_optimize, help="optimize source parameters")
     p.add_argument("--n-pulses", type=float, default=1.2e12,
                    help="pulse budget of the finite-size objective")
     p.add_argument("--sweeps", type=int, default=5,
                    help="coordinate-descent passes (default: 5)")
 
-    p = sub.add_parser("calibrate",
-                       help="solve intrinsic misalignment for a target QBER")
-    add_common(p)
+    p = add("calibrate", _run_calibrate,
+            help="solve intrinsic misalignment for a target QBER")
     p.add_argument("--target-qber", type=float, default=0.0385)
     return parser
 
 
-def parse_command(argv: list[str]) -> CommandRequest:
-    """Parse an argument list into a CommandRequest (raises SystemExit(2) on
-    usage errors, matching argparse conventions)."""
-    ns = _build_parser().parse_args(argv)
-    overrides = {key: getattr(ns, f"key_{key}")
-                 for key, _, _ in config_mod.config_keys()
-                 if getattr(ns, f"key_{key}", None) is not None}
-    req = CommandRequest(subcommand=ns.subcommand, config_path=ns.config,
-                         out_dir=ns.out, overrides=overrides, seed=ns.seed)
-    for attr in ("n_pulses", "tally_file", "min_pulses", "max_pulses",
-                 "points", "sweeps", "target_qber"):
-        if hasattr(ns, attr):
-            setattr(req, attr, getattr(ns, attr))
+def parse_command(argv: list[str]) -> argparse.Namespace:
+    """Parse an argument list into the subcommand's namespace, with its
+    runner as `run` and the configuration flags given as `overrides` (raises
+    SystemExit(2) on usage errors, matching argparse conventions)."""
+    req = _build_parser().parse_args(argv)
+    req.overrides = {key: getattr(req, f"key_{key}")
+                     for key, _, _ in config_mod.config_keys()
+                     if getattr(req, f"key_{key}") is not None}
     return req
 
 
-def _load_config(req: CommandRequest) -> Config:
-    if req.config_path is not None:
-        cfg = config_mod.load_config_file(req.config_path)
+def _load_config(req: argparse.Namespace) -> Config:
+    if req.config is not None:
+        cfg = config_mod.load_config_file(req.config)
     else:
         cfg = Config()
     cfg = config_mod.apply_overrides(cfg, req.overrides)
@@ -200,7 +174,8 @@ class _OutputTracker:
             path.unlink(missing_ok=True)
 
 
-def _run_simulate(req: CommandRequest, cfg: Config, out: _OutputTracker) -> None:
+def _run_simulate(req: argparse.Namespace, cfg: Config,
+                  out: _OutputTracker) -> None:
     result = session.run_session(cfg)
     paths = session.export_timeseries(result.telemetry, result.records, out.dir,
                                       summary=result.summary)
@@ -208,7 +183,8 @@ def _run_simulate(req: CommandRequest, cfg: Config, out: _OutputTracker) -> None
     sys.stdout.write(session.format_summary(result.summary))
 
 
-def _run_keyrate(req: CommandRequest, cfg: Config, out: _OutputTracker) -> None:
+def _run_keyrate(req: argparse.Namespace, cfg: Config,
+                 out: _OutputTracker) -> None:
     if req.tally_file is not None:
         tally = _read_tally_file(req.tally_file)
     else:
@@ -234,7 +210,7 @@ def _run_keyrate(req: CommandRequest, cfg: Config, out: _OutputTracker) -> None:
         f"e1_upper: {bounds.e1_upper:.9g}\n")
 
 
-def _run_efficiency_curve(req: CommandRequest, cfg: Config,
+def _run_efficiency_curve(req: argparse.Namespace, cfg: Config,
                           out: _OutputTracker) -> None:
     _check_pulses("--min-pulses", req.min_pulses, cfg.source)
     _check_pulses("--max-pulses", req.max_pulses, cfg.source)
@@ -253,7 +229,8 @@ def _run_efficiency_curve(req: CommandRequest, cfg: Config,
     sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _run_optimize(req: CommandRequest, cfg: Config, out: _OutputTracker) -> None:
+def _run_optimize(req: argparse.Namespace, cfg: Config,
+                  out: _OutputTracker) -> None:
     _check_pulses("--n-pulses", req.n_pulses, cfg.source)
     settings = optimizer.SearchSettings(start=cfg.source, sweeps=req.sweeps)
     result = optimizer.optimize_source(cfg.link, cfg.security, req.n_pulses,
@@ -272,7 +249,8 @@ def _run_optimize(req: CommandRequest, cfg: Config, out: _OutputTracker) -> None
     sys.stdout.write(report)
 
 
-def _run_calibrate(req: CommandRequest, cfg: Config, out: _OutputTracker) -> None:
+def _run_calibrate(req: argparse.Namespace, cfg: Config,
+                   out: _OutputTracker) -> None:
     value = channel.calibrate_misalignment(cfg.source, cfg.link,
                                            req.target_qber)
     calibrated = replace(cfg, link=replace(
@@ -281,16 +259,7 @@ def _run_calibrate(req: CommandRequest, cfg: Config, out: _OutputTracker) -> Non
     sys.stdout.write(f"intrinsic_misalignment_error: {value:.9g}\n")
 
 
-_RUNNERS = {
-    "simulate": _run_simulate,
-    "keyrate": _run_keyrate,
-    "efficiency-curve": _run_efficiency_curve,
-    "optimize": _run_optimize,
-    "calibrate": _run_calibrate,
-}
-
-
-def dispatch(request: CommandRequest) -> int:
+def dispatch(request: argparse.Namespace) -> int:
     """Execute a parsed request; returns the process exit status."""
     try:
         cfg = _load_config(request)
@@ -301,9 +270,9 @@ def dispatch(request: CommandRequest) -> int:
         print(f"qkdsim: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG_FILE
 
-    out = _OutputTracker(request.out_dir)
+    out = _OutputTracker(request.out)
     try:
-        _RUNNERS[request.subcommand](request, cfg, out)
+        request.run(request, cfg, out)
     except (_UnreadableInputError, OSError, ValueError) as exc:
         out.cleanup()
         print(f"qkdsim: {exc}", file=sys.stderr)

@@ -20,7 +20,6 @@ __all__ = [
     "SimConfig",
     "ControlConfig",
     "Config",
-    "default_config",
     "load_config_file",
     "parse_config_text",
     "apply_overrides",
@@ -273,10 +272,6 @@ def session_steps(duration: float, dt: float) -> int:
     return steps
 
 
-def default_config() -> Config:
-    return Config().validated()
-
-
 # ---------------------------------------------------------------------------
 # Flat key=value configuration file support.
 # ---------------------------------------------------------------------------
@@ -317,20 +312,15 @@ def _coerce(key: str, raw: str) -> Any:
 
 
 def apply_overrides(config: Config, overrides: dict[str, Any]) -> Config:
-    """Layer key -> value overrides onto a Config; unknown keys are an error."""
+    """Layer key -> value overrides onto a Config; unknown keys are an error.
+    Each value is parsed from its text, as a config file line would be."""
     unknown = sorted(set(overrides) - set(_KEYS))
     if unknown:
         raise ConfigError([f"unknown configuration key: {k}" for k in unknown])
     per_section: dict[str, dict[str, Any]] = {}
     for key, value in overrides.items():
-        section, name, typ = _KEYS[key]
-        if isinstance(value, str):
-            value = _coerce(key, value)
-        elif typ in (int, bool):
-            value = typ(value)
-        else:
-            value = float(value)
-        per_section.setdefault(section, {})[name] = value
+        section, name, _ = _KEYS[key]
+        per_section.setdefault(section, {})[name] = _coerce(key, str(value))
     for section, kv in per_section.items():
         config = replace(config, **{section: replace(getattr(config, section), **kv)})
     return config

@@ -28,15 +28,36 @@ def _checks_module():
 checks = _checks_module()
 
 
-@pytest.mark.parametrize("loops", [True, False], ids=["loops-on", "loops-off"])
-@pytest.mark.parametrize("length", [9.0, 55.0, 110.0])
-def test_ensemble_session_passes_benchmark_checks(length, loops):
+# The session `perfbench/run.py --workload ensemble-sweep --seed 911` runs
+# at its longest length.  With the loops on, its windows' signal gain falls
+# short of the model by more than the check's GAIN_TOL: the gate-delay loop
+# falls behind the link's 0.05 ps/s timing drift.
+GATE_LAG_KM, GATE_LAG_SEED = 100.66211844790165, 578889826
+GATE_LAG = pytest.mark.xfail(
+    strict=True, reason="gate-delay loop lags the 0.05 ps/s timing drift: "
+    "signal gain 0.000808977 against the model's 0.000817889, past GAIN_TOL "
+    "= 1%")
+
+
+def _cases():
+    for length in (9.0, 55.0, 110.0):
+        for loops, tag in ((True, "loops-on"), (False, "loops-off")):
+            yield pytest.param(length, int(length) + 1, loops,
+                               id=f"{length}-{tag}")
+    yield pytest.param(GATE_LAG_KM, GATE_LAG_SEED, True, marks=GATE_LAG,
+                       id=f"{GATE_LAG_KM}-{GATE_LAG_SEED}-loops-on")
+    yield pytest.param(GATE_LAG_KM, GATE_LAG_SEED, False,
+                       id=f"{GATE_LAG_KM}-{GATE_LAG_SEED}-loops-off")
+
+
+@pytest.mark.parametrize("length,seed,loops", _cases())
+def test_ensemble_session_passes_benchmark_checks(length, seed, loops):
     duration = WINDOW_S * WINDOWS
     config = Config(link=LinkConfig(fiber_length=length),
                     security=SecurityConfig(distill_interval=WINDOW_S),
                     sim=SimConfig(duration=duration,
                                   stabilization_enabled=loops))
-    result = run_session(config, duration=duration, seed=int(length) + 1)
+    result = run_session(config, duration=duration, seed=seed)
     output = checks.session_from_result(result)
     assert len(output.windows) == WINDOWS
     assert checks.check_session(output, config, duration) == []

@@ -33,6 +33,21 @@ def test_every_config_key_has_an_override_flag():
                             "stabilization_enabled": "false"}
 
 
+@pytest.mark.parametrize("sub,defaults", [
+    ("simulate", {}),
+    ("keyrate", {"n_pulses": 1.2e12, "tally_file": None}),
+    ("efficiency-curve", {"min_pulses": 1e9, "max_pulses": 1e15, "points": 20}),
+    ("optimize", {"n_pulses": 1.2e12, "sweeps": 5}),
+    ("calibrate", {"target_qber": 0.0385}),
+])
+def test_parse_carries_subcommand_defaults_and_runner(sub, defaults):
+    # each setting's default is declared once, in its add_argument call
+    req = parse_command([sub])
+    assert {name: getattr(req, name) for name in defaults} == defaults
+    assert callable(req.run)
+    assert req.overrides == {} and req.config is None and req.out == "."
+
+
 def test_simulate_writes_outputs_and_summary(tmp_path, capsys):
     status = main(["simulate", "--out", str(tmp_path), "--duration", "2400",
                    "--seed", "3"])
