@@ -16,8 +16,14 @@ SPARSE = ("simulate", "--seed", "13", "--duration", "600", "--clock-rate",
           "100", "--distill-interval", "120")
 LOOPS_OFF = ("simulate", "--seed", "13", "--duration", "600",
              "--stabilization-enabled", "false")
+# More steps than one 4,096-row block, so a change that goes wrong at a
+# block boundary shows.
+LONG_LOOPS_OFF = ("simulate", "--seed", "13", "--duration", "9000",
+                  "--distill-interval", "600", "--stabilization-enabled",
+                  "false")
 # test ids: the subcommand, or a name for a further run of one
-NAMES = {SPARSE: "simulate-sparse", LOOPS_OFF: "simulate-loops-off"}
+NAMES = {SPARSE: "simulate-sparse", LOOPS_OFF: "simulate-loops-off",
+         LONG_LOOPS_OFF: "simulate-loops-off-9000"}
 
 GOLDENS = {
     ("simulate", "--seed", "13", "--duration", "3600"): {
@@ -45,6 +51,14 @@ GOLDENS = {
             "7f9cdfeee1c587b81aa0f2673a842ea5303624041f4685aa434e8f89be1167e7",
         "summary.txt":
             "0ef5dce9979eb3f0d9b0b3406874e3fad6c1d179b840962390cca68913e3802a",
+    },
+    LONG_LOOPS_OFF: {
+        "telemetry.csv":
+            "83532f1d0f298036a17ec807d8ee09b19f38f723d3242a3e4f170b336c5cefbe",
+        "keys.csv":
+            "6f6da889ab54bbc91854c542df07a6d97238d2a0583a7a6c6b64853e800f4047",
+        "summary.txt":
+            "5c44d67f88987e96cedfc69367fa1634d144e8c5b28d748f03437b25c01e3186",
     },
     ("keyrate",): {
         "keyrate.csv":
