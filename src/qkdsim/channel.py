@@ -34,6 +34,9 @@ CLASSES = ("mu", "nu1", "nu2")
 # Fraction of detections kept by basis sifting: sender and receiver choose
 # between two bases with equal probability.
 SIFTING = 0.5
+# Builds a NamedTuple from a sequence of all its fields, skipping the
+# generated __new__: the step loop builds one or more every step.
+_new = tuple.__new__
 
 
 class DriftState(NamedTuple):
@@ -113,7 +116,8 @@ def expected_rates(mean_photons: float, eta_total: float,
         return q, 0.5
     signal = 1.0 - no_photon
     background_only = background_yield * (1.0 - signal)
-    return q, min(0.5, (0.5 * background_only + e_mis * signal) / q)
+    qber = (0.5 * background_only + e_mis * signal) / q
+    return q, qber if qber < 0.5 else 0.5
 
 
 def class_rates(drift: DriftState, source: SourceConfig,
@@ -155,21 +159,21 @@ def sample_tally(rates: tuple[tuple[float, float], ...], source: SourceConfig,
     like CLASSES, across calls; sifted and error counts are binomial with
     the basis-sifting factor.
     """
-    binomial = rng.binomial
+    if carry is None:
+        carry = [0.0] * len(CLASSES)
+    binomial = rng.binomial  # a Python int for scalar arguments
     pulses = source.clock_rate * step
     counts = []
-    for i, (p_cls, (q, e)) in enumerate(zip(
-            (source.p_mu, source.p_nu1, source.p_nu2), rates)):
-        exact = pulses * p_cls
-        if carry is not None:
-            exact += carry[i]
+    for i, p_cls, (q, e) in zip(range(len(CLASSES)),
+                                (source.p_mu, source.p_nu1, source.p_nu2),
+                                rates):
+        exact = pulses * p_cls + carry[i]
         sent = math.floor(exact + 1e-9)
-        if carry is not None:
-            carry[i] = exact - sent
-        sifted = int(binomial(sent, q * SIFTING)) if sent > 0 and q > 0 else 0
-        errors = int(binomial(sifted, e)) if sifted > 0 and e > 0 else 0
+        carry[i] = exact - sent
+        sifted = binomial(sent, q * SIFTING) if sent > 0 and q > 0 else 0
+        errors = binomial(sifted, e) if sifted > 0 and e > 0 else 0
         counts += (sent, sifted, errors)
-    return PulseTally._make(counts)
+    return _new(PulseTally, counts)
 
 
 def calibrate_misalignment(source: SourceConfig, link: LinkConfig,

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qkdsim.channel import DriftState
 from qkdsim.config import (MAX_SESSION_STEPS, Config, ConfigError,
                            SecurityConfig, SimConfig, SourceConfig)
 from qkdsim.finite_key import (decoy_bounds, estimate_channel,
@@ -11,6 +12,7 @@ from qkdsim.finite_key import (decoy_bounds, estimate_channel,
 from qkdsim.session import (KEYS_HEADER, TELEMETRY_HEADER, TelemetryRow,
                             distill_window, export_timeseries, format_summary,
                             load_keys_csv, load_telemetry_csv, run_session)
+from qkdsim.stabilization import step_drift
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +96,24 @@ def test_loops_on_and_off_see_the_same_environment(preset):
     assert not off_run.telemetry[:, actuators:hidden].any()
     np.testing.assert_array_equal(on_run.telemetry[:, hidden:],
                                   off_run.telemetry[:, hidden:])
+
+
+def test_hidden_columns_match_one_draw_per_step():
+    # The session draws the environment a block of steps at a time; 9,000
+    # steps span a block boundary.  The reference draws each step's four
+    # normals on its own from the environment's stream.
+    seed, steps = 13, 9000
+    config = Config(sim=SimConfig(duration=steps, stabilization_enabled=False))
+    result = run_session(config, seed=seed)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
+    drift, expected = DriftState(), []
+    for _ in range(steps):
+        drift = step_drift(drift, config.link, config.sim.time_step,
+                           rng.standard_normal(4))
+        expected.append(drift)
+    hidden = TelemetryRow._fields.index("hidden_phase_rad")
+    np.testing.assert_array_equal(result.telemetry[:, hidden:],
+                                  np.array(expected))
 
 
 def test_stabilization_on_moves_actuators(short_session):
