@@ -304,11 +304,10 @@ def _coerce(key: str, raw: str) -> Any:
             return False
         raise ConfigError([f"{key} must be a boolean, got {raw!r}"])
     try:
-        if typ is int:
-            return int(raw)
-        return float(raw)
+        return typ(raw)
     except ValueError:
-        raise ConfigError([f"{key} must be a {typ.__name__}, got {raw!r}"]) from None
+        kind = "an integer" if typ is int else "a number"
+        raise ConfigError([f"{key} must be {kind}, got {raw!r}"]) from None
 
 
 def apply_overrides(config: Config, overrides: dict[str, Any]) -> Config:

@@ -211,6 +211,16 @@ def _assert_rejected(argv, capsys, message):
     assert message in err
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--num-detectors", "2.5", "num_detectors must be an integer, got '2.5'"),
+    ("--mu", "half", "mu must be a number, got 'half'"),
+])
+def test_malformed_number_names_the_kind_expected(tmp_path, capsys, flag,
+                                                  value, message):
+    _assert_rejected(["simulate", "--out", str(tmp_path), flag, value],
+                     capsys, message)
+
+
 def _write_tally(path, preset, extra=(), drop=()):
     tally = expectation_tally(1.2e12, preset.source, preset.link)
     lines = [f"{name} = {getattr(tally, name)}"
