@@ -193,6 +193,8 @@ def run_session(config: Config, duration: float | None = None,
 
     last_qber: float | None = None
     last_count_rate: float | None = None
+    # Sifted counts since the gate loop last ran, and the step it ran at.
+    gate_counts, gate_from = 0, 0
 
     for i, normals in enumerate(_environment_normals(env_rng, n_steps)):
         drift = step_drift(drift, link, dt, normals)
@@ -203,7 +205,12 @@ def run_session(config: Config, duration: float | None = None,
             if i % epc_every == 0:
                 ctrl = polarization_feedback(last_count_rate, ctrl)
             if i % gate_every == gate_offset:
-                ctrl = gate_delay_feedback(last_count_rate, ctrl)
+                # The mean rate over the loop's own interval: one step's
+                # shot noise can exceed the change one dither move makes.
+                ctrl = gate_delay_feedback(
+                    gate_counts / ((i - gate_from) * dt) if i > gate_from
+                    else None, ctrl)
+                gate_counts, gate_from = 0, i
             if i % intensity_every == 0:
                 measured = (nominal_flux * drift.power_factor
                             * 10.0 ** (-ctrl.attenuator_setting / 10.0))
@@ -214,7 +221,9 @@ def run_session(config: Config, duration: float | None = None,
         tally = sample_tally(rates, source, dt, count_rng, carry)
         seen = observed(tally)
         last_qber = seen[0] if seen[0] == seen[0] else None  # NaN -> None
-        last_count_rate = sum(tally[1::3]) / dt
+        sifted = sum(tally[1::3])
+        last_count_rate = sifted / dt
+        gate_counts += sifted
 
         telemetry[i] = (
             i * dt, *seen,  # qber_*, then trans_*

@@ -130,7 +130,9 @@ def polarization_feedback(count_rate: float | None,
 
 def gate_delay_feedback(count_rate: float | None,
                         state: ControllerState) -> ControllerState:
-    """Dither climb on count rate, tracking arrival time with the gate delay."""
+    """Dither climb on count rate, tracking arrival time with the gate delay.
+
+    A session passes the mean rate since the loop's previous update."""
     if count_rate is None:
         return state
     last = state.last_count_gate

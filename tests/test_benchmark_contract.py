@@ -29,14 +29,11 @@ checks = _checks_module()
 
 
 # The session `perfbench/run.py --workload ensemble-sweep --seed 911` runs
-# at its longest length.  With the loops on, its windows' signal gain falls
-# short of the model by more than the check's GAIN_TOL: the gate-delay loop
-# falls behind the link's 0.05 ps/s timing drift.
+# at its longest length.  With the loops on, its windows' signal gain fell
+# short of the model by more than the check's GAIN_TOL while the gate-delay
+# loop compared single seconds of counts: at ~100 km their shot noise hid
+# the gradient, and the gate fell behind the link's 0.05 ps/s timing drift.
 GATE_LAG_KM, GATE_LAG_SEED = 100.66211844790165, 578889826
-GATE_LAG = pytest.mark.xfail(
-    strict=True, reason="gate-delay loop lags the 0.05 ps/s timing drift: "
-    "signal gain 0.000808977 against the model's 0.000817889, past GAIN_TOL "
-    "= 1%")
 
 
 def _cases():
@@ -44,10 +41,9 @@ def _cases():
         for loops, tag in ((True, "loops-on"), (False, "loops-off")):
             yield pytest.param(length, int(length) + 1, loops,
                                id=f"{length}-{tag}")
-    yield pytest.param(GATE_LAG_KM, GATE_LAG_SEED, True, marks=GATE_LAG,
-                       id=f"{GATE_LAG_KM}-{GATE_LAG_SEED}-loops-on")
-    yield pytest.param(GATE_LAG_KM, GATE_LAG_SEED, False,
-                       id=f"{GATE_LAG_KM}-{GATE_LAG_SEED}-loops-off")
+    for loops, tag in ((True, "loops-on"), (False, "loops-off")):
+        yield pytest.param(GATE_LAG_KM, GATE_LAG_SEED, loops,
+                           id=f"{GATE_LAG_KM}-{GATE_LAG_SEED}-{tag}")
 
 
 @pytest.mark.parametrize("length,seed,loops", _cases())
