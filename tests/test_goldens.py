@@ -28,17 +28,17 @@ NAMES = {SPARSE: "simulate-sparse", LOOPS_OFF: "simulate-loops-off",
 GOLDENS = {
     ("simulate", "--seed", "13", "--duration", "3600"): {
         "telemetry.csv":
-            "2089244094d46ce386f1ee1450bc3da81857938fcd428a6737f25334333e8722",
+            "1588965569bcef61c4189c09365f4d641446b5af691e0fef01d5867cf5ad522c",
         "keys.csv":
-            "4f92b08307dde323203c340e5c1c92c5919522a3eaff6e98c408241ad2f7d19e",
+            "caff69796ef26e245ce237e3afca7d1775814c6fc4f8ac9a5fb1b96f27b18215",
         "summary.txt":
-            "7496b1fe874554040e7c4b9fda82f490f93ae813ca36dd0746c72f9250e931ec",
+            "bbb4bd604ef60051be677b612a369dc4bb46f2a346ba94285880707693a65467",
     },
     # ~1 pulse per step per decoy class: every telemetry row has empty
     # cells, and the feedback loops see dark channels.
     SPARSE: {
         "telemetry.csv":
-            "c077371e88c855880f344a58195e49f339eb794af21fcbfb3fc71a03a7e34fb4",
+            "af573d11499aad98eeb4fc1535a0764610fb40f0214cad6955d77abdb07c0230",
         "keys.csv":
             "8a1ec562cf906f60a4b6397c27c6af2967886d3e607eccfe50802a26e594069e",
         "summary.txt":
