@@ -29,7 +29,7 @@ import math
 import struct
 from collections.abc import Callable
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import lru_cache
 
 from scipy import special
 
@@ -69,12 +69,8 @@ class BinomialBound:
     upper: float
 
 
-def _float_bits(x: float) -> int:
-    return struct.unpack("<q", struct.pack("<d", x))[0]
-
-
-def _bits_float(i: int) -> float:
-    return struct.unpack("<d", struct.pack("<q", i))[0]
+_DOUBLE = struct.Struct("<d")
+_INT64 = struct.Struct("<q")
 
 
 def _tail_excess(t: float, target: float, w_target: float) -> float:
@@ -83,7 +79,7 @@ def _tail_excess(t: float, target: float, w_target: float) -> float:
     For a near-normal tail this grows almost linearly with the endpoint's
     distance from k/n.  It is formed from ln(t/target), so it keeps its
     relative precision as t nears target.  A tail of 0 passes by any margin;
-    a NaN fails.
+    a NaN fails.  `_tail_endpoint` inlines this formula.
     """
     if not t > 0.0:
         return math.inf if t == 0.0 else -math.inf
@@ -92,14 +88,26 @@ def _tail_excess(t: float, target: float, w_target: float) -> float:
         math.sqrt(max(0.0, w_target * w_target - 2.0 * log_ratio)) + w_target)
 
 
-def _tail_endpoint(tail: Callable[[float], float], estimate: float,
-                   guess: float, edge: float, target: float) -> float:
-    """Tightest float endpoint whose forward `tail` is <= target.
+@lru_cache(maxsize=64)
+def _target_constants(target: float) -> tuple[float, float, float]:
+    """For a tail target epsilon/2: the normal quantile z = -ndtri(target)
+    of the Wilson guesses, w_target = sqrt(-2 ln target), and the excess of
+    the tail 1/2 taken at k/n."""
+    w_target = math.sqrt(-2.0 * math.log(target))
+    return (float(-special.ndtri(target)), w_target,
+            _tail_excess(0.5, target, w_target))
 
-    `tail` is a binomial tail probability that falls monotonically from the
-    point estimate k/n towards `edge` (0 or 1).  At k/n the binomial mean is
-    the integer k, which is then also a median, so the tail there is at
-    least 1/2 > target; at `edge` it is 0.  The search keeps a bracket of
+
+def _tail_endpoint(forward: Callable[[float, float, float], float],
+                   a: float, b: float, estimate: float, guess: float,
+                   edge: float, target: float) -> float:
+    """Tightest float endpoint x whose forward tail `forward(a, b, x)` is
+    <= target.
+
+    The tail is a binomial tail probability that falls monotonically from
+    the point estimate k/n towards `edge` (0 or 1).  At k/n the binomial
+    mean is the integer k, which is then also a median, so the tail there is
+    at least 1/2 > target; at `edge` it is 0.  The search keeps a bracket of
     two floats: one whose tail failed the check (at first k/n) and one whose
     tail passed (at first `edge`, which is never evaluated).  Non-negative
     doubles order like their bit patterns, and every probe lies strictly
@@ -114,46 +122,69 @@ def _tail_endpoint(tail: Callable[[float], float], estimate: float,
     linear in the value within a binade and follow its logarithm across
     binades; k/n, never evaluated, enters with its tail taken as 1/2.  The
     interpolation only picks the next probe: every pass or fail is decided
-    by `tail` itself.  After four probes in a row on one side it bisects
-    the patterns instead.  A NaN from `tail` fails the check, which errs on
+    by the forward tail itself.  After four probes in a row on one side it
+    bisects the patterns instead.  A NaN tail fails the check, which errs on
     the conservative side.  Only the forward function is trusted, because
     `special.betaincinv` can return finite but wrong endpoints at large
     counts.
     """
-    w_target = math.sqrt(-2.0 * math.log(target))
-    edge_bits = _float_bits(edge)
-    inside, h_in = _float_bits(estimate), _tail_excess(0.5, target, w_target)
-    outside, h_out = edge_bits, math.inf
+    pack_d, unpack_d = _DOUBLE.pack, _DOUBLE.unpack
+    pack_q, unpack_q = _INT64.pack, _INT64.unpack
+    log, sqrt, inf = math.log, math.sqrt, math.inf
+    _, w_target, h_half = _target_constants(target)
+    w2 = w_target * w_target
+    edge_bits = unpack_q(pack_d(edge))[0]
+    inside, h_in = unpack_q(pack_d(estimate))[0], h_half
+    outside, h_out = edge_bits, inf
+    rising = inside < outside   # the patterns grow from k/n towards edge
+    failed = estimate           # the float at `inside`, while bracketing
     offset, shrink = guess - estimate, 0.25
     last_passed, streak = None, 0
-    while abs(outside - inside) > 1:
+    while (outside - inside > 1) if rising else (inside - outside > 1):
         if outside == edge_bits:
             x = estimate + offset
             offset *= 2.0
-            failed = _bits_float(inside)
-            if not min(failed, edge) < x < max(failed, edge):
+            if not (failed < x < edge if rising else edge < x < failed):
                 x = edge + (failed - edge) * shrink
                 shrink *= shrink
-            probe = _float_bits(x)
-        elif streak < 4 and -math.inf < h_in < h_out < math.inf:
+            probe = unpack_q(pack_d(x))[0]
+        elif streak < 4 and -inf < h_in < h_out < inf:
             probe = inside + int(h_in / (h_in - h_out) * (outside - inside))
+            x = None
         else:
             probe = (inside + outside) // 2
-        probe = min(max(probe, min(inside, outside) + 1),
-                    max(inside, outside) - 1)
-        t = tail(_bits_float(probe))
-        passed = t <= target
-        streak = streak + 1 if passed == last_passed else 1
-        last_passed = passed
-        if passed:
-            outside, h_out = probe, _tail_excess(t, target, w_target)
-            if streak > 1:
-                h_in *= 0.5
+            x = None
+        lo, hi = (inside, outside) if rising else (outside, inside)
+        if probe <= lo:
+            probe, x = lo + 1, None
+        elif probe >= hi:
+            probe, x = hi - 1, None
+        if x is None:
+            x = unpack_d(pack_q(probe))[0]
+        t = forward(a, b, x)
+        if t > 0.0:     # _tail_excess(t, target, w_target)
+            log_ratio = log(t / target)
+            d = w2 - 2.0 * log_ratio
+            h = -2.0 * log_ratio / (sqrt(d if d > 0.0 else 0.0) + w_target)
         else:
-            inside, h_in = probe, _tail_excess(t, target, w_target)
-            if streak > 1:
+            h = inf if t == 0.0 else -inf
+        if t <= target:
+            if last_passed:
+                streak += 1
+                h_in *= 0.5
+            else:
+                streak = 1
+            last_passed = True
+            outside, h_out = probe, h
+        else:
+            if last_passed is False:
+                streak += 1
                 h_out *= 0.5
-    return _bits_float(outside)
+            else:
+                streak = 1
+            last_passed = False
+            inside, h_in, failed = probe, h, x
+    return unpack_d(pack_q(outside))[0]
 
 
 def clopper_pearson(successes: int, trials: int,
@@ -176,21 +207,20 @@ def clopper_pearson(successes: int, trials: int,
     k, n = successes, trials
     estimate = k / n
     # first guesses: the Wilson score interval at the same normal quantile
-    z = -special.ndtri(half)
-    center = (k + z * z / 2.0) / (n + z * z)
-    width = z * math.sqrt(k * (n - k) / n + z * z / 4.0) / (n + z * z)
+    z = _target_constants(half)[0]
+    z2 = z * z
+    center = (k + z2 / 2.0) / (n + z2)
+    width = z * math.sqrt(k * (n - k) / n + z2 / 4.0) / (n + z2)
     if k == 0:
         lower = 0.0
     else:
-        lower = _tail_endpoint(
-            partial(special.betainc, float(k), float(n - k + 1)),
-            estimate, center - width, 0.0, half)
+        lower = _tail_endpoint(special.betainc, float(k), float(n - k + 1),
+                               estimate, center - width, 0.0, half)
     if k == n:
         upper = 1.0
     else:
-        upper = _tail_endpoint(
-            partial(special.betaincc, float(k + 1), float(n - k)),
-            estimate, center + width, 1.0, half)
+        upper = _tail_endpoint(special.betaincc, float(k + 1), float(n - k),
+                               estimate, center + width, 1.0, half)
     return BinomialBound(lower=lower, upper=upper)
 
 
