@@ -125,9 +125,8 @@ def class_rates(drift: DriftState, source: SourceConfig,
     """Instantaneous (gain, QBER) of each intensity class, in CLASSES order,
     under the given drift."""
     eta_factor, phase_error_prob = drift_penalties(drift, link)
-    eta_total = (channel_transmittance(link.loss_coefficient, link.fiber_length)
-                 * link.detector_efficiency * eta_factor)
-    y0 = link.background_yield()
+    eta, y0 = link.zero_drift_detection
+    eta_total = eta * eta_factor
     e_mis = min(link.intrinsic_misalignment_error + phase_error_prob, 0.5)
     power = drift.power_factor
     return (expected_rates(source.mu * power, eta_total, y0, e_mis),
@@ -180,9 +179,7 @@ def calibrate_misalignment(source: SourceConfig, link: LinkConfig,
                            target_qber: float = 0.0385) -> float:
     """Solve for the intrinsic misalignment giving the target zero-drift
     signal QBER, by bisection."""
-    eta_total = (channel_transmittance(link.loss_coefficient, link.fiber_length)
-                 * link.detector_efficiency)
-    y0 = link.background_yield()
+    eta_total, y0 = link.zero_drift_detection
     f = lambda e: expected_rates(source.mu, eta_total, y0, e)[1] - target_qber
     lo, hi = 0.0, 0.5
     if f(lo) > 0 or f(hi) < 0:

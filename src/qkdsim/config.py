@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -73,6 +74,13 @@ class SourceConfig:
         """Send-probability-weighted mean photons per pulse (monitored flux)."""
         return self.p_mu * self.mu + self.p_nu1 * self.nu1 + self.p_nu2 * self.nu2
 
+    @cached_property
+    def nominal_flux(self) -> float:
+        """Monitored photons per second at zero drift and nominal
+        attenuation, clock_rate * mean_intensity(); computed once, because
+        the intensity loop compares against it at every update."""
+        return self.clock_rate * self.mean_intensity()
+
     def _problems(self) -> list[str]:
         out = []
         if not self.mu > self.nu1:
@@ -112,6 +120,16 @@ class LinkConfig:
     def background_yield(self) -> float:
         """Probability at least one detector dark-fires in a gate."""
         return 1.0 - (1.0 - self.dark_count_prob) ** self.num_detectors
+
+    @cached_property
+    def zero_drift_detection(self) -> tuple[float, float]:
+        """(eta, y0) at zero drift: the probability that a sent photon is
+        detected (fiber transmittance times detector efficiency), and
+        `background_yield()`.  Computed once, because the channel model
+        reads them at every step."""
+        from .channel import channel_transmittance   # channel imports config
+        return (channel_transmittance(self.loss_coefficient, self.fiber_length)
+                * self.detector_efficiency, self.background_yield())
 
     def _problems(self) -> list[str]:
         out = []

@@ -177,8 +177,7 @@ def run_session(config: Config, duration: float | None = None,
     ctrl = ControllerState(control=control)
     carry = [0.0] * len(CLASSES)
     stabilize = sim.stabilization_enabled
-    # monitored flux at zero drift and nominal attenuation
-    nominal_flux = source.clock_rate * source.mean_intensity()
+    nominal_flux = source.nominal_flux
 
     stretcher_every = steps_per(control.stretcher_interval, dt)
     epc_every = steps_per(control.epc_interval, dt)

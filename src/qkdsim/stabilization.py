@@ -152,7 +152,7 @@ def intensity_feedback(measured_flux: float, source: SourceConfig,
                        state: ControllerState) -> ControllerState:
     """Proportional attenuator correction pulling the monitored flux back to
     the configured source intensity."""
-    target = source.clock_rate * source.mean_intensity()
+    target = source.nominal_flux
     if measured_flux <= 0.0 or target <= 0.0:
         return state
     correction = 10.0 * math.log10(measured_flux / target)

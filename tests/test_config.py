@@ -77,6 +77,25 @@ def test_background_yield_counts_both_detectors():
     assert link.background_yield() == pytest.approx(1 - (1 - 9e-6) ** 2)
 
 
+def test_derived_constants_follow_the_configuration():
+    # computed once per configuration object; a replaced one computes its own
+    from qkdsim.channel import channel_transmittance
+    for link in (LinkConfig(), LinkConfig(fiber_length=100.0, num_detectors=4)):
+        link.zero_drift_detection
+        for other in (link, dataclasses.replace(link, fiber_length=25.0,
+                                                dark_count_prob=1e-5)):
+            assert other.zero_drift_detection == (
+                channel_transmittance(other.loss_coefficient, other.fiber_length)
+                * other.detector_efficiency, other.background_yield())
+    source = SourceConfig()
+    assert source.nominal_flux == source.clock_rate * source.mean_intensity()
+    faster = dataclasses.replace(source, clock_rate=2e9)
+    assert faster.nominal_flux == 2e9 * source.mean_intensity()
+    # the cache is not a field: equality, hashing and the file format ignore it
+    assert source == SourceConfig() and hash(source) == hash(SourceConfig())
+    assert config_to_text(Config(source=source)) == config_to_text(Config())
+
+
 def test_config_file_round_trip():
     cfg = Config().validated()
     text = config_to_text(cfg)
