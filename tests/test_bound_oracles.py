@@ -1,0 +1,53 @@
+"""The Clopper-Pearson endpoints judged by a forward function independent of
+scipy: mpmath's regularized incomplete beta function at 40 digits."""
+import mpmath
+import pytest
+from scipy import special
+
+from qkdsim.finite_key import clopper_pearson
+
+# Every n up to 1e4, with k at both ends and in between.  mpmath.betainc
+# sums a hypergeometric series that does not converge at 40 digits where
+# the binomial variance k(n-k)/n is large (k = 3333, n = 1e4 raises), so k
+# stays where that variance is at most 1,000.
+_NS = (1, 2, 5, 10, 30, 100, 300, 1000, 3000, 10000)
+_EPSILONS = (1e-2, 1e-3, 1e-5, 1e-7 / 12, 1e-9, 1e-11, 1e-13, 1e-15)
+_GRID = [(k, n) for n in _NS
+         for k in sorted({0, 1, 2, 5, n // 10, n // 2, n - 1, n} & set(range(n + 1)))
+         if k * (n - k) <= 1000 * n]
+
+# Measured on this grid with scipy 1.17.1: scipy's tail at a returned
+# endpoint is within 8.2e-14 of mpmath's, relatively, and the largest tail
+# by mpmath is eps/2 * (1 + 4.1e-14).  The search stops on the tightest
+# float that passes by scipy's tail, so about one tail in seven is above
+# eps/2 by mpmath, by no more than scipy's own error.
+_AGREEMENT = 2e-13
+
+
+@pytest.fixture(scope="module")
+def mp40():
+    with mpmath.workdps(40):
+        yield
+
+
+@pytest.mark.parametrize("eps", _EPSILONS)
+def test_endpoint_tails_agree_with_mpmath(eps, mp40):
+    half = eps / 2
+    for k, n in _GRID:
+        bound = clopper_pearson(k, n, eps)
+        tails = []
+        if k > 0:
+            tails.append((float(special.betainc(k, n - k + 1, bound.lower)),
+                          mpmath.betainc(k, n - k + 1, 0, bound.lower,
+                                         regularized=True)))
+        if k < n:
+            tails.append((float(special.betaincc(k + 1, n - k, bound.upper)),
+                          mpmath.betainc(k + 1, n - k, bound.upper, 1,
+                                         regularized=True)))
+        for scipy_tail, oracle in tails:
+            # an endpoint pinned at 1.0 (k = n - 1 at small eps) leaves 0
+            if oracle == 0:
+                assert scipy_tail == 0.0, (k, n)
+                continue
+            assert abs(scipy_tail - oracle) <= _AGREEMENT * oracle, (k, n)
+            assert oracle <= half * (1 + _AGREEMENT), (k, n)

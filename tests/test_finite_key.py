@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import special, stats
 
 from qkdsim import finite_key
@@ -174,6 +174,39 @@ def test_clopper_pearson_brackets_the_estimate(n, frac, eps):
     assert 0.0 <= bound.lower <= k / n <= bound.upper <= 1.0
 
 
+@st.composite
+def _interval_inputs(draw):
+    """(k, n, epsilon): n log-uniform in [1, 1e15], k in [0, n], epsilon
+    log-uniform in [1e-15, 0.5]."""
+    n = int(10 ** draw(st.floats(0, 15)))
+    k = draw(st.integers(0, n))
+    eps = 10 ** draw(st.floats(-15, math.log10(0.5)))
+    return k, n, eps
+
+
+@given(_interval_inputs())
+@settings(max_examples=300, deadline=None)
+# one input for each way the search moves: the extrapolated bracket step,
+# the quarter-shrink fallback, and bisection after a one-sided streak
+@example((2229, 3710, 8.261915855494622e-14))
+@example((162, 181, 1.693139579212024e-13))
+@example((1379, 3060, 1.0578765005006704e-05))
+def test_clopper_pearson_endpoint_contract(inputs):
+    # each endpoint brackets k/n and leaves at most eps/2 in its tail by the
+    # forward function, while the next float towards k/n leaves more (or
+    # gives NaN, which the search counts as a failure)
+    k, n, eps = inputs
+    bound = clopper_pearson(k, n, eps)
+    assert 0.0 <= bound.lower <= k / n <= bound.upper <= 1.0
+    inward = BinomialBound(math.nextafter(bound.lower, k / n),
+                           math.nextafter(bound.upper, k / n))
+    for tail, tail_inward in zip(_forward_tails(k, n, bound),
+                                 _forward_tails(k, n, inward)):
+        if tail is not None:
+            assert tail <= eps / 2
+            assert not tail_inward <= eps / 2
+
+
 def test_interval_narrows_with_more_trials():
     widths = [clopper_pearson(n // 10, n, 1e-7).upper
               - clopper_pearson(n // 10, n, 1e-7).lower
@@ -342,17 +375,32 @@ class _CountingSpecial:
 
 
 def test_endpoint_search_forward_evaluation_budget(preset, monkeypatch):
-    # the endpoint search needs about 7 forward evaluations per endpoint at
-    # the counts the program feeds it (bisection over bit patterns took ~45)
+    # the endpoint search needs about 5.5 forward evaluations per endpoint at
+    # the counts the program feeds it (7.2 with a doubling bracket and
+    # Illinois false position, ~45 by bisection over bit patterns); the bound
+    # is that mean plus one.  An endpoint not pinned at 0 or 1 takes at least
+    # one passing and one failing evaluation, so fewer than 2 means the
+    # search no longer calls the forward functions where they are counted.
     counter = _CountingSpecial()
     monkeypatch.setattr(finite_key, "special", counter)
+    inner = finite_key.clopper_pearson
+    endpoints = []
+
+    def counted(successes, trials, confidence_epsilon):
+        before = counter.forward
+        bound = inner(successes, trials, confidence_epsilon)
+        unpinned = (successes > 0) + (successes < trials)
+        endpoints.append(unpinned)
+        assert counter.forward - before >= 2 * unpinned, (successes, trials)
+        return bound
+
+    monkeypatch.setattr(finite_key, "clopper_pearson", counted)
     security = SecurityConfig()
-    endpoints = 0
     for n_pulses in np.logspace(9, 15, 25):
         tally = expectation_tally(n_pulses, preset.source, preset.link)
         estimate_channel(tally, security)
-        endpoints += 2 * N_BOUND_CALLS
-    assert counter.forward / endpoints <= 12
+    assert len(endpoints) == 25 * N_BOUND_CALLS
+    assert counter.forward / sum(endpoints) <= 6.5
 
 
 # ---------------------------------------------------------------------------
