@@ -32,7 +32,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
-from scipy import special
+from scipy.special import cython_special as special
 
 from .channel import SIFTING, DriftState, PulseTally, class_rates
 from .config import LinkConfig, SecurityConfig, SourceConfig
