@@ -182,7 +182,7 @@ def calibrate_misalignment(source: SourceConfig, link: LinkConfig,
     eta_total, y0 = link.zero_drift_detection
     f = lambda e: expected_rates(source.mu, eta_total, y0, e)[1] - target_qber
     lo, hi = 0.0, 0.5
-    if f(lo) > 0 or f(hi) < 0:
+    if not f(lo) <= 0 <= f(hi):    # a NaN target fails too
         raise ValueError(f"target QBER {target_qber} unreachable on this link")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
