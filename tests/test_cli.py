@@ -269,6 +269,15 @@ def test_efficiency_curve_rejects_non_positive_pulses(tmp_path, capsys, flag,
                      f"{flag} must be a positive finite pulse count")
 
 
+@pytest.mark.parametrize("value", ["nan", "-inf"])
+def test_calibrate_rejects_non_finite_target(tmp_path, capsys, value):
+    # every comparison with NaN is false: the check must be written to fail it
+    _assert_rejected(["calibrate", "--out", str(tmp_path),
+                      f"--target-qber={value}"], capsys,
+                     f"target QBER {value} unreachable on this link")
+    assert not (tmp_path / "calibrated.cfg").exists()
+
+
 def test_optimize_rejects_negative_sweeps(tmp_path, capsys):
     _assert_rejected(["optimize", "--out", str(tmp_path), "--sweeps", "-1"],
                      capsys, "sweeps must be >= 0")
