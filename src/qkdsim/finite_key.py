@@ -23,6 +23,14 @@ failed, and narrows the bracket down to two adjacent floats by
 Anderson-Bjorck false position on that transform, bisecting instead where
 that stalls.  It takes about 5.5 forward evaluations per endpoint at the
 counts the program uses.
+
+The forward functions are scipy's scalar entry points in
+`scipy.special.cython_special`, looked up as `special.betainc`,
+`special.betaincc` and `special.ndtri` at each call.  They run the same C
+kernels as the `scipy.special` ufuncs and return Python floats, without the
+ufunc dispatch, which took about 0.8 us of a 1.3 us scalar `betainc` call.
+tests/test_forward_identity.py pins them to the ufuncs bit for bit, so an
+endpoint judged by the ufuncs gets the same verdict.
 """
 from __future__ import annotations
 
