@@ -6,7 +6,7 @@ from .channel import (SIFTING, DriftState, PulseTally, calibrate_misalignment,
                       channel_transmittance, class_rates, drift_penalties,
                       expected_rates, observed, sample_tally)
 from .finite_key import (BinomialBound, DecoyBounds, KeyResult, asymptotic_rate,
-                         binary_entropy, clopper_pearson, decoy_bounds,
+                         binary_entropy, clopper_pearson, decoy_bounds, distill,
                          estimate_channel, expectation_tally, key_efficiency,
                          secure_key_length)
 from .optimizer import OptimizationResult, SearchSettings, objective, optimize_source

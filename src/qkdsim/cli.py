@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -190,24 +190,14 @@ def _run_keyrate(req: argparse.Namespace, cfg: Config,
     else:
         _check_pulses("--n-pulses", req.n_pulses, cfg.source)
         tally = finite_key.expectation_tally(req.n_pulses, cfg.source, cfg.link)
-    bounds = finite_key.decoy_bounds(
-        finite_key.estimate_channel(tally, cfg.security), cfg.source)
-    result = finite_key.secure_key_length(tally, bounds, cfg.security, cfg.source)
-    header = ("secure_bits,single_photon_bits,leakage_bits,finite_size_bits,"
-              "efficiency,epsilon_spent,y1_lower,e1_upper")
-    row = ",".join(session._fmt(v) for v in (
-        result.secure_bits, result.single_photon_bits, result.leakage_bits,
-        result.finite_size_bits, result.efficiency, result.epsilon_spent,
-        bounds.y1_lower, bounds.e1_upper))
-    out.write_text("keyrate.csv", header + "\n" + row + "\n")
-    sys.stdout.write(
-        f"secure_bits: {result.secure_bits}\n"
-        f"single_photon_bits: {result.single_photon_bits:.9g}\n"
-        f"leakage_bits: {result.leakage_bits:.9g}\n"
-        f"finite_size_bits: {result.finite_size_bits:.9g}\n"
-        f"efficiency: {result.efficiency:.9g}\n"
-        f"y1_lower: {bounds.y1_lower:.9g}\n"
-        f"e1_upper: {bounds.e1_upper:.9g}\n")
+    bounds, result = finite_key.distill(tally, cfg.source, cfg.security)
+    values = {**asdict(result), "y1_lower": bounds.y1_lower,
+              "e1_upper": bounds.e1_upper}
+    out.write_text("keyrate.csv", ",".join(values) + "\n" + ",".join(
+        session._fmt(v) for v in values.values()) + "\n")
+    sys.stdout.write("".join(f"{name}: {session._fmt(v)}\n"
+                             for name, v in values.items()
+                             if name != "epsilon_spent"))
 
 
 def _run_efficiency_curve(req: argparse.Namespace, cfg: Config,

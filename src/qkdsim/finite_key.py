@@ -56,6 +56,7 @@ __all__ = [
     "point_estimates",
     "decoy_bounds",
     "secure_key_length",
+    "distill",
     "asymptotic_rate",
     "expectation_tally",
     "key_efficiency",
@@ -372,8 +373,8 @@ class KeyResult:
 
 
 def _key_terms(tally: PulseTally, bounds: DecoyBounds,
-               security: SecurityConfig, source: SourceConfig,
-               finite_size: bool) -> tuple[float, float, float]:
+               security: SecurityConfig,
+               source: SourceConfig) -> tuple[float, float, float]:
     n_sift = tally.sifted_mu
     if n_sift == 0 or bounds.q_mu_upper <= 0.0:
         return 0.0, 0.0, 0.0
@@ -382,7 +383,7 @@ def _key_terms(tally: PulseTally, bounds: DecoyBounds,
     single = n1_lower * (1.0 - binary_entropy(bounds.e1_upper))
     leakage = security.ec_efficiency * n_sift * binary_entropy(
         min(0.5, bounds.e_mu_upper))
-    pa = math.log2(2.0 / (security.epsilon / 2.0)) if finite_size else 0.0
+    pa = math.log2(2.0 / (security.epsilon / 2.0))
     return single, leakage, pa
 
 
@@ -393,20 +394,15 @@ def secure_key_length(tally: PulseTally, bounds: DecoyBounds,
 
     Key bits come from the signal class only; the decoy classes enter through
     `bounds`, which also carries the signal gain and error-rate endpoints.
-    `bounds` must have been computed from the same tally with
-    `decoy_bounds(estimate_channel(tally, security), source)`: then the
-    N_BOUND_CALLS intervals behind it fail with epsilon/2 in total, privacy
-    amplification with the other epsilon/2, and the key is epsilon-secure.
+    Its key is epsilon-secure only when called as `distill` calls it.
     """
-    single, leakage, pa = _key_terms(tally, bounds, security, source,
-                                     finite_size=True)
+    single, leakage, pa = _key_terms(tally, bounds, security, source)
     secure = max(0, math.floor(single - leakage - pa))
 
     # Infinite-statistics reference from the very same counts, for the
     # efficiency ratio.
     ref_bounds = decoy_bounds(point_estimates(tally), source)
-    ref_single, ref_leak, _ = _key_terms(tally, ref_bounds, security, source,
-                                         finite_size=False)
+    ref_single, ref_leak, _ = _key_terms(tally, ref_bounds, security, source)
     reference = max(0.0, ref_single - ref_leak)
     efficiency = min(1.0, secure / reference) if reference > 0 else 0.0
     return KeyResult(
@@ -417,6 +413,24 @@ def secure_key_length(tally: PulseTally, bounds: DecoyBounds,
         efficiency=efficiency,
         epsilon_spent=security.epsilon,
     )
+
+
+def distill(tally: PulseTally, source: SourceConfig, security: SecurityConfig,
+            interval: Callable[[int, int, float], BinomialBound] | None = None
+            ) -> tuple[DecoyBounds, KeyResult]:
+    """One window's decoy bounds and finite-size key: the chain
+    `estimate_channel` -> `decoy_bounds` -> `secure_key_length`, written once.
+
+    The key is epsilon-secure because the bounds come from the same tally as
+    the key, with epsilon split in two: the N_BOUND_CALLS intervals behind
+    the bounds fail with epsilon/2 in total, privacy amplification with the
+    other epsilon/2.  Each window spends its own epsilon, and the epsilons of
+    a session's windows add up (Muller-Quade & Renner, NJP 11, 085006
+    (2009)).  `interval` stands in for `clopper_pearson`, as in
+    `estimate_channel`.
+    """
+    bounds = decoy_bounds(estimate_channel(tally, security, interval), source)
+    return bounds, secure_key_length(tally, bounds, security, source)
 
 
 def asymptotic_rate(source: SourceConfig, link: LinkConfig,
@@ -463,9 +477,8 @@ def key_efficiency(n_pulses: float, source: SourceConfig, link: LinkConfig,
     for the same channel and pulse budget."""
     if n_pulses <= 0:
         raise ValueError("n_pulses must be > 0")
-    tally = expectation_tally(n_pulses, source, link)
-    bounds = decoy_bounds(estimate_channel(tally, security), source)
-    result = secure_key_length(tally, bounds, security, source)
+    _, result = distill(expectation_tally(n_pulses, source, link), source,
+                        security)
     asymptotic = n_pulses * asymptotic_rate(source, link, security)
     if asymptotic <= 0:
         return 0.0

@@ -19,8 +19,9 @@ from functools import lru_cache
 
 from . import finite_key
 from .config import LinkConfig, SecurityConfig, SourceConfig
-from .finite_key import (decoy_bounds, estimate_channel, expectation_tally,
-                         secure_key_length)
+from .finite_key import distill, expectation_tally
+# Not called here: perfbench/tracing.BOUNDARIES looks them up in this module.
+from .finite_key import decoy_bounds, estimate_channel, secure_key_length
 
 __all__ = [
     "SearchSettings",
@@ -40,15 +41,14 @@ def objective(source: SourceConfig, link: LinkConfig, security: SecurityConfig,
               n_pulses: float, interval=None) -> float:
     """Deterministic finite-size secure bits per emitted pulse at expectation
     tallies (no sampling); 0 where a class gets no pulses.  `interval` is
-    passed on to `estimate_channel`."""
+    passed on to `distill`."""
     if not (source.mu > source.nu1 > source.nu2 >= 0.0
             and source.nu1 + source.nu2 < source.mu):
         return 0.0
     tally = expectation_tally(n_pulses, source, link)
     if 0 in tally[0::3]:
         return 0.0    # a class without pulses bounds nothing
-    bounds = decoy_bounds(estimate_channel(tally, security, interval), source)
-    result = secure_key_length(tally, bounds, security, source)
+    _, result = distill(tally, source, security, interval)
     return result.secure_bits / n_pulses
 
 

@@ -23,8 +23,9 @@ import numpy as np
 from .channel import (CLASSES, DriftState, PulseTally, class_rates, observed,
                       sample_tally)
 from .config import Config, session_steps, steps_per
-from .finite_key import (KeyResult, decoy_bounds, estimate_channel,
-                         secure_key_length)
+from .finite_key import DecoyBounds, KeyResult, distill
+# Not called here: perfbench/tracing.BOUNDARIES looks them up in this module.
+from .finite_key import decoy_bounds, estimate_channel, secure_key_length
 from .stabilization import (ControllerState, apply_controls,
                             gate_delay_feedback, intensity_feedback,
                             polarization_feedback, step_drift,
@@ -91,11 +92,9 @@ class SecureKeyRecord:
     window_end: float
     tally: PulseTally
     qber_signal: float | None
-    transmittance: dict[str, float | None]
     key: KeyResult
     secure_rate: float  # bits per second of window time
-    y1_lower: float
-    e1_upper: float
+    bounds: DecoyBounds
 
 
 @dataclass(frozen=True)
@@ -126,20 +125,16 @@ class SessionResult:
 def distill_window(tally: PulseTally, config: Config, window_start: float,
                    window_end: float) -> SecureKeyRecord:
     """Turn one complete window's tally into a secure key record."""
-    bounds = decoy_bounds(estimate_channel(tally, config.security), config.source)
-    key = secure_key_length(tally, bounds, config.security, config.source)
-    interval = window_end - window_start
-    rates = [None if v != v else v for v in observed(tally)]  # NaN -> None
+    bounds, key = distill(tally, config.source, config.security)
     return SecureKeyRecord(
         window_start=window_start,
         window_end=window_end,
         tally=tally,
-        qber_signal=rates[0],
-        transmittance=dict(zip(CLASSES, rates[len(CLASSES):])),
+        qber_signal=(tally.errors_mu / tally.sifted_mu
+                     if tally.sifted_mu > 0 else None),
         key=key,
-        secure_rate=key.secure_bits / interval,
-        y1_lower=bounds.y1_lower,
-        e1_upper=bounds.e1_upper,
+        secure_rate=key.secure_bits / (window_end - window_start),
+        bounds=bounds,
     )
 
 
@@ -316,7 +311,7 @@ def export_timeseries(telemetry: np.ndarray, records: list[SecureKeyRecord],
                     rec.tally.sifted_mu, rec.tally.errors_mu,
                     rec.tally.sifted_nu1, rec.tally.errors_nu1,
                     rec.tally.sifted_nu2, rec.tally.errors_nu2,
-                    rec.qber_signal, rec.y1_lower, rec.e1_upper,
+                    rec.qber_signal, rec.bounds.y1_lower, rec.bounds.e1_upper,
                     rec.key.secure_bits, rec.secure_rate,
                     rec.key.efficiency)) + "\n")
         written = [telemetry_path, keys_path]

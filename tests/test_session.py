@@ -49,8 +49,8 @@ def test_every_window_produces_key(short_session):
     for rec in short_session.records:
         assert rec.key.secure_bits > 0
         assert rec.secure_rate == rec.key.secure_bits / 1200.0
-        assert 0 < rec.y1_lower <= 1
-        assert 0 <= rec.e1_upper <= 0.5
+        assert 0 < rec.bounds.y1_lower <= 1
+        assert 0 <= rec.bounds.e1_upper <= 0.5
         assert 0 < rec.key.efficiency <= 1
 
 
@@ -138,10 +138,8 @@ def test_distill_window_matches_direct_pipeline(preset):
                           preset.source)
     direct = secure_key_length(tally, bounds, preset.security, preset.source)
     assert rec.key == direct
-    assert rec.y1_lower == bounds.y1_lower
+    assert rec.bounds == bounds
     assert rec.qber_signal == pytest.approx(tally.errors_mu / tally.sifted_mu)
-    assert rec.transmittance["mu"] == pytest.approx(
-        2 * tally.sifted_mu / tally.sent_mu)
 
 
 def test_csv_export_round_trip(short_session, tmp_path):
