@@ -17,7 +17,6 @@ Exit status: 0 success, 2 usage, 3 unreadable config or input file,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -109,11 +108,12 @@ def _load_config(req: argparse.Namespace) -> Config:
 
 def _check_pulses(flag: str, value: float,
                   source: config_mod.SourceConfig) -> None:
-    """Reject a pulse budget whose expectation tally leaves a class without
-    pulses (each class gets round(value * p_class) of them)."""
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{flag} must be a positive finite pulse count, "
-                         f"got {value}")
+    """Reject a pulse budget above MAX_PULSES, or whose expectation tally
+    leaves a class without pulses (each class gets round(value * p_class)
+    of them)."""
+    if not 0.0 < value <= config_mod.MAX_PULSES:
+        raise ValueError(f"{flag} must be a positive finite pulse count of at "
+                         f"most {config_mod.MAX_PULSES:g}, got {value:.9g}")
     for cls in channel.CLASSES:
         p = getattr(source, f"p_{cls}")
         if round(value * p) < 1:
@@ -140,10 +140,17 @@ def _read_tally_file(path: str) -> channel.PulseTally:
         if key not in names:
             raise ValueError(f"{path}: unknown tally key {key!r}")
         try:
-            counts[key] = int(float(raw))
-        except (ValueError, OverflowError):
+            value = float(raw)
+        except ValueError:
             raise ValueError(f"{path}: {key} must be a count, got {raw!r}") \
                 from None
+        if not value.is_integer():
+            raise ValueError(f"{path}: {key} must be a whole number, "
+                             f"got {raw!r}")
+        if key.startswith("sent_") and value > config_mod.MAX_PULSES:
+            raise ValueError(f"{path}: {key} must be at most "
+                             f"{config_mod.MAX_PULSES:g}, got {raw!r}")
+        counts[key] = int(value)
     missing = [name for name in names if name not in counts]
     if missing:
         raise ValueError(f"{path}: missing tally keys: {', '.join(missing)}")

@@ -29,6 +29,7 @@ __all__ = [
     "steps_per",
     "session_steps",
     "MAX_SESSION_STEPS",
+    "MAX_PULSES",
     "DEFAULT_MISALIGNMENT",
 ]
 
@@ -39,6 +40,9 @@ DEFAULT_MISALIGNMENT = 0.03749724321045597
 
 # numpy draws from a class's per-step sent count as a C long (int64).
 _MAX_STEP_PULSES = 2.0 ** 63
+# The largest count of one class's pulses that is distilled at once: the
+# range the Clopper-Pearson bounds are tested to.
+MAX_PULSES = 1e15
 # A session keeps 18 float64 telemetry cells per step, so this bounds its
 # telemetry at 1.44 GB; the 36 h default is 129,600 steps.
 MAX_SESSION_STEPS = 10**7
@@ -271,6 +275,10 @@ class Config:
                 out.append(f"clock_rate * distill_interval * p_{cls} = "
                            f"{per_window:.3g}: class {cls} gets no pulses in a "
                            f"distillation window; must be >= 1")
+            elif per_window > MAX_PULSES:
+                out.append(f"clock_rate * distill_interval * p_{cls} = "
+                           f"{per_window:.3g} pulses of class {cls} per "
+                           f"distillation window; must be <= {MAX_PULSES:g}")
         return out
 
 

@@ -310,6 +310,10 @@ def test_simulate_rejects_non_finite_settings(tmp_path, capsys, flag, key,
      "duration / time_step = 60000000 steps; must lie in [0, 10,000,000]"),
     (["--time-step", "1e-3", "--duration", "1e9"],
      "duration / time_step = 1e+12 steps"),
+    # more pulses of a class in one window than the bounds are tested to
+    (["--clock-rate", "1e13", "--duration", "1200"],
+     "p_mu = 1.19e+16 pulses of class mu per distillation window; must be "
+     "<= 1e+15"),
 ])
 def test_simulate_rejects_counts_it_cannot_hold(tmp_path, capsys, flags,
                                                 message):
@@ -344,6 +348,77 @@ def test_keyrate_rejects_tally_without_pulses(tmp_path, capsys, preset):
                           drop=["sent_nu2", "sifted_nu2", "errors_nu2"])
     _assert_rejected(["keyrate", "--out", str(tmp_path), "--tally-file",
                       str(counts)], capsys, "class nu2 has no pulses")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["keyrate", "--n-pulses=1e300"],
+     "--n-pulses must be a positive finite pulse count of at most 1e+15, "
+     "got 1e+300"),
+    (["optimize", "--n-pulses=1.000001e15"],
+     "--n-pulses must be a positive finite pulse count of at most 1e+15, "
+     "got 1.000001e+15"),
+    (["efficiency-curve", "--max-pulses=1e16"],
+     "--max-pulses must be a positive finite pulse count of at most 1e+15"),
+])
+def test_pulse_budget_above_max_pulses_rejected_before_any_work(
+        tmp_path, capsys, monkeypatch, argv, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the input was rejected")
+    monkeypatch.setattr("qkdsim.finite_key.clopper_pearson", no_work)
+    _assert_rejected([*argv, "--out", str(tmp_path)], capsys, message)
+
+
+def test_max_pulses_itself_is_accepted(tmp_path, capsys):
+    # the limit is efficiency-curve's default --max-pulses
+    assert main(["efficiency-curve", "--out", str(tmp_path),
+                 "--min-pulses", "1e15", "--points", "1"]) == EXIT_OK
+    assert main(["keyrate", "--out", str(tmp_path),
+                 "--n-pulses", "1e15"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("line,message", [
+    ("errors_mu = 104000000.9",
+     "errors_mu must be a whole number, got '104000000.9'"),
+    ("sent_nu1 = 2e15", "sent_nu1 must be at most 1e+15, got '2e15'"),
+    ("sifted_nu2 = inf", "sifted_nu2 must be a whole number, got 'inf'"),
+])
+def test_keyrate_rejects_tally_count_it_cannot_use(tmp_path, capsys, preset,
+                                                   line, message):
+    key = line.split(" = ")[0]
+    counts = _write_tally(tmp_path / "counts.txt", preset, extra=[line],
+                          drop=[key])
+    _assert_rejected(["keyrate", "--out", str(tmp_path), "--tally-file",
+                      str(counts)], capsys, message)
+    assert not (tmp_path / "keyrate.csv").exists()
+
+
+def test_keyrate_reads_integral_float_text_as_counts(tmp_path, capsys, preset):
+    tally = expectation_tally(1.2e12, preset.source, preset.link)
+    as_float = tmp_path / "float.txt"
+    as_float.write_text("".join(f"{name} = {value:.15e}\n"
+                                for name, value in tally._asdict().items()))
+    assert main(["keyrate", "--out", str(tmp_path / "float"),
+                 "--tally-file", str(as_float)]) == EXIT_OK
+    from_float = capsys.readouterr().out
+    assert main(["keyrate", "--out", str(tmp_path / "int"), "--tally-file",
+                 str(_write_tally(tmp_path / "int.txt", preset))]) == EXIT_OK
+    assert from_float == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tally_file", [False, True],
+                         ids=["expectation", "tally-file"])
+def test_keyrate_stdout_lists_the_csv_fields(tmp_path, capsys, preset,
+                                             tally_file):
+    argv = ["keyrate", "--out", str(tmp_path), "--n-pulses", "3e10"]
+    if tally_file:
+        argv += ["--tally-file",
+                 str(_write_tally(tmp_path / "counts.txt", preset))]
+    assert main(argv) == EXIT_OK
+    header, row = (tmp_path / "keyrate.csv").read_text().splitlines()
+    assert capsys.readouterr().out == "".join(
+        f"{name}: {value}\n"
+        for name, value in zip(header.split(","), row.split(","))
+        if name != "epsilon_spent")
 
 
 def test_keyrate_unreadable_tally_file_exits_with_input_status(tmp_path,

@@ -106,6 +106,9 @@ def run_cli(argv: list[str]) -> tuple[int, str]:
           "--points=2"])
 # a negative seed reached numpy, whose message named no key
 @example(["simulate", "--seed=-1", "--duration=5"])
+# pulse counts past the range the bounds are tested to ran to exit 0
+@example(["keyrate", "--n-pulses=1e300"])
+@example(["simulate", "--clock-rate=1e13", "--duration=1200"])
 def test_cli_exits_with_a_documented_status(argv):
     status, err = run_cli(argv)
     assert status in DOCUMENTED_EXITS, (status, err)

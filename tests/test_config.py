@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
-from qkdsim.config import (MAX_SESSION_STEPS, Config, ConfigError,
+from qkdsim.config import (MAX_PULSES, MAX_SESSION_STEPS, Config, ConfigError,
                            ControlConfig, LinkConfig, SecurityConfig,
                            SimConfig, SourceConfig, apply_overrides,
                            config_keys, config_to_text, parse_config_text,
@@ -70,6 +70,17 @@ def test_session_step_limit():
     for duration in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ConfigError):
             session_steps(duration, 1.0)
+
+
+def test_window_pulse_limit():
+    # the clock rate that sends MAX_PULSES signal pulses per window
+    window = SecurityConfig().distill_interval
+    at_limit = MAX_PULSES / (window * SourceConfig().p_mu)
+    fastest = Config(source=SourceConfig(clock_rate=at_limit * (1 - 1e-9)))
+    assert fastest.validated() is fastest
+    with pytest.raises(ConfigError, match="class mu per distillation window"):
+        Config(source=SourceConfig(
+            clock_rate=at_limit * (1 + 1e-9))).validated()
 
 
 def test_background_yield_counts_both_detectors():
