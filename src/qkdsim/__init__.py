@@ -9,7 +9,7 @@ from .finite_key import (BinomialBound, DecoyBounds, KeyResult, asymptotic_rate,
                          binary_entropy, clopper_pearson, decoy_bounds, distill,
                          estimate_channel, expectation_tally, key_efficiency,
                          secure_key_length)
-from .optimizer import OptimizationResult, SearchSettings, objective, optimize_source
+from .optimizer import OptimizationResult, objective, optimize_source
 from .session import (SecureKeyRecord, SessionResult, SessionSummary,
                       TelemetryRow, distill_window, export_timeseries,
                       run_session)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import asdict, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -60,6 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("simulate", _run_simulate, help="run a closed-loop session")
 
     p = add("keyrate", _run_keyrate, help="distill a single window")
+    p = p.add_mutually_exclusive_group()  # --n-pulses or --tally-file
     p.add_argument("--n-pulses", type=float, default=1.2e12,
                    help="pulse budget for expectation tallies (default: 1.2e12)")
     p.add_argument("--tally-file", metavar="FILE",
@@ -128,28 +128,22 @@ class _UnreadableInputError(Exception):
 def _read_tally_file(path: str) -> channel.PulseTally:
     names = channel.PulseTally._fields
     try:
-        text = Path(path).read_text()
+        raw = config_mod.read_key_values(path, names)
     except OSError as exc:
         raise _UnreadableInputError(f"cannot read tally file: {exc}") from exc
     counts: dict[str, int] = {}
-    for line in text.splitlines():
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        key, _, raw = (part.strip() for part in stripped.partition("="))
-        if key not in names:
-            raise ValueError(f"{path}: unknown tally key {key!r}")
+    for key, text in raw.items():
         try:
-            value = float(raw)
+            value = float(text)
         except ValueError:
-            raise ValueError(f"{path}: {key} must be a count, got {raw!r}") \
+            raise ValueError(f"{path}: {key} must be a count, got {text!r}") \
                 from None
         if not value.is_integer():
             raise ValueError(f"{path}: {key} must be a whole number, "
-                             f"got {raw!r}")
+                             f"got {text!r}")
         if key.startswith("sent_") and value > config_mod.MAX_PULSES:
             raise ValueError(f"{path}: {key} must be at most "
-                             f"{config_mod.MAX_PULSES:g}, got {raw!r}")
+                             f"{config_mod.MAX_PULSES:g}, got {text!r}")
         counts[key] = int(value)
     missing = [name for name in names if name not in counts]
     if missing:
@@ -162,36 +156,14 @@ def _read_tally_file(path: str) -> channel.PulseTally:
     return tally
 
 
-class _OutputTracker:
-    """Removes partially written outputs if the command fails."""
-
-    def __init__(self, out_dir: str):
-        self.dir = Path(out_dir)
-        self.written: list[Path] = []
-
-    def write_text(self, name: str, text: str) -> Path:
-        self.dir.mkdir(parents=True, exist_ok=True)
-        path = self.dir / name
-        path.write_text(text)
-        self.written.append(path)
-        return path
-
-    def cleanup(self) -> None:
-        for path in self.written:
-            path.unlink(missing_ok=True)
-
-
-def _run_simulate(req: argparse.Namespace, cfg: Config,
-                  out: _OutputTracker) -> None:
+def _run_simulate(req: argparse.Namespace, cfg: Config) -> None:
     result = session.run_session(cfg)
-    paths = session.export_timeseries(result.telemetry, result.records, out.dir,
-                                      summary=result.summary)
-    out.written.extend(paths)
+    session.export_timeseries(result.telemetry, result.records, req.out,
+                              summary=result.summary)
     sys.stdout.write(session.format_summary(result.summary))
 
 
-def _run_keyrate(req: argparse.Namespace, cfg: Config,
-                 out: _OutputTracker) -> None:
+def _run_keyrate(req: argparse.Namespace, cfg: Config) -> None:
     if req.tally_file is not None:
         tally = _read_tally_file(req.tally_file)
     else:
@@ -200,15 +172,15 @@ def _run_keyrate(req: argparse.Namespace, cfg: Config,
     bounds, result = finite_key.distill(tally, cfg.source, cfg.security)
     values = {**asdict(result), "y1_lower": bounds.y1_lower,
               "e1_upper": bounds.e1_upper}
-    out.write_text("keyrate.csv", ",".join(values) + "\n" + ",".join(
-        session._fmt(v) for v in values.values()) + "\n")
+    session.write_outputs(req.out, {"keyrate.csv": [
+        ",".join(values) + "\n",
+        ",".join(session._fmt(v) for v in values.values()) + "\n"]})
     sys.stdout.write("".join(f"{name}: {session._fmt(v)}\n"
                              for name, v in values.items()
                              if name != "epsilon_spent"))
 
 
-def _run_efficiency_curve(req: argparse.Namespace, cfg: Config,
-                          out: _OutputTracker) -> None:
+def _run_efficiency_curve(req: argparse.Namespace, cfg: Config) -> None:
     _check_pulses("--min-pulses", req.min_pulses, cfg.source)
     _check_pulses("--max-pulses", req.max_pulses, cfg.source)
     if req.min_pulses > req.max_pulses:
@@ -217,21 +189,19 @@ def _run_efficiency_curve(req: argparse.Namespace, cfg: Config,
         raise ValueError(f"--points must be >= 1, got {req.points}")
     grid = np.logspace(np.log10(req.min_pulses), np.log10(req.max_pulses),
                        req.points)
-    lines = ["n_pulses,efficiency"]
+    lines = ["n_pulses,efficiency\n"]
     for n in grid:
         eff = finite_key.key_efficiency(float(n), cfg.source, cfg.link,
                                         cfg.security)
-        lines.append(f"{float(n):.9g},{eff:.9g}")
-    out.write_text("efficiency_curve.csv", "\n".join(lines) + "\n")
-    sys.stdout.write("\n".join(lines) + "\n")
+        lines.append(f"{float(n):.9g},{eff:.9g}\n")
+    session.write_outputs(req.out, {"efficiency_curve.csv": lines})
+    sys.stdout.writelines(lines)
 
 
-def _run_optimize(req: argparse.Namespace, cfg: Config,
-                  out: _OutputTracker) -> None:
+def _run_optimize(req: argparse.Namespace, cfg: Config) -> None:
     _check_pulses("--n-pulses", req.n_pulses, cfg.source)
-    settings = optimizer.SearchSettings(start=cfg.source, sweeps=req.sweeps)
     result = optimizer.optimize_source(cfg.link, cfg.security, req.n_pulses,
-                                       settings)
+                                       start=cfg.source, sweeps=req.sweeps)
     best = result.best
     report = (
         f"rate_bits_per_pulse: {result.rate:.9g}\n"
@@ -240,19 +210,19 @@ def _run_optimize(req: argparse.Namespace, cfg: Config,
         f"mu: {best.mu:.9g}\nnu1: {best.nu1:.9g}\nnu2: {best.nu2:.9g}\n"
         f"p_mu: {best.p_mu:.9g}\np_nu1: {best.p_nu1:.9g}\np_nu2: {best.p_nu2:.9g}\n"
     )
-    out.write_text("optimize.txt", report)
-    out.write_text("best_config.cfg",
-                   config_mod.config_to_text(replace(cfg, source=best)))
+    session.write_outputs(req.out, {
+        "optimize.txt": [report],
+        "best_config.cfg": [config_mod.config_to_text(replace(cfg, source=best))]})
     sys.stdout.write(report)
 
 
-def _run_calibrate(req: argparse.Namespace, cfg: Config,
-                   out: _OutputTracker) -> None:
+def _run_calibrate(req: argparse.Namespace, cfg: Config) -> None:
     value = channel.calibrate_misalignment(cfg.source, cfg.link,
                                            req.target_qber)
     calibrated = replace(cfg, link=replace(
         cfg.link, intrinsic_misalignment_error=value))
-    out.write_text("calibrated.cfg", config_mod.config_to_text(calibrated))
+    session.write_outputs(req.out, {
+        "calibrated.cfg": [config_mod.config_to_text(calibrated)]})
     sys.stdout.write(f"intrinsic_misalignment_error: {value:.9g}\n")
 
 
@@ -267,11 +237,9 @@ def dispatch(request: argparse.Namespace) -> int:
         print(f"qkdsim: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG_FILE
 
-    out = _OutputTracker(request.out)
     try:
-        request.run(request, cfg, out)
+        request.run(request, cfg)
     except (_UnreadableInputError, OSError, ValueError) as exc:
-        out.cleanup()
         print(f"qkdsim: {exc}", file=sys.stderr)
         if isinstance(exc, _UnreadableInputError):
             return EXIT_CONFIG_FILE

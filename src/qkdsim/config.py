@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Container, Iterator
 
 __all__ = [
     "ConfigError",
@@ -23,6 +23,8 @@ __all__ = [
     "Config",
     "load_config_file",
     "parse_config_text",
+    "parse_key_values",
+    "read_key_values",
     "apply_overrides",
     "config_to_text",
     "config_keys",
@@ -351,31 +353,52 @@ def apply_overrides(config: Config, overrides: dict[str, Any]) -> Config:
     return config
 
 
-def parse_config_text(text: str, path: str = "<config>") -> Config:
-    """Parse a flat key=value file body. All keys optional; unknown keys error."""
-    overrides: dict[str, str] = {}
+def parse_key_values(text: str, path: str,
+                     keys: Container[str]) -> dict[str, str]:
+    """Parse the flat key = value format of config and tally files: `#`
+    starts a comment, blank lines are skipped, and every other line is
+    `key = value` with a key from `keys`.  Returns key -> value text; raises
+    ConfigError naming, as path:line, every line without `=`, unknown key
+    and repeated key."""
+    values: dict[str, str] = {}
     problems: list[str] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        if "=" not in stripped:
-            problems.append(f"{path}:{lineno}: expected key = value, got {stripped!r}")
-            continue
-        key, _, raw = stripped.partition("=")
+        key, equals, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _KEYS:
-            problems.append(f"{path}:{lineno}: unknown configuration key: {key}")
-            continue
-        overrides[key] = raw
+        where = f"{path}:{lineno}"
+        if not equals:
+            problems.append(f"{where}: expected key = value, got {stripped!r}")
+        elif key not in keys:
+            problems.append(f"{where}: unknown key {key!r}")
+        elif key in values:
+            problems.append(f"{where}: repeated key {key!r}")
+        else:
+            values[key] = raw.strip()
     if problems:
         raise ConfigError(problems)
-    return apply_overrides(Config(), overrides)
+    return values
+
+
+def read_key_values(path: str | Path, keys: Container[str]) -> dict[str, str]:
+    """`parse_key_values` of a file; OSError if it cannot be read or is not
+    UTF-8 text."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path} is not UTF-8 text: {exc}") from None
+    return parse_key_values(text, str(path), keys)
+
+
+def parse_config_text(text: str, path: str = "<config>") -> Config:
+    """Parse a flat key=value file body. All keys optional; unknown keys error."""
+    return apply_overrides(Config(), parse_key_values(text, path, _KEYS))
 
 
 def load_config_file(path: str | Path) -> Config:
-    p = Path(path)
-    return parse_config_text(p.read_text(), str(p))
+    return apply_overrides(Config(), read_key_values(path, _KEYS))
 
 
 def config_to_text(config: Config) -> str:

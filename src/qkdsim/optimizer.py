@@ -14,7 +14,7 @@ distinct interval once; the memo ends with the search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from . import finite_key
@@ -24,7 +24,6 @@ from .finite_key import distill, expectation_tally
 from .finite_key import decoy_bounds, estimate_channel, secure_key_length
 
 __all__ = [
-    "SearchSettings",
     "OptimizationResult",
     "objective",
     "optimize_source",
@@ -35,6 +34,7 @@ MU_BOUNDS = (0.01, 1.5)
 _MARGIN = 1e-3    # strict-ordering margin between intensities
 _P_FLOOR = 1e-4   # keep every send probability strictly inside (0, 1)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_LINE_SEARCH_ITERS = 30
 
 
 def objective(source: SourceConfig, link: LinkConfig, security: SecurityConfig,
@@ -52,24 +52,15 @@ def objective(source: SourceConfig, link: LinkConfig, security: SecurityConfig,
     return result.secure_bits / n_pulses
 
 
-@dataclass(frozen=True)
-class SearchSettings:
-    start: SourceConfig = SourceConfig()
-    sweeps: int = 5            # full passes over all coordinates
-    line_search_iters: int = 30
-    mu_bounds: tuple[float, float] = MU_BOUNDS
-
-
 @dataclass
 class OptimizationResult:
     best: SourceConfig
     rate: float                # bits per pulse at the optimum
     evaluations: int = 0
-    trace: list[float] = field(default_factory=list)  # best rate per line search
 
 
-def _project(source: SourceConfig, settings: SearchSettings) -> SourceConfig:
-    mu = min(max(source.mu, settings.mu_bounds[0]), settings.mu_bounds[1])
+def _project(source: SourceConfig) -> SourceConfig:
+    mu = min(max(source.mu, MU_BOUNDS[0]), MU_BOUNDS[1])
     nu1 = min(max(source.nu1, _MARGIN), mu * (1.0 - _MARGIN))
     nu2 = min(max(source.nu2, 0.0), nu1 * (1.0 - _MARGIN))
     p_mu = min(max(source.p_mu, _P_FLOOR), 1.0 - 2.0 * _P_FLOOR)
@@ -79,16 +70,15 @@ def _project(source: SourceConfig, settings: SearchSettings) -> SourceConfig:
                    p_mu=p_mu, p_nu1=p_nu1, p_nu2=p_nu2)
 
 
-def _golden_max(f, lo: float, hi: float, iters: int) -> tuple[float, float]:
-    """Deterministic golden-section maximization; returns the best probe."""
-    best_x, best_f = lo, f(lo)
-    fh = f(hi)
-    if fh > best_f:
-        best_x, best_f = hi, fh
+def _golden_max(f, lo: float, hi: float) -> None:
+    """Deterministic golden-section maximization of f over [lo, hi], probing
+    both ends first; f itself keeps the best probe."""
+    f(lo)
+    f(hi)
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(_LINE_SEARCH_ITERS):
         if fc >= fd:
             hi, d, fd = d, c, fc
             c = hi - _INVPHI * (hi - lo)
@@ -97,23 +87,17 @@ def _golden_max(f, lo: float, hi: float, iters: int) -> tuple[float, float]:
             lo, c, fc = c, d, fd
             d = lo + _INVPHI * (hi - lo)
             fd = f(d)
-        if fc > best_f:
-            best_x, best_f = c, fc
-        if fd > best_f:
-            best_x, best_f = d, fd
-    return best_x, best_f
 
 
 def optimize_source(link: LinkConfig, security: SecurityConfig, n_pulses: float,
-                    settings: SearchSettings | None = None) -> OptimizationResult:
-    """Maximize the finite-size rate over intensities and send probabilities."""
-    settings = settings or SearchSettings()
-    if settings.mu_bounds[0] >= settings.mu_bounds[1]:
-        raise ValueError("infeasible mu bounds")
-    if settings.sweeps < 0:
-        raise ValueError(f"sweeps must be >= 0, got {settings.sweeps}")
+                    start: SourceConfig = SourceConfig(),
+                    sweeps: int = 5) -> OptimizationResult:
+    """Maximize the finite-size rate over intensities and send probabilities,
+    from `start`, in `sweeps` full passes over the coordinates."""
+    if sweeps < 0:
+        raise ValueError(f"sweeps must be >= 0, got {sweeps}")
 
-    result = OptimizationResult(best=_project(settings.start, settings), rate=-1.0)
+    result = OptimizationResult(best=_project(start), rate=-1.0)
     interval = lru_cache(maxsize=None)(finite_key.clopper_pearson)
 
     def evaluate(candidate: SourceConfig) -> float:
@@ -127,15 +111,15 @@ def optimize_source(link: LinkConfig, security: SecurityConfig, n_pulses: float,
     evaluate(result.best)
 
     coordinates = ("mu", "nu1", "nu2", "p_mu", "p_nu1")
-    for _ in range(settings.sweeps):
+    for _ in range(sweeps):
         for coord in coordinates:
             base = result.best
 
             def line(x: float, coord=coord, base=base) -> float:
-                return evaluate(_project(replace(base, **{coord: x}), settings))
+                return evaluate(_project(replace(base, **{coord: x})))
 
             if coord == "mu":
-                lo, hi = settings.mu_bounds
+                lo, hi = MU_BOUNDS
             elif coord == "nu1":
                 lo, hi = _MARGIN, base.mu * (1.0 - _MARGIN)
             elif coord == "nu2":
@@ -144,6 +128,5 @@ def optimize_source(link: LinkConfig, security: SecurityConfig, n_pulses: float,
                 lo, hi = 0.5, 1.0 - base.p_nu1 - _P_FLOOR
             else:
                 lo, hi = _P_FLOOR, 1.0 - base.p_mu - _P_FLOOR
-            _golden_max(line, lo, hi, settings.line_search_iters)
-            result.trace.append(result.rate)
+            _golden_max(line, lo, hi)
     return result

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -39,6 +40,7 @@ __all__ = [
     "run_session",
     "distill_window",
     "export_timeseries",
+    "write_outputs",
     "load_telemetry_csv",
     "load_keys_csv",
     "TELEMETRY_HEADER",
@@ -288,40 +290,49 @@ def format_summary(summary: SessionSummary) -> str:
     return "\n".join(lines) + "\n"
 
 
+def write_outputs(destination: str | Path,
+                  files: dict[str, Iterable[str]]) -> list[Path]:
+    """Write each named file under the destination directory from its text
+    chunks, in order; returns the written paths.  If a write fails, removes
+    every file it opened, then raises OSError."""
+    dest = Path(destination)
+    written: list[Path] = []
+    try:
+        dest.mkdir(parents=True, exist_ok=True)
+        for name, chunks in files.items():
+            with (dest / name).open("w") as fh:
+                written.append(dest / name)
+                fh.writelines(chunks)
+    except OSError as exc:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise OSError(f"failed writing output under {dest}: {exc}") from exc
+    return written
+
+
 def export_timeseries(telemetry: np.ndarray, records: list[SecureKeyRecord],
                       destination: str | Path,
                       summary: SessionSummary | None = None) -> list[Path]:
     """Write telemetry.csv (from a `SessionResult.telemetry` array) and
     keys.csv, and summary.txt when given, under the destination directory;
     returns the written paths."""
-    dest = Path(destination)
-    try:
-        dest.mkdir(parents=True, exist_ok=True)
-        telemetry_path = dest / "telemetry.csv"
-        with telemetry_path.open("w") as fh:
-            fh.write(TELEMETRY_HEADER + "\n")
-            for start in range(0, len(telemetry), _EXPORT_BLOCK):
-                fh.write(_telemetry_block(telemetry[start:start + _EXPORT_BLOCK]))
-        keys_path = dest / "keys.csv"
-        with keys_path.open("w") as fh:
-            fh.write(KEYS_HEADER + "\n")
-            for rec in records:
-                fh.write(",".join(_fmt(v) for v in (
-                    rec.window_start, rec.window_end,
-                    rec.tally.sifted_mu, rec.tally.errors_mu,
-                    rec.tally.sifted_nu1, rec.tally.errors_nu1,
-                    rec.tally.sifted_nu2, rec.tally.errors_nu2,
-                    rec.qber_signal, rec.bounds.y1_lower, rec.bounds.e1_upper,
-                    rec.key.secure_bits, rec.secure_rate,
-                    rec.key.efficiency)) + "\n")
-        written = [telemetry_path, keys_path]
-        if summary is not None:
-            summary_path = dest / "summary.txt"
-            summary_path.write_text(format_summary(summary))
-            written.append(summary_path)
-        return written
-    except OSError as exc:
-        raise OSError(f"failed writing session output under {dest}: {exc}") from exc
+    files = {
+        # A generator of blocks: the whole text at once would hold 23 MB.
+        "telemetry.csv": chain([TELEMETRY_HEADER + "\n"], (
+            _telemetry_block(telemetry[start:start + _EXPORT_BLOCK])
+            for start in range(0, len(telemetry), _EXPORT_BLOCK))),
+        "keys.csv": [KEYS_HEADER + "\n"] + [",".join(_fmt(v) for v in (
+            rec.window_start, rec.window_end,
+            rec.tally.sifted_mu, rec.tally.errors_mu,
+            rec.tally.sifted_nu1, rec.tally.errors_nu1,
+            rec.tally.sifted_nu2, rec.tally.errors_nu2,
+            rec.qber_signal, rec.bounds.y1_lower, rec.bounds.e1_upper,
+            rec.key.secure_bits, rec.secure_rate,
+            rec.key.efficiency)) + "\n" for rec in records],
+    }
+    if summary is not None:
+        files["summary.txt"] = [format_summary(summary)]
+    return write_outputs(destination, files)
 
 
 def _parse_cell(cell: str) -> float | None:

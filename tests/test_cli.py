@@ -1,8 +1,8 @@
 import pytest
 
 from qkdsim.channel import PulseTally
-from qkdsim.cli import (EXIT_CONFIG_FILE, EXIT_IO, EXIT_OK, EXIT_VALIDATION,
-                        _OutputTracker, main, parse_command)
+from qkdsim.cli import (EXIT_CONFIG_FILE, EXIT_IO, EXIT_OK, EXIT_USAGE,
+                        EXIT_VALIDATION, main, parse_command)
 from qkdsim.config import DEFAULT_MISALIGNMENT, parse_config_text
 from qkdsim.finite_key import expectation_tally
 
@@ -196,12 +196,41 @@ def test_unwritable_output_exits_with_io_status(tmp_path, capsys):
     assert status == EXIT_IO
 
 
-def test_output_tracker_cleanup_removes_partial_files(tmp_path):
-    tracker = _OutputTracker(str(tmp_path))
-    path = tracker.write_text("partial.csv", "data\n")
-    assert path.exists()
-    tracker.cleanup()
-    assert not path.exists()
+def test_simulate_failing_at_keys_csv_leaves_no_telemetry(tmp_path, capsys):
+    (tmp_path / "keys.csv").mkdir()
+    status = main(["simulate", "--out", str(tmp_path), "--duration", "1200"])
+    assert status == EXIT_IO
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["keys.csv"]
+
+
+def test_config_file_not_utf8_exits_with_config_status(tmp_path, capsys):
+    cfg = tmp_path / "link.cfg"
+    cfg.write_bytes(b"mu = 0.6\nfiber_length = 2\xff5\n")
+    assert main(["calibrate", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == EXIT_CONFIG_FILE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "not UTF-8 text" in err
+    assert not (tmp_path / "calibrated.cfg").exists()
+
+
+def test_config_file_repeated_key_names_its_line(tmp_path, capsys):
+    cfg = tmp_path / "link.cfg"
+    cfg.write_text("mu = 0.6\nfiber_length = 25\nmu = 0.7\n")
+    _assert_rejected(["calibrate", "--config", str(cfg), "--out",
+                      str(tmp_path)], capsys, f"{cfg}:3: repeated key 'mu'")
+    assert not (tmp_path / "calibrated.cfg").exists()
+
+
+def test_keyrate_takes_n_pulses_or_tally_file_not_both(tmp_path, capsys,
+                                                       preset):
+    counts = _write_tally(tmp_path / "counts.txt", preset)
+    with pytest.raises(SystemExit) as exc:
+        main(["keyrate", "--out", str(tmp_path), "--tally-file", str(counts),
+              "--n-pulses", "1e300"])
+    assert exc.value.code == EXIT_USAGE
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "keyrate.csv").exists()
 
 
 def _assert_rejected(argv, capsys, message):
@@ -235,7 +264,16 @@ def test_keyrate_rejects_unknown_tally_key(tmp_path, capsys, preset):
     counts = _write_tally(tmp_path / "counts.txt", preset,
                           extra=["sent_mu_typo = 5"])
     _assert_rejected(["keyrate", "--out", str(tmp_path), "--tally-file",
-                      str(counts)], capsys, "unknown tally key 'sent_mu_typo'")
+                      str(counts)], capsys, "unknown key 'sent_mu_typo'")
+    assert not (tmp_path / "keyrate.csv").exists()
+
+
+def test_keyrate_rejects_repeated_tally_key(tmp_path, capsys, preset):
+    counts = _write_tally(tmp_path / "counts.txt", preset,
+                          extra=["sent_mu = 1.3e12"])
+    _assert_rejected(["keyrate", "--out", str(tmp_path), "--tally-file",
+                      str(counts)], capsys, f"{counts}:10: repeated key "
+                                            f"'sent_mu'")
     assert not (tmp_path / "keyrate.csv").exists()
 
 
@@ -411,8 +449,8 @@ def test_keyrate_stdout_lists_the_csv_fields(tmp_path, capsys, preset,
                                              tally_file):
     argv = ["keyrate", "--out", str(tmp_path), "--n-pulses", "3e10"]
     if tally_file:
-        argv += ["--tally-file",
-                 str(_write_tally(tmp_path / "counts.txt", preset))]
+        argv[-2:] = ["--tally-file",
+                     str(_write_tally(tmp_path / "counts.txt", preset))]
     assert main(argv) == EXIT_OK
     header, row = (tmp_path / "keyrate.csv").read_text().splitlines()
     assert capsys.readouterr().out == "".join(

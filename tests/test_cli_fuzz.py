@@ -1,5 +1,6 @@
-"""Property test over the whole command line, run in-process: whatever the
-arguments, `qkdsim` exits with a documented status and prints no traceback.
+"""Property tests over the whole command line, run in-process: whatever the
+arguments, and whatever a config or tally file holds, `qkdsim` exits with a
+documented status and prints no traceback.
 
 Durations stay at or below 60 s and the step at or above 0.5 s, so one
 example runs in milliseconds; clock rates span 1e-3 to 1e20 pulses per
@@ -10,10 +11,13 @@ import contextlib
 import io
 import math
 import tempfile
+from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
+from qkdsim.channel import PulseTally
 from qkdsim.cli import main
+from qkdsim.config import config_keys
 
 DOCUMENTED_EXITS = {0, 2, 3, 4, 5}
 # texts no numeric flag accepts, or accepts only to reject in validation
@@ -111,5 +115,70 @@ def run_cli(argv: list[str]) -> tuple[int, str]:
 @example(["simulate", "--clock-rate=1e13", "--duration=1200"])
 def test_cli_exits_with_a_documented_status(argv):
     status, err = run_cli(argv)
+    assert status in DOCUMENTED_EXITS, (status, err)
+    assert "Traceback" not in err
+
+
+def _file_body(keys: list[str], values: st.SearchStrategy[str]):
+    """Random bytes, or lines that are mostly `key = value` with a key from
+    `keys`, or one no file takes, and sometimes any text at all."""
+    line = st.one_of(
+        st.tuples(st.sampled_from([*keys, "not_a_key"]), values).map(
+            " = ".join),
+        st.text(max_size=20))
+    return st.one_of(
+        st.binary(max_size=200),
+        st.lists(line, max_size=12).map(lambda ls: "\n".join(ls).encode()))
+
+
+CONFIG_VALUES = st.one_of(_floats(-1.0, 2.0), st.integers(-2, 10).map(str),
+                          st.sampled_from(["true", "false"]), ODD, st.text())
+COUNTS = st.one_of(st.integers(0, 10**16).map(str), ODD,
+                   st.floats(0, 1e16).map(repr), st.text())
+
+
+@st.composite
+def _whole_tally(draw) -> bytes:
+    """Every tally key once, errors <= sifted <= sent in each class, so that
+    the counts reach the bounds."""
+    counts = []
+    for _ in range(3):
+        sent = draw(st.integers(0, 10**15))
+        sifted = draw(st.integers(0, min(sent, 10**10)))
+        counts += [sent, sifted, draw(st.integers(0, sifted))]
+    return "".join(f"{key} = {count}\n" for key, count
+                   in zip(PulseTally._fields, counts)).encode()
+
+
+TALLY_BODY = st.one_of(_file_body(PulseTally._fields, COUNTS), _whole_tally())
+
+
+@st.composite
+def file_inputs(draw) -> tuple[list[str], bytes]:
+    """`calibrate --config FILE` or `keyrate --tally-file FILE`, and the
+    bytes of FILE."""
+    if draw(st.booleans()):
+        keys = [key for key, _, _ in config_keys()]
+        return ["calibrate", "--config"], draw(_file_body(keys, CONFIG_VALUES))
+    return ["keyrate", "--tally-file"], draw(TALLY_BODY)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(file_inputs())
+# not UTF-8: the config reader raised UnicodeDecodeError, exit 1
+@example((["calibrate", "--config"], b"mu = 0.6\xff\n"))
+@example((["keyrate", "--tally-file"], b"\xff"))
+# a repeated key was taken last-wins without a word
+@example((["calibrate", "--config"], b"mu = 0.6\nmu = 0.7\n"))
+@example((["keyrate", "--tally-file"], b"sent_mu = 5\nsent_mu = 6\n"))
+# a line without `=`
+@example((["calibrate", "--config"], b"mu 0.6\n"))
+@example((["keyrate", "--tally-file"], b"sent_mu 5\n"))
+def test_file_contents_end_in_a_documented_status(command):
+    argv, body = command
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.txt"
+        path.write_bytes(body)
+        status, err = run_cli([*argv, str(path)])
     assert status in DOCUMENTED_EXITS, (status, err)
     assert "Traceback" not in err

@@ -7,7 +7,7 @@ from qkdsim.config import (MAX_PULSES, MAX_SESSION_STEPS, Config, ConfigError,
                            ControlConfig, LinkConfig, SecurityConfig,
                            SimConfig, SourceConfig, apply_overrides,
                            config_keys, config_to_text, parse_config_text,
-                           session_steps)
+                           parse_key_values, session_steps)
 
 
 def test_preset_passes_validation():
@@ -122,10 +122,25 @@ def test_config_file_defaults_and_overrides():
 
 
 def test_unknown_key_is_error():
-    with pytest.raises(ConfigError, match="unknown configuration key: fibre_len"):
+    with pytest.raises(ConfigError, match="<config>:1: unknown key 'fibre_len'"):
         parse_config_text("fibre_len = 10\n")
     with pytest.raises(ConfigError, match="unknown configuration key"):
         apply_overrides(Config(), {"not_a_key": "1"})
+
+
+def test_reader_names_every_bad_line_at_once():
+    text = "mu = 0.6\nfibre_len = 10\njust words\n\nmu = 0.7 # again\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_key_values(text, "link.cfg", {"mu"})
+    assert exc.value.problems == [
+        "link.cfg:2: unknown key 'fibre_len'",
+        "link.cfg:3: expected key = value, got 'just words'",
+        "link.cfg:5: repeated key 'mu'"]
+
+
+def test_reader_returns_stripped_value_text():
+    assert parse_key_values(" a =  1 \n# b = 2\nb=x # y\n", "f",
+                            {"a", "b"}) == {"a": "1", "b": "x"}
 
 
 def test_malformed_value_is_error():

@@ -7,8 +7,7 @@ from qkdsim import finite_key
 from qkdsim.config import Config, LinkConfig, SourceConfig
 from qkdsim.finite_key import (N_BOUND_CALLS, clopper_pearson,
                                estimate_channel, expectation_tally)
-from qkdsim.optimizer import (MU_BOUNDS, SearchSettings, objective,
-                              optimize_source)
+from qkdsim.optimizer import MU_BOUNDS, objective, optimize_source
 
 N_PULSES = 1.2e12  # one 20-min window at the GHz clock
 
@@ -43,18 +42,9 @@ def test_optimizer_beats_default_preset(preset, search_result):
     assert search_result.rate >= preset_rate
 
 
-def test_optimizer_trace_monotone(search_result):
-    trace = search_result.trace
-    assert trace
-    assert all(b >= a for a, b in zip(trace, trace[1:]))
-    assert trace[-1] == search_result.rate
-    assert search_result.evaluations >= len(trace)
-
-
 def test_optimizer_is_deterministic(preset):
-    settings = SearchSettings(sweeps=2, line_search_iters=12)
-    a = optimize_source(preset.link, preset.security, N_PULSES, settings)
-    b = optimize_source(preset.link, preset.security, N_PULSES, settings)
+    a = optimize_source(preset.link, preset.security, N_PULSES, sweeps=2)
+    b = optimize_source(preset.link, preset.security, N_PULSES, sweeps=2)
     assert a.best == b.best
     assert a.rate == b.rate
     assert a.evaluations == b.evaluations
@@ -87,27 +77,19 @@ def test_optimizer_against_validation_grid(preset, search_result):
 
 
 def test_optimal_intensity_grows_with_transmittance(preset):
-    settings = SearchSettings(sweeps=3, line_search_iters=25)
     lossless = optimize_source(LinkConfig(fiber_length=0.0), preset.security,
-                               N_PULSES, settings)
+                               N_PULSES, sweeps=3)
     lossy = optimize_source(LinkConfig(fiber_length=50.0), preset.security,
-                            N_PULSES, settings)
+                            N_PULSES, sweeps=3)
     assert lossless.best.mu > lossy.best.mu
     assert lossless.rate > lossy.rate
 
 
 def test_decoy_fraction_grows_when_statistics_are_scarce(preset):
-    settings = SearchSettings(sweeps=3, line_search_iters=25)
-    scarce = optimize_source(preset.link, preset.security, 1e10, settings)
-    plentiful = optimize_source(preset.link, preset.security, 1e15, settings)
+    scarce = optimize_source(preset.link, preset.security, 1e10, sweeps=3)
+    plentiful = optimize_source(preset.link, preset.security, 1e15, sweeps=3)
     decoy_p = lambda s: s.p_nu1 + s.p_nu2
     assert decoy_p(scarce.best) > decoy_p(plentiful.best)
-
-
-def test_infeasible_bounds_rejected(preset):
-    with pytest.raises(ValueError):
-        optimize_source(preset.link, preset.security, N_PULSES,
-                        SearchSettings(mu_bounds=(1.0, 0.5)))
 
 
 def test_mu_stays_inside_bounds(search_result):
@@ -119,8 +101,7 @@ def test_objective_zero_when_a_class_gets_no_pulses(preset):
     sparse = SourceConfig(p_mu=0.9899, p_nu1=0.01, p_nu2=1e-4)
     assert expectation_tally(1000, sparse, preset.link).sent_nu2 == 0
     assert objective(sparse, preset.link, preset.security, 1000) == 0.0
-    result = optimize_source(preset.link, preset.security, 1000,
-                             SearchSettings(sweeps=1, line_search_iters=8))
+    result = optimize_source(preset.link, preset.security, 1000, sweeps=1)
     assert result.rate >= 0.0
 
 
@@ -146,14 +127,13 @@ def test_search_bounds_each_distinct_interval_once(preset, monkeypatch):
 
 def test_no_interval_memo_outlives_a_search(preset, monkeypatch):
     calls = _count_intervals(monkeypatch)
-    settings = SearchSettings(sweeps=1, line_search_iters=10)
-    first = optimize_source(preset.link, preset.security, N_PULSES, settings)
+    first = optimize_source(preset.link, preset.security, N_PULSES, sweeps=1)
     n_first = len(calls)
-    second = optimize_source(preset.link, preset.security, N_PULSES, settings)
+    second = optimize_source(preset.link, preset.security, N_PULSES, sweeps=1)
     assert n_first > 0
     assert len(calls) == 2 * n_first
-    assert (second.best, second.rate, second.evaluations, second.trace) == \
-        (first.best, first.rate, first.evaluations, first.trace)
+    assert (second.best, second.rate, second.evaluations) == \
+        (first.best, first.rate, first.evaluations)
 
 
 def test_estimate_channel_same_with_interval_memo(preset):

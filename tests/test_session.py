@@ -11,7 +11,8 @@ from qkdsim.finite_key import (decoy_bounds, estimate_channel,
                                expectation_tally, secure_key_length)
 from qkdsim.session import (KEYS_HEADER, TELEMETRY_HEADER, TelemetryRow,
                             distill_window, export_timeseries, format_summary,
-                            load_keys_csv, load_telemetry_csv, run_session)
+                            load_keys_csv, load_telemetry_csv, run_session,
+                            write_outputs)
 from qkdsim.stabilization import step_drift
 
 
@@ -206,6 +207,24 @@ def test_export_to_unwritable_destination_raises(short_session, tmp_path):
     blocker.write_text("x")
     with pytest.raises(OSError):
         export_timeseries(short_session.telemetry[:1], [], blocker / "sub")
+
+
+def test_write_outputs_removes_earlier_files_when_one_fails(tmp_path):
+    def cut_short():
+        yield "partial\n"
+        raise OSError("no space left")
+
+    # the second file cannot be opened, or fails part way through
+    (tmp_path / "open" / "second.csv").mkdir(parents=True)
+    for case, second in (("open", ["data\n"]), ("write", cut_short())):
+        with pytest.raises(OSError, match="failed writing output under"):
+            write_outputs(tmp_path / case, {"first.csv": ["data\n"],
+                                            "second.csv": second})
+    assert [p.name for p in (tmp_path / "open").iterdir()] == ["second.csv"]
+    assert list((tmp_path / "write").iterdir()) == []
+    assert write_outputs(tmp_path / "ok", {"a": ["x\n", "y\n"]}) == \
+        [tmp_path / "ok" / "a"]
+    assert (tmp_path / "ok" / "a").read_text() == "x\ny\n"
 
 
 def test_session_beyond_step_limit_rejected_before_it_starts(preset):
