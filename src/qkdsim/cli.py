@@ -157,9 +157,11 @@ def _read_tally_file(path: str) -> channel.PulseTally:
 
 
 def _run_simulate(req: argparse.Namespace, cfg: Config) -> None:
-    result = session.run_session(cfg)
-    session.export_timeseries(result.telemetry, result.records, req.out,
-                              summary=result.summary)
+    with session.write_outputs(req.out, ("telemetry.csv", "keys.csv",
+                                         "summary.txt")) as files:
+        result = session.run_session(cfg, telemetry_csv=files["telemetry.csv"])
+        session.export_timeseries(result.telemetry, result.records, files,
+                                  summary=result.summary)
     sys.stdout.write(session.format_summary(result.summary))
 
 
@@ -169,12 +171,13 @@ def _run_keyrate(req: argparse.Namespace, cfg: Config) -> None:
     else:
         _check_pulses("--n-pulses", req.n_pulses, cfg.source)
         tally = finite_key.expectation_tally(req.n_pulses, cfg.source, cfg.link)
-    bounds, result = finite_key.distill(tally, cfg.source, cfg.security)
-    values = {**asdict(result), "y1_lower": bounds.y1_lower,
-              "e1_upper": bounds.e1_upper}
-    session.write_outputs(req.out, {"keyrate.csv": [
-        ",".join(values) + "\n",
-        ",".join(session._fmt(v) for v in values.values()) + "\n"]})
+    with session.write_outputs(req.out, ("keyrate.csv",)) as files:
+        bounds, result = finite_key.distill(tally, cfg.source, cfg.security)
+        values = {**asdict(result), "y1_lower": bounds.y1_lower,
+                  "e1_upper": bounds.e1_upper}
+        files["keyrate.csv"].writelines([
+            ",".join(values) + "\n",
+            ",".join(session._fmt(v) for v in values.values()) + "\n"])
     sys.stdout.write("".join(f"{name}: {session._fmt(v)}\n"
                              for name, v in values.items()
                              if name != "epsilon_spent"))
@@ -190,39 +193,44 @@ def _run_efficiency_curve(req: argparse.Namespace, cfg: Config) -> None:
     grid = np.logspace(np.log10(req.min_pulses), np.log10(req.max_pulses),
                        req.points)
     lines = ["n_pulses,efficiency\n"]
-    for n in grid:
-        eff = finite_key.key_efficiency(float(n), cfg.source, cfg.link,
-                                        cfg.security)
-        lines.append(f"{float(n):.9g},{eff:.9g}\n")
-    session.write_outputs(req.out, {"efficiency_curve.csv": lines})
+    with session.write_outputs(req.out, ("efficiency_curve.csv",)) as files:
+        for n in grid:
+            eff = finite_key.key_efficiency(float(n), cfg.source, cfg.link,
+                                            cfg.security)
+            lines.append(f"{float(n):.9g},{eff:.9g}\n")
+        files["efficiency_curve.csv"].writelines(lines)
     sys.stdout.writelines(lines)
 
 
 def _run_optimize(req: argparse.Namespace, cfg: Config) -> None:
     _check_pulses("--n-pulses", req.n_pulses, cfg.source)
-    result = optimizer.optimize_source(cfg.link, cfg.security, req.n_pulses,
-                                       start=cfg.source, sweeps=req.sweeps)
-    best = result.best
-    report = (
-        f"rate_bits_per_pulse: {result.rate:.9g}\n"
-        f"rate_bps_at_clock: {result.rate * best.clock_rate:.9g}\n"
-        f"evaluations: {result.evaluations}\n"
-        f"mu: {best.mu:.9g}\nnu1: {best.nu1:.9g}\nnu2: {best.nu2:.9g}\n"
-        f"p_mu: {best.p_mu:.9g}\np_nu1: {best.p_nu1:.9g}\np_nu2: {best.p_nu2:.9g}\n"
-    )
-    session.write_outputs(req.out, {
-        "optimize.txt": [report],
-        "best_config.cfg": [config_mod.config_to_text(replace(cfg, source=best))]})
+    with session.write_outputs(req.out, ("optimize.txt",
+                                         "best_config.cfg")) as files:
+        result = optimizer.optimize_source(
+            cfg.link, cfg.security, req.n_pulses, start=cfg.source,
+            sweeps=req.sweeps)
+        best = result.best
+        report = (
+            f"rate_bits_per_pulse: {result.rate:.9g}\n"
+            f"rate_bps_at_clock: {result.rate * best.clock_rate:.9g}\n"
+            f"evaluations: {result.evaluations}\n"
+            f"mu: {best.mu:.9g}\nnu1: {best.nu1:.9g}\nnu2: {best.nu2:.9g}\n"
+            f"p_mu: {best.p_mu:.9g}\np_nu1: {best.p_nu1:.9g}\n"
+            f"p_nu2: {best.p_nu2:.9g}\n"
+        )
+        files["optimize.txt"].write(report)
+        files["best_config.cfg"].write(
+            config_mod.config_to_text(replace(cfg, source=best)))
     sys.stdout.write(report)
 
 
 def _run_calibrate(req: argparse.Namespace, cfg: Config) -> None:
-    value = channel.calibrate_misalignment(cfg.source, cfg.link,
-                                           req.target_qber)
-    calibrated = replace(cfg, link=replace(
-        cfg.link, intrinsic_misalignment_error=value))
-    session.write_outputs(req.out, {
-        "calibrated.cfg": [config_mod.config_to_text(calibrated)]})
+    with session.write_outputs(req.out, ("calibrated.cfg",)) as files:
+        value = channel.calibrate_misalignment(cfg.source, cfg.link,
+                                               req.target_qber)
+        calibrated = replace(cfg, link=replace(
+            cfg.link, intrinsic_misalignment_error=value))
+        files["calibrated.cfg"].write(config_mod.config_to_text(calibrated))
     sys.stdout.write(f"intrinsic_misalignment_error: {value:.9g}\n")
 
 

@@ -6,18 +6,21 @@ the QBER computed from them - while the true drift state is logged as
 hidden diagnostic truth.  Completed distillation windows are turned into
 secure key records; a trailing partial window is discarded.
 
-The telemetry is one float64 array with a row per step and a column per
-`TelemetryRow` field.  NaN marks an absent cell: a QBER or transmittance of
-a class that sent or sifted nothing that step.  It is written to
-telemetry.csv as an empty field.
+The telemetry has a row per step and a column per `TelemetryRow` field.
+`run_session` either writes it to an open telemetry.csv block by block as
+the session steps, or returns it whole as one float64 array.  NaN marks an
+absent cell: a QBER or transmittance of a class that sent or sifted nothing
+that step.  It is written to telemetry.csv as an empty field.
 """
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -81,9 +84,10 @@ class TelemetryRow(NamedTuple):
 
 
 TELEMETRY_HEADER = ",".join(TelemetryRow._fields)
-# Steps of environment draws made at once: a block holds 4 boxed floats a
-# step, so its size bounds the memory they take.
-_ENV_BLOCK = 4096
+# Steps run as one block: their environment draws are made at once and their
+# telemetry rows are kept as tuples until the block is written out, so its
+# size bounds the memory both take.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -112,7 +116,8 @@ class SessionSummary:
 
 @dataclass(frozen=True)
 class SessionResult:
-    telemetry: np.ndarray  # (n_steps, len(TelemetryRow._fields)), NaN = absent
+    # (n_steps, len(TelemetryRow._fields)), NaN = absent; None when streamed
+    telemetry: np.ndarray | None
     records: list[SecureKeyRecord]
     summary: SessionSummary
 
@@ -140,21 +145,15 @@ def distill_window(tally: PulseTally, config: Config, window_start: float,
     )
 
 
-def _environment_normals(rng: np.random.Generator, n_steps: int):
-    """Each step's four standard normals for `step_drift`: the same values,
-    in the same order, as one `rng.standard_normal(4)` per step, drawn by
-    blocks of at most _ENV_BLOCK steps at a fraction of the cost."""
-    for start in range(0, n_steps, _ENV_BLOCK):
-        yield from rng.standard_normal(
-            (min(_ENV_BLOCK, n_steps - start), 4)).tolist()
-
-
 def run_session(config: Config, duration: float | None = None,
-                seed: int | None = None) -> SessionResult:
+                seed: int | None = None,
+                telemetry_csv: TextIO | None = None) -> SessionResult:
     """Run a full closed-loop session and distill every complete window.
 
     `duration` and `seed` stand in for the config's `duration` and
-    `rng_seed` when given."""
+    `rng_seed` when given.  Given an open text file, writes telemetry.csv to
+    it block by block as the session steps, and the result's telemetry is
+    None; otherwise the result holds it as one array."""
     if seed is not None:
         config = replace(config, sim=replace(config.sim, rng_seed=seed))
     config = config.validated()
@@ -183,61 +182,75 @@ def run_session(config: Config, duration: float | None = None,
     intensity_every = steps_per(control.intensity_interval, dt)
     window_steps = steps_per(security.distill_interval, dt)
 
-    telemetry = np.empty((n_steps, len(TelemetryRow._fields)))
+    if telemetry_csv is None:
+        telemetry = np.empty((n_steps, len(TelemetryRow._fields)))
+    else:
+        telemetry = None
+        telemetry_csv.write(TELEMETRY_HEADER + "\n")
     records: list[SecureKeyRecord] = []
     window: list[PulseTally] = []  # this window's step tallies
 
     last_qber: float | None = None
+    max_qber = -math.inf
     last_count_rate: float | None = None
     # Sifted counts since the gate loop last ran, and the step it ran at.
     gate_counts, gate_from = 0, 0
 
-    for i, normals in enumerate(_environment_normals(env_rng, n_steps)):
-        drift = step_drift(drift, link, dt, normals)
+    for start in range(0, n_steps, _BLOCK):
+        # The same values, in the same order, as one standard_normal(4) a
+        # step, at a fraction of the cost.
+        draws = env_rng.standard_normal((min(_BLOCK, n_steps - start), 4))
+        rows = []
+        for i, normals in enumerate(draws.tolist(), start):
+            drift = step_drift(drift, link, dt, normals)
 
-        if stabilize:
-            if i % stretcher_every == 0:
-                ctrl = stretcher_feedback(last_qber, ctrl)
-            if i % epc_every == 0:
-                ctrl = polarization_feedback(last_count_rate, ctrl)
-            if i % gate_every == gate_offset:
-                # The mean rate over the loop's own interval: one step's
-                # shot noise can exceed the change one dither move makes.
-                ctrl = gate_delay_feedback(
-                    gate_counts / ((i - gate_from) * dt) if i > gate_from
-                    else None, ctrl)
-                gate_counts, gate_from = 0, i
-            if i % intensity_every == 0:
-                measured = (nominal_flux * drift.power_factor
-                            * 10.0 ** (-ctrl.attenuator_setting / 10.0))
-                ctrl = intensity_feedback(measured, source, ctrl)
+            if stabilize:
+                if i % stretcher_every == 0:
+                    ctrl = stretcher_feedback(last_qber, ctrl)
+                if i % epc_every == 0:
+                    ctrl = polarization_feedback(last_count_rate, ctrl)
+                if i % gate_every == gate_offset:
+                    # The mean rate over the loop's own interval: one step's
+                    # shot noise can exceed the change one dither move makes.
+                    ctrl = gate_delay_feedback(
+                        gate_counts / ((i - gate_from) * dt) if i > gate_from
+                        else None, ctrl)
+                    gate_counts, gate_from = 0, i
+                if i % intensity_every == 0:
+                    measured = (nominal_flux * drift.power_factor
+                                * 10.0 ** (-ctrl.attenuator_setting / 10.0))
+                    ctrl = intensity_feedback(measured, source, ctrl)
 
-        residual = apply_controls(drift, ctrl)
-        rates = class_rates(residual, source, link)
-        tally = sample_tally(rates, source, dt, count_rng, carry)
-        seen = observed(tally)
-        last_qber = seen[0] if seen[0] == seen[0] else None  # NaN -> None
-        sifted = sum(tally[1::3])
-        last_count_rate = sifted / dt
-        gate_counts += sifted
+            residual = apply_controls(drift, ctrl)
+            rates = class_rates(residual, source, link)
+            tally = sample_tally(rates, source, dt, count_rng, carry)
+            seen = observed(tally)
+            last_qber = seen[0] if seen[0] == seen[0] else None  # NaN -> None
+            if seen[0] > max_qber:  # never for NaN
+                max_qber = seen[0]
+            sifted = sum(tally[1::3])
+            last_count_rate = sifted / dt
+            gate_counts += sifted
 
-        telemetry[i] = (
-            i * dt, *seen,  # qber_*, then trans_*
-            ctrl.stretcher_setting, *ctrl.epc_settings, ctrl.gate_delay,
-            ctrl.attenuator_setting, *drift)  # hidden_*: DriftState order
+            rows.append((
+                i * dt, *seen,  # qber_*, then trans_*
+                ctrl.stretcher_setting, *ctrl.epc_settings, ctrl.gate_delay,
+                ctrl.attenuator_setting, *drift))  # hidden_*: DriftState order
 
-        window.append(tally)
-        if len(window) == window_steps:
-            records.append(distill_window(
-                PulseTally._make(map(sum, zip(*window))), config,
-                (i + 1 - window_steps) * dt, (i + 1) * dt))
-            window = []
+            window.append(tally)
+            if len(window) == window_steps:
+                records.append(distill_window(
+                    PulseTally._make(map(sum, zip(*window))), config,
+                    (i + 1 - window_steps) * dt, (i + 1) * dt))
+                window = []
+        if telemetry is not None:
+            telemetry[start:start + len(rows)] = rows
+        else:
+            telemetry_csv.write(_telemetry_block(rows))
 
     total_bits = sum(r.key.secure_bits for r in records)
     window_time = len(records) * window_steps * dt
     total = sum([r.tally for r in records] + window, PulseTally())
-    qber_mu = telemetry[:, TelemetryRow._fields.index("qber_mu")]
-    qber_mu = qber_mu[~np.isnan(qber_mu)]
     summary = SessionSummary(
         duration=n_steps * dt,
         n_steps=n_steps,
@@ -246,7 +259,7 @@ def run_session(config: Config, duration: float | None = None,
         mean_secure_rate_bps=total_bits / window_time if window_time > 0 else 0.0,
         mean_qber_signal=(total.errors_mu / total.sifted_mu
                           if total.sifted_mu > 0 else None),
-        max_qber_signal=float(qber_mu.max()) if qber_mu.size else None,
+        max_qber_signal=max_qber if max_qber > -math.inf else None,
     )
     return SessionResult(telemetry=telemetry, records=records, summary=summary)
 
@@ -267,13 +280,10 @@ def _fmt(value: float | int | None) -> str:
 # signed or not, as "nan", which no number's text contains, so replacing it
 # leaves the absent cells empty.
 _TELEMETRY_LINE = ",".join(["%.9g"] * len(TelemetryRow._fields)) + "\n"
-# Rows converted to Python floats at a time: converting the whole array at
-# once would hold a boxed float per cell of the session.
-_EXPORT_BLOCK = 4096
 
 
-def _telemetry_block(block: np.ndarray) -> str:
-    return ((_TELEMETRY_LINE * len(block)) % tuple(block.ravel().tolist())
+def _telemetry_block(rows: list) -> str:
+    return ((_TELEMETRY_LINE * len(rows)) % tuple(chain.from_iterable(rows))
             ).replace("nan", "")
 
 
@@ -290,49 +300,70 @@ def format_summary(summary: SessionSummary) -> str:
     return "\n".join(lines) + "\n"
 
 
+@contextmanager
 def write_outputs(destination: str | Path,
-                  files: dict[str, Iterable[str]]) -> list[Path]:
-    """Write each named file under the destination directory from its text
-    chunks, in order; returns the written paths.  If a write fails, removes
-    every file it opened, then raises OSError."""
+                  names: Iterable[str]) -> Iterator[dict[str, TextIO]]:
+    """Make the destination directory and open each named file under it
+    before any work is done; yields the open files by name and closes them
+    on exit.  On any exception, removes every file it opened and each
+    directory it made, then re-raises it (an OSError as one naming the
+    destination)."""
     dest = Path(destination)
-    written: list[Path] = []
+    made = [path for path in (dest, *dest.parents) if not path.exists()]
+    files: dict[str, TextIO] = {}
     try:
         dest.mkdir(parents=True, exist_ok=True)
-        for name, chunks in files.items():
-            with (dest / name).open("w") as fh:
-                written.append(dest / name)
-                fh.writelines(chunks)
-    except OSError as exc:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise OSError(f"failed writing output under {dest}: {exc}") from exc
-    return written
+        for name in names:
+            files[name] = (dest / name).open("w")
+        yield files
+        for fh in files.values():
+            fh.close()
+    except BaseException as exc:
+        for fh in files.values():
+            with suppress(OSError):
+                fh.close()
+            Path(fh.name).unlink(missing_ok=True)
+        for path in made:  # deepest first; one that is not empty stays
+            with suppress(OSError):
+                path.rmdir()
+        if isinstance(exc, OSError):
+            raise OSError(f"failed writing output under {dest}: {exc}") \
+                from exc
+        raise
 
 
-def export_timeseries(telemetry: np.ndarray, records: list[SecureKeyRecord],
-                      destination: str | Path,
+def export_timeseries(telemetry: np.ndarray | None,
+                      records: list[SecureKeyRecord],
+                      destination: str | Path | dict[str, TextIO],
                       summary: SessionSummary | None = None) -> list[Path]:
-    """Write telemetry.csv (from a `SessionResult.telemetry` array) and
-    keys.csv, and summary.txt when given, under the destination directory;
-    returns the written paths."""
-    files = {
-        # A generator of blocks: the whole text at once would hold 23 MB.
-        "telemetry.csv": chain([TELEMETRY_HEADER + "\n"], (
-            _telemetry_block(telemetry[start:start + _EXPORT_BLOCK])
-            for start in range(0, len(telemetry), _EXPORT_BLOCK))),
-        "keys.csv": [KEYS_HEADER + "\n"] + [",".join(_fmt(v) for v in (
-            rec.window_start, rec.window_end,
-            rec.tally.sifted_mu, rec.tally.errors_mu,
-            rec.tally.sifted_nu1, rec.tally.errors_nu1,
-            rec.tally.sifted_nu2, rec.tally.errors_nu2,
-            rec.qber_signal, rec.bounds.y1_lower, rec.bounds.e1_upper,
-            rec.key.secure_bits, rec.secure_rate,
-            rec.key.efficiency)) + "\n" for rec in records],
-    }
+    """Write telemetry.csv from a `SessionResult.telemetry` array, unless it
+    is None (streamed by `run_session`), then keys.csv, and summary.txt when
+    given.  `destination` is a directory, or the files of an open
+    `write_outputs` transaction, which this closes; returns their paths."""
+    names = ["telemetry.csv", "keys.csv"]
     if summary is not None:
-        files["summary.txt"] = [format_summary(summary)]
-    return write_outputs(destination, files)
+        names.append("summary.txt")
+    with (nullcontext(destination) if isinstance(destination, dict)
+          else write_outputs(destination, names)) as files:
+        if telemetry is not None:
+            files["telemetry.csv"].write(TELEMETRY_HEADER + "\n")
+            for start in range(0, len(telemetry), _BLOCK):
+                files["telemetry.csv"].write(_telemetry_block(
+                    telemetry[start:start + _BLOCK].tolist()))
+        files["keys.csv"].writelines([KEYS_HEADER + "\n"] + [",".join(
+            _fmt(v) for v in (
+                rec.window_start, rec.window_end,
+                rec.tally.sifted_mu, rec.tally.errors_mu,
+                rec.tally.sifted_nu1, rec.tally.errors_nu1,
+                rec.tally.sifted_nu2, rec.tally.errors_nu2,
+                rec.qber_signal, rec.bounds.y1_lower, rec.bounds.e1_upper,
+                rec.key.secure_bits, rec.secure_rate,
+                rec.key.efficiency)) + "\n" for rec in records])
+        if summary is not None:
+            files["summary.txt"].write(format_summary(summary))
+        for fh in files.values():
+            fh.close()
+    return [Path(fh.name) for fh in files.values()]
 
 
 def _parse_cell(cell: str) -> float | None:

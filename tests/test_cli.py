@@ -1,5 +1,8 @@
+import os
+
 import pytest
 
+from qkdsim import session
 from qkdsim.channel import PulseTally
 from qkdsim.cli import (EXIT_CONFIG_FILE, EXIT_IO, EXIT_OK, EXIT_USAGE,
                         EXIT_VALIDATION, main, parse_command)
@@ -203,6 +206,52 @@ def test_simulate_failing_at_keys_csv_leaves_no_telemetry(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["keys.csv"]
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("the work started before --out was opened")
+
+
+@pytest.mark.parametrize("argv,work", [
+    (["simulate", "--duration", "1200"], "qkdsim.session.step_drift"),
+    (["optimize"], "qkdsim.optimizer.optimize_source"),
+])
+def test_unwritable_output_exits_before_any_work(tmp_path, capsys,
+                                                 monkeypatch, argv, work):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("x")
+    monkeypatch.setattr(work, _no_work)
+    assert main([*argv, "--out", str(blocker / "sub")]) == EXIT_IO
+    assert "failed writing output under" in capsys.readouterr().err
+
+
+def test_simulate_failing_mid_run_leaves_no_output(tmp_path, capsys,
+                                                   monkeypatch):
+    distill = session.distill_window
+    windows = []
+
+    def fail_second_window(*args):
+        windows.append(args)
+        if len(windows) == 2:
+            raise RuntimeError("second window")
+        return distill(*args)
+
+    monkeypatch.setattr(session, "distill_window", fail_second_window)
+    with pytest.raises(RuntimeError, match="second window"):
+        main(["simulate", "--out", str(tmp_path / "out"), "--duration", "3600"])
+    assert len(windows) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a device whose writes fail")
+def test_simulate_failing_telemetry_write_leaves_no_output(tmp_path, capsys):
+    # every write to /dev/full fails with ENOSPC
+    (tmp_path / "telemetry.csv").symlink_to("/dev/full")
+    status = main(["simulate", "--out", str(tmp_path), "--duration", "1200"])
+    assert status == EXIT_IO
+    assert "No space left on device" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_file_not_utf8_exits_with_config_status(tmp_path, capsys):
     cfg = tmp_path / "link.cfg"
     cfg.write_bytes(b"mu = 0.6\nfiber_length = 2\xff5\n")
@@ -317,9 +366,10 @@ def test_calibrate_rejects_non_finite_target(tmp_path, capsys, value):
 
 
 def test_optimize_rejects_negative_sweeps(tmp_path, capsys):
-    _assert_rejected(["optimize", "--out", str(tmp_path), "--sweeps", "-1"],
-                     capsys, "sweeps must be >= 0")
-    assert not (tmp_path / "optimize.txt").exists()
+    # the search rejects it after --out was opened: the directory goes too
+    _assert_rejected(["optimize", "--out", str(tmp_path / "new"), "--sweeps",
+                      "-1"], capsys, "sweeps must be >= 0")
+    assert not (tmp_path / "new").exists()
 
 
 @pytest.mark.parametrize("flag,key", [("--duration", "duration"),

@@ -1,12 +1,16 @@
 import dataclasses
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qkdsim.channel import DriftState
+from qkdsim.cli import EXIT_OK, main
 from qkdsim.config import (MAX_SESSION_STEPS, Config, ConfigError,
-                           SecurityConfig, SimConfig, SourceConfig)
+                           SecurityConfig, SimConfig, SourceConfig,
+                           apply_overrides)
 from qkdsim.finite_key import (decoy_bounds, estimate_channel,
                                expectation_tally, secure_key_length)
 from qkdsim.session import (KEYS_HEADER, TELEMETRY_HEADER, TelemetryRow,
@@ -210,20 +214,27 @@ def test_export_to_unwritable_destination_raises(short_session, tmp_path):
 
 
 def test_write_outputs_removes_earlier_files_when_one_fails(tmp_path):
-    def cut_short():
-        yield "partial\n"
-        raise OSError("no space left")
-
-    # the second file cannot be opened, or fails part way through
+    # the second file cannot be opened: the work never starts
     (tmp_path / "open" / "second.csv").mkdir(parents=True)
-    for case, second in (("open", ["data\n"]), ("write", cut_short())):
-        with pytest.raises(OSError, match="failed writing output under"):
-            write_outputs(tmp_path / case, {"first.csv": ["data\n"],
-                                            "second.csv": second})
+    with pytest.raises(OSError, match="failed writing output under"):
+        with write_outputs(tmp_path / "open", ("first.csv", "second.csv")):
+            pytest.fail("the work ran although an output could not be opened")
     assert [p.name for p in (tmp_path / "open").iterdir()] == ["second.csv"]
-    assert list((tmp_path / "write").iterdir()) == []
-    assert write_outputs(tmp_path / "ok", {"a": ["x\n", "y\n"]}) == \
-        [tmp_path / "ok" / "a"]
+    # a write fails part way through, or the work fails: the files go, and
+    # so does the directory the transaction made; only an OSError is renamed
+    for case, exc in (("write", OSError("no space left")),
+                      ("work", RuntimeError("no key"))):
+        with pytest.raises(type(exc)) as raised:
+            with write_outputs(tmp_path / case / "sub",
+                               ("first.csv", "second.csv")) as files:
+                files["first.csv"].write("data\n")
+                files["second.csv"].write("partial\n")
+                raise exc
+        assert (raised.value is exc) == (case == "work")
+        assert not (tmp_path / case).exists()
+    with write_outputs(tmp_path / "ok", ("a",)) as files:
+        files["a"].writelines(["x\n", "y\n"])
+    assert [Path(fh.name) for fh in files.values()] == [tmp_path / "ok" / "a"]
     assert (tmp_path / "ok" / "a").read_text() == "x\ny\n"
 
 
@@ -259,3 +270,51 @@ def test_zero_duration_session(preset):
     assert result.rows == []
     assert result.records == []
     assert result.summary.total_secure_bits == 0
+
+
+SPARSE = {"clock_rate": "100", "distill_interval": "120"}
+
+
+@pytest.mark.parametrize("steps", [0, 1, 4095, 4096, 4097, 9000])
+@pytest.mark.parametrize("overrides", [{}, {"stabilization_enabled": "false"},
+                                       SPARSE],
+                         ids=["loops-on", "loops-off", "sparse"])
+def test_streamed_outputs_equal_the_library_export(preset, tmp_path, capsys,
+                                                   steps, overrides):
+    # simulate writes telemetry.csv block by block as the session steps; the
+    # library path fills the array and exports it afterwards
+    flags = [arg for key, value in overrides.items()
+             for arg in ("--" + key.replace("_", "-"), value)]
+    assert main(["simulate", "--out", str(tmp_path / "streamed"), "--seed",
+                 "13", "--duration", str(steps), *flags]) == EXIT_OK
+    result = run_session(apply_overrides(preset, overrides),
+                         duration=float(steps), seed=13)
+    export_timeseries(result.telemetry, result.records, tmp_path / "array",
+                      summary=result.summary)
+    for name in ("telemetry.csv", "keys.csv", "summary.txt"):
+        assert (tmp_path / "streamed" / name).read_bytes() == \
+            (tmp_path / "array" / name).read_bytes(), name
+    qber_mu = result.telemetry[:, TelemetryRow._fields.index("qber_mu")]
+    qber_mu = qber_mu[~np.isnan(qber_mu)]
+    assert result.summary.max_qber_signal == \
+        (float(qber_mu.max()) if qber_mu.size else None)
+
+
+def test_simulate_memory_does_not_grow_with_duration(tmp_path, capsys):
+    # Tracing makes each step about ten times slower: a cheap session, whose
+    # telemetry rows are as wide as any other's.
+    argv = ["simulate", "--stabilization-enabled", "false", "--clock-rate",
+            "100"]
+    assert main([*argv, "--out", str(tmp_path / "warm"), "--duration",
+                 "1200"]) == EXIT_OK  # first-call caches stay out of the peaks
+    peaks = {}
+    for steps in (4500, 13000):
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--out", str(tmp_path / str(steps)),
+                         "--duration", str(steps)]) == EXIT_OK
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # a whole telemetry array would grow by 18 float64 cells a step
+    assert peaks[13000] - peaks[4500] < 0.5 * 18 * 8 * (13000 - 4500)
