@@ -50,10 +50,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output directory (default: current directory)")
         p.add_argument("--seed", type=int,
                        help="RNG seed; overrides the rng_seed key")
-        for key, default, typ in config_mod.config_keys():
-            flag = "--" + key.replace("_", "-")
-            p.add_argument(flag, dest=f"key_{key}", metavar=typ.__name__.upper(),
-                           help=f"override {key} (default: {default})")
+        for key in config_mod.config_keys():
+            p.add_argument("--" + key.name.replace("_", "-"),
+                           dest=f"key_{key.name}",
+                           metavar=key.type.__name__.upper(),
+                           help=f"{key.unit}, {key.range} "
+                                f"(default: {key.default})")
         return p
 
     add("simulate", _run_simulate, help="run a closed-loop session")
@@ -89,9 +91,9 @@ def parse_command(argv: list[str]) -> argparse.Namespace:
     runner as `run` and the configuration flags given as `overrides` (raises
     SystemExit(2) on usage errors, matching argparse conventions)."""
     req = _build_parser().parse_args(argv)
-    req.overrides = {key: getattr(req, f"key_{key}")
-                     for key, _, _ in config_mod.config_keys()
-                     if getattr(req, f"key_{key}") is not None}
+    req.overrides = {key.name: getattr(req, f"key_{key.name}")
+                     for key in config_mod.config_keys()
+                     if getattr(req, f"key_{key.name}") is not None}
     return req
 
 

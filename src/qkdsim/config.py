@@ -8,10 +8,10 @@ composable security parameter of 1e-7.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Container, Iterator
+from typing import Any, Container, Iterator, NamedTuple
 
 __all__ = [
     "ConfigError",
@@ -28,6 +28,8 @@ __all__ = [
     "apply_overrides",
     "config_to_text",
     "config_keys",
+    "ConfigKey",
+    "Range",
     "steps_per",
     "session_steps",
     "MAX_SESSION_STEPS",
@@ -45,11 +47,10 @@ _MAX_STEP_PULSES = 2.0 ** 63
 # The largest count of one class's pulses that is distilled at once: the
 # range the Clopper-Pearson bounds are tested to.
 MAX_PULSES = 1e15
-# A session keeps 18 float64 telemetry cells per step, so this bounds its
-# telemetry at 1.44 GB; the 36 h default is 129,600 steps.
+# `simulate` streams its telemetry and keeps none of it.  The array that
+# `run_session` returns to a library caller holds 18 float64 cells per step,
+# so this bounds it at 1.44 GB; the 36 h default is 129,600 steps.
 MAX_SESSION_STEPS = 10**7
-_CADENCES = ("stretcher_interval", "epc_interval", "gate_interval",
-             "intensity_interval")
 
 
 class ConfigError(ValueError):
@@ -64,17 +65,47 @@ class ConfigError(ValueError):
         super().__init__("; ".join(problems))
 
 
+class Range(NamedTuple):
+    """The valid values of a configuration key: finite, from lo to hi, each
+    end included where its bracket is square."""
+
+    lo: float
+    hi: float
+    ends: str   # "[" or "(", then "]" or ")"
+
+    def __contains__(self, value: float) -> bool:
+        return ((self.lo <= value if self.ends[0] == "[" else self.lo < value)
+                and (value <= self.hi if self.ends[1] == "]"
+                     else value < self.hi))
+
+    def __str__(self) -> str:
+        if self.hi == math.inf:
+            return f"{'>=' if self.ends[0] == '[' else '>'} {self.lo:g}"
+        return f"in {self.ends[0]}{self.lo:g}, {self.hi:g}{self.ends[1]}"
+
+
+def _key(default: Any, unit: str, interval: str) -> Any:
+    """The dataclass field of a configuration key: its default, its unit and
+    the interval of its valid values, written like "(0, 1]"."""
+    lo, hi = interval[1:-1].split(",")
+    return field(default=default, metadata={"unit": unit, "range": Range(
+        float(lo), float(hi), interval[0] + interval[-1])})
+
+
 @dataclass(frozen=True)
 class SourceConfig:
     """Pulsed source: intensities, send probabilities, clock."""
 
-    mu: float = 0.5            # signal mean photon number, photons/pulse
-    nu1: float = 0.1           # first decoy mean photon number
-    nu2: float = 0.0007        # second (near-vacuum) decoy mean photon number
-    p_mu: float = 0.9883       # signal send probability
-    p_nu1: float = 0.0078      # first decoy send probability
-    p_nu2: float = 0.0039      # second decoy send probability
-    clock_rate: float = 1e9    # pulses per second
+    # Mean photon numbers: decoy_bounds takes exp(mu) and mu ** 2 of each.
+    mu: float = _key(0.5, "photons/pulse", "(0, 100]")       # signal
+    nu1: float = _key(0.1, "photons/pulse", "(0, 100]")      # first decoy
+    nu2: float = _key(0.0007, "photons/pulse", "[0, 100]")   # near-vacuum
+    # send probabilities
+    p_mu: float = _key(0.9883, "probability", "(0, 1)")
+    p_nu1: float = _key(0.0078, "probability", "(0, 1)")
+    p_nu2: float = _key(0.0039, "probability", "(0, 1)")
+    # keeps nominal_flux, up to 100 photons a pulse, far from overflow
+    clock_rate: float = _key(1e9, "pulses/s", "(0, 1e20]")
 
     def mean_intensity(self) -> float:
         """Send-probability-weighted mean photons per pulse (monitored flux)."""
@@ -87,41 +118,33 @@ class SourceConfig:
         the intensity loop compares against it at every update."""
         return self.clock_rate * self.mean_intensity()
 
-    def _problems(self) -> list[str]:
-        out = []
-        if not self.mu > self.nu1:
-            out.append("mu must exceed nu1")
-        if not self.nu1 > self.nu2:
-            out.append("nu1 must exceed nu2")
-        if not self.nu2 >= 0:
-            out.append("nu2 must be >= 0")
-        for name in ("p_mu", "p_nu1", "p_nu2"):
-            v = getattr(self, name)
-            if not 0 < v < 1:
-                out.append(f"{name} must lie in (0, 1)")
-        if abs(self.p_mu + self.p_nu1 + self.p_nu2 - 1.0) > 1e-12:
-            out.append("probabilities must sum to 1 (tolerance 1e-12)")
-        if not 0 < self.clock_rate < math.inf:
-            out.append("clock_rate must be finite and > 0")
-        return out
-
 
 @dataclass(frozen=True)
 class LinkConfig:
     """Fiber, detectors, and environmental drift rates."""
 
-    fiber_length: float = 50.0            # km
-    loss_coefficient: float = 0.2         # dB/km
-    detector_efficiency: float = 0.165    # probability
-    dark_count_prob: float = 9e-6         # per detector per gate
-    num_detectors: int = 2
-    intrinsic_misalignment_error: float = DEFAULT_MISALIGNMENT  # baseline optical error
-    gate_sigma: float = 100.0             # detector gate window width, ps
-    phase_diffusion: float = 1e-4         # rad^2/s, interferometer path drift
-    polarization_diffusion: float = 1e-6  # rad^2/s, channel polarization drift
-    timing_drift_rate: float = 0.05       # ps/s, deterministic arrival-time drift
-    timing_diffusion: float = 0.01        # ps^2/s
-    laser_power_diffusion: float = 1e-8   # fractional variance per second
+    fiber_length: float = _key(50.0, "km", "[0, inf)")
+    loss_coefficient: float = _key(0.2, "dB/km", "[0, inf)")
+    detector_efficiency: float = _key(0.165, "probability", "[0, 1]")
+    dark_count_prob: float = _key(9e-6, "per detector per gate", "[0, 1]")
+    num_detectors: int = _key(2, "detectors", "[1, 1000]")
+    # baseline optical error
+    intrinsic_misalignment_error: float = _key(DEFAULT_MISALIGNMENT,
+                                               "probability", "[0, 1]")
+    # gate window width: drift_penalties divides by its square
+    gate_sigma: float = _key(100.0, "ps", "[0.001, 1e6]")
+    # Environmental drift.  step_drift scales each rate by the time step.  In
+    # the longest session, MAX_SESSION_STEPS steps of 60 s, these bounds keep
+    # every drift finite, the squared timing offset too, and keep the power
+    # factor, the exp of a random walk, nine standard deviations inside the
+    # +-709 where exp leaves float range.
+    phase_diffusion: float = _key(1e-4, "rad^2/s", "[0, 1e6]")  # path length
+    polarization_diffusion: float = _key(1e-6, "rad^2/s", "[0, 1e6]")
+    # the photons' arrival time: a steady drift plus diffusion
+    timing_drift_rate: float = _key(0.05, "ps/s", "[-1e6, 1e6]")
+    timing_diffusion: float = _key(0.01, "ps^2/s", "[0, 1e6]")
+    # fractional variance of the laser power
+    laser_power_diffusion: float = _key(1e-8, "1/s", "[0, 1e-5]")
 
     def background_yield(self) -> float:
         """Probability at least one detector dark-fires in a gate."""
@@ -137,95 +160,45 @@ class LinkConfig:
         return (channel_transmittance(self.loss_coefficient, self.fiber_length)
                 * self.detector_efficiency, self.background_yield())
 
-    def _problems(self) -> list[str]:
-        out = []
-        for name in ("detector_efficiency", "dark_count_prob",
-                     "intrinsic_misalignment_error"):
-            v = getattr(self, name)
-            if not 0 <= v <= 1:
-                out.append(f"{name} must lie in [0, 1]")
-        if not self.loss_coefficient >= 0:
-            out.append("loss_coefficient must be >= 0")
-        if not self.fiber_length >= 0:
-            out.append("fiber_length must be >= 0")
-        if not self.num_detectors >= 1:
-            out.append("num_detectors must be >= 1")
-        if not self.gate_sigma > 0:
-            out.append("gate_sigma must be > 0")
-        for name in ("phase_diffusion", "polarization_diffusion",
-                     "timing_diffusion", "laser_power_diffusion"):
-            if not getattr(self, name) >= 0:
-                out.append(f"{name} must be >= 0")
-        if not math.isfinite(self.timing_drift_rate):
-            out.append("timing_drift_rate must be finite")
-        return out
-
 
 @dataclass(frozen=True)
 class SecurityConfig:
     """Composable security budget and distillation cadence."""
 
-    epsilon: float = 1e-7        # total composable failure probability
-    ec_efficiency: float = 1.15  # error-correction inefficiency factor f >= 1
-    distill_interval: float = 1200.0  # seconds per distillation window
-
-    def _problems(self) -> list[str]:
-        out = []
-        if not 0 < self.epsilon < 1:
-            out.append("epsilon must lie in (0, 1)")
-        if not self.ec_efficiency >= 1:
-            out.append("ec_efficiency must be >= 1")
-        if not 0 < self.distill_interval < math.inf:
-            out.append("distill_interval must be finite and > 0")
-        return out
+    # The total composable failure probability.  secure_key_length takes
+    # log2(4 / epsilon), and each confidence interval gets epsilon / 24.
+    epsilon: float = _key(1e-7, "probability", "[1e-300, 1)")
+    # Error-correction inefficiency f: secure_key_length floors f * n * H,
+    # and at 10 no key is left.
+    ec_efficiency: float = _key(1.15, "x Shannon limit", "[1, 10]")
+    distill_interval: float = _key(1200.0, "s", "(0, inf)")  # per window
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """Discrete-time session settings."""
 
-    duration: float = 129600.0    # seconds (36 h)
-    time_step: float = 1.0        # seconds; per-step statistics cadence
-    rng_seed: int = 1
-    stabilization_enabled: bool = True
-
-    def _problems(self) -> list[str]:
-        out = []
-        if not 0 < self.time_step < math.inf:
-            out.append("time_step must be finite and > 0")
-        if not 0 <= self.duration < math.inf:
-            out.append("duration must be finite and >= 0")
-        if 0 < self.duration < self.time_step:
-            out.append("duration must be >= time_step")
-        if not self.rng_seed >= 0:
-            out.append("rng_seed must be >= 0")
-        return out
+    duration: float = _key(129600.0, "s", "[0, inf)")    # 36 h
+    # the per-step statistics cadence, which step_drift scales the drift by
+    time_step: float = _key(1.0, "s", "(0, 60]")
+    rng_seed: int = _key(1, "integer", "[0, inf)")
+    stabilization_enabled: bool = _key(True, "boolean", "[0, 1]")
 
 
 @dataclass(frozen=True)
 class ControlConfig:
     """Feedback-loop step sizes, gains, and cadences."""
 
-    stretcher_step: float = 0.04     # rad-equivalent per dither move
-    stretcher_interval: float = 1.0  # seconds between updates
-    epc_step: float = 0.02           # rad-equivalent per channel move
-    epc_interval: float = 5.0
-    gate_step: float = 1.0           # ps per dither move
-    gate_interval: float = 5.0
-    intensity_gain: float = 1.0      # proportional loop gain
-    intensity_interval: float = 1.0
-
-    def _problems(self) -> list[str]:
-        out = []
-        for name in ("stretcher_step", "epc_step", "gate_step"):
-            if not getattr(self, name) > 0:
-                out.append(f"{name} must be > 0")
-        for name in _CADENCES:
-            if not 0 < getattr(self, name) < math.inf:
-                out.append(f"{name} must be finite and > 0")
-        if not 0 < self.intensity_gain <= 2:
-            out.append("intensity_gain must lie in (0, 2]")
-        return out
+    stretcher_step: float = _key(0.04, "rad", "(0, 1]")  # per dither move
+    stretcher_interval: float = _key(1.0, "s", "(0, inf)")  # between updates
+    epc_step: float = _key(0.02, "rad", "(0, 1]")
+    epc_interval: float = _key(5.0, "s", "(0, inf)")
+    # moves the timing offset that drift_penalties squares
+    gate_step: float = _key(1.0, "ps", "(0, 1e6]")
+    gate_interval: float = _key(5.0, "s", "(0, inf)")
+    # proportional: each update corrects the flux error times this gain
+    intensity_gain: float = _key(1.0, "dB/dB", "(0, 2]")
+    intensity_interval: float = _key(1.0, "s", "(0, inf)")
 
 
 @dataclass(frozen=True)
@@ -239,11 +212,26 @@ class Config:
     control: ControlConfig = ControlConfig()
 
     def validated(self) -> "Config":
-        """Check every invariant; return self unchanged or raise ConfigError
-        naming every violation.  The step counts are checked only once each
-        section is valid on its own."""
-        problems = [problem for section in fields(self)
-                    for problem in getattr(self, section.name)._problems()]
+        """Check every key against its declared range and the rules that
+        join keys; return self unchanged or raise ConfigError naming every
+        violation.  The step counts are checked only once all else holds."""
+        problems = []
+        for key in _KEYS.values():
+            value = key.value(self)
+            if value not in key.range:
+                finite = ("finite and " if value != value
+                          or value in (math.inf, -math.inf) else "")
+                problems.append(f"{key.name} must be {finite}{key.range} "
+                                f"({key.unit}), got {value!r}")
+        source, sim = self.source, self.sim
+        if not source.mu > source.nu1:
+            problems.append("mu must exceed nu1")
+        if not source.nu1 > source.nu2:
+            problems.append("nu1 must exceed nu2")
+        if abs(source.p_mu + source.p_nu1 + source.p_nu2 - 1.0) > 1e-12:
+            problems.append("probabilities must sum to 1 (tolerance 1e-12)")
+        if 0 < sim.duration < sim.time_step:
+            problems.append("duration must be >= time_step")
         problems = problems or self._step_problems()
         if problems:
             raise ConfigError(problems)
@@ -253,12 +241,11 @@ class Config:
         """Counts the session makes integers of: steps per interval, sent
         pulses per class and step, and per class and distillation window."""
         source, dt = self.source, self.sim.time_step
-        intervals = {"duration": self.sim.duration,
-                     "distill_interval": self.security.distill_interval,
-                     **{name: getattr(self.control, name) for name in _CADENCES}}
-        out = [f"{name} / time_step must be finite"
-               for name, value in intervals.items()
-               if not math.isfinite(value / dt)]
+        # the duration, the distillation window and the loop cadences
+        out = [f"{key.name} / time_step must be finite"
+               for key in _KEYS.values()
+               if key.unit == "s" and key.name != "time_step"
+               and not math.isfinite(key.value(self) / dt)]
         if out:
             return out
         try:
@@ -284,6 +271,30 @@ class Config:
         return out
 
 
+class ConfigKey(NamedTuple):
+    """One configuration key, as its dataclass field declares it."""
+
+    name: str
+    section: str    # the attribute of its section on Config
+    default: Any
+    type: type
+    unit: str
+    range: Range
+
+    def value(self, config: Config) -> Any:
+        return getattr(getattr(config, self.section), self.name)
+
+
+_KEYS = {f.name: ConfigKey(f.name, section.name, f.default, type(f.default),
+                           f.metadata["unit"], f.metadata["range"])
+         for section in fields(Config) for f in fields(section.default)}
+
+
+def config_keys() -> Iterator[ConfigKey]:
+    """Every configuration key, section by section."""
+    return iter(_KEYS.values())
+
+
 def steps_per(interval: float, dt: float) -> int:
     """Whole time steps in `interval`, at least one."""
     return max(1, int(round(interval / dt)))
@@ -304,26 +315,8 @@ def session_steps(duration: float, dt: float) -> int:
 # Flat key=value configuration file support.
 # ---------------------------------------------------------------------------
 
-# section attr on Config -> its dataclass
-_SECTIONS = {f.name: type(f.default) for f in fields(Config)}
-
-# key -> (section attr on Config, field name, python type)
-_KEYS: dict[str, tuple[str, str, type]] = {}
-for _section, _cls in _SECTIONS.items():
-    for _f in fields(_cls):
-        _KEYS[_f.name] = (_section, _f.name, _f.type if isinstance(_f.type, type)
-                          else {"float": float, "int": int, "bool": bool}[_f.type])
-
-
-def config_keys() -> Iterator[tuple[str, Any, type]]:
-    """Yield (key, default value, type) for every configuration key."""
-    defaults = Config()
-    for key, (section, name, typ) in _KEYS.items():
-        yield key, getattr(getattr(defaults, section), name), typ
-
-
 def _coerce(key: str, raw: str) -> Any:
-    _, _, typ = _KEYS[key]
+    typ = _KEYS[key].type
     raw = raw.strip()
     if typ is bool:
         if raw.lower() in ("true", "1", "yes", "on"):
@@ -346,8 +339,8 @@ def apply_overrides(config: Config, overrides: dict[str, Any]) -> Config:
         raise ConfigError([f"unknown configuration key: {k}" for k in unknown])
     per_section: dict[str, dict[str, Any]] = {}
     for key, value in overrides.items():
-        section, name, _ = _KEYS[key]
-        per_section.setdefault(section, {})[name] = _coerce(key, str(value))
+        per_section.setdefault(_KEYS[key].section, {})[key] = _coerce(
+            key, str(value))
     for section, kv in per_section.items():
         config = replace(config, **{section: replace(getattr(config, section), **kv)})
     return config
@@ -404,10 +397,10 @@ def load_config_file(path: str | Path) -> Config:
 def config_to_text(config: Config) -> str:
     """Serialize a Config as a flat key=value file round-trippable by the parser."""
     lines = []
-    for section, cls in _SECTIONS.items():
-        lines.append(f"# {section}")
-        obj = getattr(config, section)
-        for f in fields(cls):
+    for section in fields(config):
+        lines.append(f"# {section.name}")
+        obj = getattr(config, section.name)
+        for f in fields(obj):
             value = getattr(obj, f.name)
             if isinstance(value, bool):
                 rendered = "true" if value else "false"

@@ -207,7 +207,7 @@ def test_simulate_failing_at_keys_csv_leaves_no_telemetry(tmp_path, capsys):
 
 
 def _no_work(*args, **kwargs):
-    raise AssertionError("the work started before --out was opened")
+    raise AssertionError("the work started before its inputs were checked")
 
 
 @pytest.mark.parametrize("argv,work", [
@@ -221,6 +221,44 @@ def test_unwritable_output_exits_before_any_work(tmp_path, capsys,
     monkeypatch.setattr(work, _no_work)
     assert main([*argv, "--out", str(blocker / "sub")]) == EXIT_IO
     assert "failed writing output under" in capsys.readouterr().err
+
+
+GATE_SIGMA = "gate_sigma must be in [0.001, 1e+06] (ps)"
+EC_EFFICIENCY = "ec_efficiency must be in [1, 10] (x Shannon limit)"
+MU = "mu must be in (0, 100] (photons/pulse)"
+
+
+# Each of these overflowed or divided by zero in the model's arithmetic, and
+# ended in a traceback, before the keys had declared ranges.
+@pytest.mark.parametrize("argv,message", [
+    (["simulate", "--laser-power-diffusion", "1e6"],
+     "laser_power_diffusion must be in [0, 1e-05] (1/s), got 1000000.0"),
+    (["simulate", "--laser-power-diffusion", "1e17"],
+     "laser_power_diffusion must be in [0, 1e-05] (1/s), got 1e+17"),
+    (["simulate", "--timing-drift-rate", "1e300"],
+     "timing_drift_rate must be in [-1e+06, 1e+06] (ps/s), got 1e+300"),
+    (["simulate", "--gate-step", "1e300"],
+     "gate_step must be in (0, 1e+06] (ps), got 1e+300"),
+    *[([command, "--gate-sigma", "1e-300"], f"{GATE_SIGMA}, got 1e-300")
+      for command in ("simulate", "keyrate", "optimize", "efficiency-curve")],
+    *[([command, "--gate-sigma", "1e300"], f"{GATE_SIGMA}, got 1e+300")
+      for command in ("simulate", "keyrate")],
+    *[([command, "--ec-efficiency", "1e300"], f"{EC_EFFICIENCY}, got 1e+300")
+      for command in ("keyrate", "optimize", "efficiency-curve")],
+    (["keyrate", "--mu", "1e17"], f"{MU}, got 1e+17"),
+    (["keyrate", "--mu", "1e300", "--nu1", "1"], f"{MU}, got 1e+300"),
+    (["keyrate", "--epsilon", "1e-320"],
+     "epsilon must be in [1e-300, 1) (probability), got 1e-320"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_key_outside_its_range_exits_before_any_work(tmp_path, capsys,
+                                                     monkeypatch, argv,
+                                                     message):
+    for work in ("qkdsim.session.step_drift", "qkdsim.finite_key.distill",
+                 "qkdsim.optimizer.optimize_source",
+                 "qkdsim.channel.calibrate_misalignment"):
+        monkeypatch.setattr(work, _no_work)
+    _assert_rejected([*argv, "--out", str(tmp_path / "out")], capsys, message)
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_failing_mid_run_leaves_no_output(tmp_path, capsys,

@@ -2,10 +2,11 @@
 arguments, and whatever a config or tally file holds, `qkdsim` exits with a
 documented status and prints no traceback.
 
-Durations stay at or below 60 s and the step at or above 0.5 s, so one
-example runs in milliseconds; clock rates span 1e-3 to 1e20 pulses per
-second, past both the C-long limit of a per-step count and the point where a
-class gets no pulses in a window.
+Every configuration key is drawn from its declaration (`config_keys()`):
+mostly inside its declared range, sometimes outside it or not a value at
+all, and a key outside its range exits 4 (or 2, for a usage error in
+another flag).  A new key is fuzzed as soon as it is declared.  A simulated session is at most 60 steps long, so that one
+example runs in milliseconds.
 """
 import contextlib
 import io
@@ -16,12 +17,68 @@ from pathlib import Path
 from hypothesis import example, given, settings, strategies as st
 
 from qkdsim.channel import PulseTally
-from qkdsim.cli import main
-from qkdsim.config import config_keys
+from qkdsim.cli import EXIT_USAGE, EXIT_VALIDATION, main
+from qkdsim.config import ConfigKey, config_keys
 
 DOCUMENTED_EXITS = {0, 2, 3, 4, 5}
+KEYS = {key.name: key for key in config_keys()}
 # texts no numeric flag accepts, or accepts only to reject in validation
-ODD = st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e400", "x", ""])
+NOT_A_VALUE = st.sampled_from(["nan", "inf", "-inf", "1e400", "x", ""])
+ODD = st.one_of(st.sampled_from(["0", "-1"]), NOT_A_VALUE)
+
+
+def inside(key: ConfigKey) -> st.SearchStrategy[str]:
+    """Text of a value of `key` inside its declared range."""
+    lo, hi, ends = key.range
+    top = None if hi == math.inf else hi
+    if key.type is bool:
+        values = st.booleans()
+    elif key.type is int:
+        values = st.integers(int(lo), None if top is None else int(top))
+    else:
+        values = st.floats(lo, top, exclude_min=ends[0] == "(",
+                           exclude_max=top is not None and ends[1] == ")",
+                           allow_nan=False, allow_infinity=False)
+    return values.filter(lambda v: v in key.range).map(
+        lambda v: str(v).lower() if key.type is bool else repr(v))
+
+
+def outside(key: ConfigKey) -> st.SearchStrategy[str]:
+    """Text that is no value of `key`, or one outside its declared range."""
+    lo, hi, ends = key.range
+    if key.type is bool:
+        return st.sampled_from(["maybe", "2", "-1", ""])
+    if key.type is int:
+        sides = [st.integers(max_value=int(lo) - 1)]
+        if hi < math.inf:
+            sides.append(st.integers(min_value=int(hi) + 1))
+    else:
+        sides = [st.floats(max_value=lo, exclude_max=ends[0] == "[")]
+        if hi < math.inf:
+            sides.append(st.floats(min_value=hi, exclude_min=ends[1] == "]"))
+    return st.one_of(st.one_of(sides).filter(lambda v: v not in key.range)
+                     .map(repr), NOT_A_VALUE)
+
+
+# the keys that validation's rules join: mu > nu1 > nu2, and the send
+# probabilities sum to 1
+JOINED_KEYS = ("mu", "nu1", "nu2", "p_mu", "p_nu1", "p_nu2")
+
+
+@st.composite
+def source_keys(draw) -> dict[str, str]:
+    """All seven source keys inside their ranges, with mu > nu1 > nu2 and the
+    send probabilities summing to 1, so that they pass validation."""
+    intensities = draw(st.lists(st.floats(0.0, KEYS["mu"].range.hi),
+                                min_size=3, max_size=3, unique=True))
+    mu, nu1, nu2 = sorted(intensities, reverse=True)
+    p_mu = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    p_nu1 = (1.0 - p_mu) * draw(st.floats(0.0, 1.0, exclude_min=True,
+                                          exclude_max=True))
+    values = {"mu": mu, "nu1": nu1, "nu2": nu2, "p_mu": p_mu, "p_nu1": p_nu1,
+              "p_nu2": 1.0 - p_mu - p_nu1,
+              "clock_rate": float(draw(inside(KEYS["clock_rate"])))}
+    return {name: repr(value) for name, value in values.items()}
 
 
 def _log_uniform(lo: float, hi: float) -> st.SearchStrategy[str]:
@@ -34,47 +91,49 @@ def _flag(values: st.SearchStrategy[str]) -> st.SearchStrategy[str]:
     return st.integers(0, 9).flatmap(lambda i: ODD if i == 0 else values)
 
 
-def _floats(lo: float, hi: float) -> st.SearchStrategy[str]:
-    return st.floats(lo, hi).map(repr)
-
-
-COMMON = {
-    "--clock-rate": _flag(_log_uniform(1e-3, 1e20)),
-    "--time-step": _flag(_floats(0.5, 10.0)),
-    "--distill-interval": _flag(_floats(0.5, 60.0)),
-    "--fiber-length": _flag(_floats(0.0, 300.0)),
-    "--mu": _flag(_floats(0.05, 1.5)),
-    "--nu1": _flag(_floats(0.001, 0.3)),
-    "--epsilon": _flag(_log_uniform(1e-30, 0.5)),
-    "--stabilization-enabled": _flag(st.sampled_from(["true", "false"])),
-    "--seed": st.one_of(st.integers(0, 2**32).map(str), ODD),
-}
 PULSES = _flag(_log_uniform(1e-1, 1e16))
+# each subcommand's own flags
 SPECIFIC = {
-    "simulate": {},   # and always a --duration: the default is 36 h
+    "simulate": {},
     "keyrate": {"--n-pulses": PULSES},
     "efficiency-curve": {"--min-pulses": PULSES, "--max-pulses": PULSES,
                          "--points": st.sampled_from(["-1", "0", "1", "3", "x"])},
     # sweeps stay small: one sweep is about 170 objective evaluations
     "optimize": {"--n-pulses": PULSES,
                  "--sweeps": st.sampled_from(["-1", "0", "1", "x"])},
-    "calibrate": {"--target-qber": _flag(_floats(-0.1, 0.6))},
+    "calibrate": {"--target-qber": _flag(st.floats(-0.1, 0.6).map(repr))},
 }
 
 
 @st.composite
-def arguments(draw) -> list[str]:
-    """A subcommand and some of its flags, each usually in a working range
-    and sometimes not a valid value at all."""
+def arguments(draw) -> tuple[list[str], bool]:
+    """A subcommand, some configuration keys and some of its own flags; and
+    whether a key was drawn outside its range."""
     command = draw(st.sampled_from(sorted(SPECIFIC)))
-    flags = draw(st.fixed_dictionaries(
-        {}, optional={**COMMON, **SPECIFIC[command]}))
-    if command == "simulate":
-        flags["--duration"] = draw(_flag(_floats(0.0, 60.0)))
+    values = draw(source_keys()) if draw(st.booleans()) else {}
+    out_of_range = set()
+    for name in draw(st.lists(st.sampled_from(list(KEYS)), max_size=8,
+                              unique=True)):
+        if draw(st.integers(0, 9)) == 0:
+            values[name] = draw(outside(KEYS[name]))
+            out_of_range.add(name)
+        elif name not in JOINED_KEYS:   # one alone would break their rules
+            values[name] = draw(inside(KEYS[name]))
+    if command == "simulate" and "duration" not in out_of_range:
+        # a whole number of steps, not the 36 h default
+        step = (1.0 if "time_step" in out_of_range
+                else float(values.get("time_step", 1.0)))
+        values["duration"] = repr(draw(st.integers(0, 60)) * step)
+    flags = draw(st.fixed_dictionaries({}, optional=SPECIFIC[command]))
+    if "rng_seed" not in values and draw(st.booleans()):
+        # --seed would replace an rng_seed out of its range
+        flags["--seed"] = draw(st.one_of(st.integers(0, 2**32).map(str), ODD))
     argv = [command]
+    for name, value in values.items():
+        argv.append(f"--{name.replace('_', '-')}={value}")
     for flag, value in flags.items():
         argv.append(f"{flag}={value}")
-    return argv
+    return argv, bool(out_of_range)
 
 
 def run_cli(argv: list[str]) -> tuple[int, str]:
@@ -92,31 +151,53 @@ def run_cli(argv: list[str]) -> tuple[int, str]:
     return status, err.getvalue()
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(arguments())
 # the per-step sent count overflowed a C long in numpy's binomial draw
-@example(["simulate", "--clock-rate=1e19", "--duration=5"])
+@example((["simulate", "--clock-rate=1e19", "--duration=5"], False))
 # more steps than a session may hold: ran for hours, then could not
 # allocate its telemetry
-@example(["simulate", "--time-step=1e-6", "--duration=60"])
-@example(["simulate", "--time-step=1e-3", "--duration=1e9"])
+@example((["simulate", "--time-step=1e-6", "--duration=60"], False))
+@example((["simulate", "--time-step=1e-3", "--duration=1e9"], False))
 # a class got no pulses: once found only when a window closed or an interval
 # was computed, after the work before it
-@example(["simulate", "--clock-rate=0.01", "--duration=60",
-          "--distill-interval=30"])
-@example(["keyrate", "--n-pulses=1"])
-@example(["optimize", "--n-pulses=10"])
-@example(["efficiency-curve", "--min-pulses=1", "--max-pulses=100",
-          "--points=2"])
+@example((["simulate", "--clock-rate=0.01", "--duration=60",
+           "--distill-interval=30"], False))
+@example((["keyrate", "--n-pulses=1"], False))
+@example((["optimize", "--n-pulses=10"], False))
+@example((["efficiency-curve", "--min-pulses=1", "--max-pulses=100",
+           "--points=2"], False))
 # a negative seed reached numpy, whose message named no key
-@example(["simulate", "--seed=-1", "--duration=5"])
+@example((["simulate", "--seed=-1", "--duration=5"], False))
+@example((["simulate", "--rng-seed=-1", "--duration=5"], True))
 # pulse counts past the range the bounds are tested to ran to exit 0
-@example(["keyrate", "--n-pulses=1e300"])
-@example(["simulate", "--clock-rate=1e13", "--duration=1200"])
-def test_cli_exits_with_a_documented_status(argv):
+@example((["keyrate", "--n-pulses=1e300"], False))
+@example((["simulate", "--clock-rate=1e13", "--duration=1200"], False))
+# values that overflowed or divided by zero in the model's arithmetic, with
+# a traceback, before the keys had declared ranges
+@example((["simulate", "--laser-power-diffusion", "1e6"], True))
+@example((["simulate", "--laser-power-diffusion", "1e17"], True))
+@example((["simulate", "--timing-drift-rate", "1e300"], True))
+@example((["simulate", "--gate-step", "1e300"], True))
+@example((["simulate", "--gate-sigma", "1e-300"], True))
+@example((["keyrate", "--gate-sigma", "1e-300"], True))
+@example((["optimize", "--gate-sigma", "1e-300"], True))
+@example((["efficiency-curve", "--gate-sigma", "1e-300"], True))
+@example((["simulate", "--gate-sigma", "1e300"], True))
+@example((["keyrate", "--gate-sigma", "1e300"], True))
+@example((["keyrate", "--ec-efficiency", "1e300"], True))
+@example((["optimize", "--ec-efficiency", "1e300"], True))
+@example((["efficiency-curve", "--ec-efficiency", "1e300"], True))
+@example((["keyrate", "--mu", "1e17"], True))
+@example((["keyrate", "--mu", "1e300", "--nu1", "1"], True))
+@example((["keyrate", "--epsilon", "1e-320"], True))
+def test_cli_exits_with_a_documented_status(command):
+    argv, out_of_range = command
     status, err = run_cli(argv)
     assert status in DOCUMENTED_EXITS, (status, err)
     assert "Traceback" not in err
+    if out_of_range:
+        assert status in (EXIT_USAGE, EXIT_VALIDATION), (status, err)
 
 
 def _file_body(keys: list[str], values: st.SearchStrategy[str]):
@@ -131,7 +212,8 @@ def _file_body(keys: list[str], values: st.SearchStrategy[str]):
         st.lists(line, max_size=12).map(lambda ls: "\n".join(ls).encode()))
 
 
-CONFIG_VALUES = st.one_of(_floats(-1.0, 2.0), st.integers(-2, 10).map(str),
+CONFIG_VALUES = st.one_of(st.floats(-1.0, 2.0).map(repr),
+                          st.integers(-2, 10).map(str),
                           st.sampled_from(["true", "false"]), ODD, st.text())
 COUNTS = st.one_of(st.integers(0, 10**16).map(str), ODD,
                    st.floats(0, 1e16).map(repr), st.text())
@@ -158,8 +240,8 @@ def file_inputs(draw) -> tuple[list[str], bytes]:
     """`calibrate --config FILE` or `keyrate --tally-file FILE`, and the
     bytes of FILE."""
     if draw(st.booleans()):
-        keys = [key for key, _, _ in config_keys()]
-        return ["calibrate", "--config"], draw(_file_body(keys, CONFIG_VALUES))
+        return ["calibrate", "--config"], draw(_file_body(list(KEYS),
+                                                          CONFIG_VALUES))
     return ["keyrate", "--tally-file"], draw(TALLY_BODY)
 
 

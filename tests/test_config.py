@@ -1,13 +1,15 @@
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, strategies as st
 
 from qkdsim.config import (MAX_PULSES, MAX_SESSION_STEPS, Config, ConfigError,
-                           ControlConfig, LinkConfig, SecurityConfig,
+                           ControlConfig, LinkConfig, Range, SecurityConfig,
                            SimConfig, SourceConfig, apply_overrides,
                            config_keys, config_to_text, parse_config_text,
                            parse_key_values, session_steps)
+from qkdsim.optimizer import MU_BOUNDS
 
 
 def test_preset_passes_validation():
@@ -155,11 +157,53 @@ def test_comments_and_blank_lines_ignored():
     assert cfg.source.mu == 0.6
 
 
+# Values the goldens, the README's examples, the optimizer's search and the
+# benchmark's workloads run with.  The benchmark's fiber lengths are 10, 50
+# and 100 km each times 0.9 to 1.1, and 175 km is on the roadmap.
+VALUES_IN_USE = {
+    "mu": [0.6, *MU_BOUNDS],
+    "fiber_length": [9.0, 25.0, 50.0, 110.0, 175.0],
+    "clock_rate": [100.0],
+    "distill_interval": [120.0, 600.0],
+    "duration": [600.0, 1200.0, 3600.0, 9000.0, 21600.0, 129600.0],
+    "rng_seed": [1, 7, 13],
+    "stabilization_enabled": [False, True],
+}
+
+
 def test_every_key_is_typed_and_defaulted():
-    keys = dict((k, (d, t)) for k, d, t in config_keys())
+    keys = {key.name: key for key in config_keys()}
+    assert len(keys) == 34
     assert "mu" in keys and "duration" in keys and "epc_step" in keys
-    for key, (default, typ) in keys.items():
-        assert isinstance(default, typ), key
+    for name, key in keys.items():
+        assert isinstance(key.default, key.type), name
+        assert key.unit and isinstance(key.range, Range), name
+        assert key.default in key.range, name
+    for name, values in VALUES_IN_USE.items():
+        for value in values:
+            assert value in keys[name].range, (name, value)
+
+
+def test_range_brackets_include_their_ends():
+    half_open = Range(0.0, 1.0, "(]")
+    assert 1.0 in half_open and 0.5 in half_open
+    assert 0.0 not in half_open and 1.5 not in half_open
+    assert str(half_open) == "in (0, 1]"
+    at_least = Range(0.0, math.inf, "[)")
+    assert 0.0 in at_least and 1e308 in at_least and 10**400 in at_least
+    for value in (-1.0, math.inf, math.nan):
+        assert value not in at_least
+    assert str(at_least) == ">= 0"
+
+
+@pytest.mark.parametrize("key", [key for key in config_keys()
+                                 if key.type is float], ids=lambda k: k.name)
+def test_a_value_outside_its_range_names_the_key_and_range(key):
+    for value in (math.nan, key.range.lo - 1.0):
+        with pytest.raises(ConfigError) as exc:
+            apply_overrides(Config(), {key.name: repr(value)}).validated()
+        assert f"{key.name} must be " in str(exc.value)
+        assert f"{key.range} ({key.unit}), got {value!r}" in str(exc.value)
 
 
 @given(mu=st.floats(0.2, 1.5), nu1=st.floats(0.01, 0.15))

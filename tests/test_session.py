@@ -318,3 +318,25 @@ def test_simulate_memory_does_not_grow_with_duration(tmp_path, capsys):
             tracemalloc.stop()
     # a whole telemetry array would grow by 18 float64 cells a step
     assert peaks[13000] - peaks[4500] < 0.5 * 18 * 8 * (13000 - 4500)
+
+
+def test_session_memory_does_not_grow_with_the_distillation_window(tmp_path,
+                                                                   capsys):
+    # A window's counts are summed as the session steps, so a session of a
+    # fixed length peaks no higher with a window that never closes than
+    # with many short ones.
+    argv = ["simulate", "--stabilization-enabled", "false"]
+    assert main([*argv, "--out", str(tmp_path / "warm"), "--duration", "200",
+                 "--distill-interval", "100"]) == EXIT_OK
+    steps, peaks = 2400, {}
+    for interval in (100, 2 * steps):
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--out", str(tmp_path / str(interval)),
+                         "--duration", str(steps), "--distill-interval",
+                         str(interval)]) == EXIT_OK
+            peaks[interval] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # a step's tally kept until its window closes takes about 300 bytes
+    assert peaks[2 * steps] - peaks[100] < 64 * steps
