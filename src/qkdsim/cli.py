@@ -17,6 +17,7 @@ Exit status: 0 success, 2 usage, 3 unreadable config or input file,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import asdict, replace
 
@@ -33,6 +34,8 @@ EXIT_CONFIG_FILE = 3
 EXIT_VALIDATION = 4
 EXIT_IO = 5
 
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -43,6 +46,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, run, **kwargs) -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
+        # argparse's own pattern has no exponent in some Python releases:
+        # it would take "-1e6" for an option rather than a value
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         p.set_defaults(run=run)
         p.add_argument("--config", metavar="FILE",
                        help="key=value configuration file (all keys optional)")
@@ -159,6 +165,7 @@ def _read_tally_file(path: str) -> channel.PulseTally:
 
 
 def _run_simulate(req: argparse.Namespace, cfg: Config) -> None:
+    cfg.session_steps()  # a session it cannot run leaves --out as it was
     with session.write_outputs(req.out, ("telemetry.csv", "keys.csv",
                                          "summary.txt")) as files:
         result = session.run_session(cfg, telemetry_csv=files["telemetry.csv"])

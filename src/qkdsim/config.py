@@ -31,7 +31,6 @@ __all__ = [
     "ConfigKey",
     "Range",
     "steps_per",
-    "session_steps",
     "MAX_SESSION_STEPS",
     "MAX_PULSES",
     "DEFAULT_MISALIGNMENT",
@@ -166,7 +165,8 @@ class SecurityConfig:
     """Composable security budget and distillation cadence."""
 
     # The total composable failure probability.  secure_key_length takes
-    # log2(4 / epsilon), and each confidence interval gets epsilon / 24.
+    # log2(4 / epsilon); each of the N_BOUND_CALLS = 6 confidence intervals
+    # gets epsilon / 12, and each of its two tails epsilon / 24.
     epsilon: float = _key(1e-7, "probability", "[1e-300, 1)")
     # Error-correction inefficiency f: secure_key_length floors f * n * H,
     # and at 10 no key is left.
@@ -214,7 +214,7 @@ class Config:
     def validated(self) -> "Config":
         """Check every key against its declared range and the rules that
         join keys; return self unchanged or raise ConfigError naming every
-        violation.  The step counts are checked only once all else holds."""
+        violation.  A session's counts are checked by `session_steps`."""
         problems = []
         for key in _KEYS.values():
             value = key.value(self)
@@ -232,14 +232,16 @@ class Config:
             problems.append("probabilities must sum to 1 (tolerance 1e-12)")
         if 0 < sim.duration < sim.time_step:
             problems.append("duration must be >= time_step")
-        problems = problems or self._step_problems()
         if problems:
             raise ConfigError(problems)
         return self
 
-    def _step_problems(self) -> list[str]:
-        """Counts the session makes integers of: steps per interval, sent
-        pulses per class and step, and per class and distillation window."""
+    def session_steps(self) -> int:
+        """The time steps of a session of this validated config: duration /
+        time_step, a trailing fraction of a step dropped.  Raises ConfigError
+        naming every count the session makes an integer of and cannot hold:
+        steps per session and per interval, sent pulses per class and step,
+        and per class and distillation window."""
         source, dt = self.source, self.sim.time_step
         # the duration, the distillation window and the loop cadences
         out = [f"{key.name} / time_step must be finite"
@@ -247,11 +249,12 @@ class Config:
                if key.unit == "s" and key.name != "time_step"
                and not math.isfinite(key.value(self) / dt)]
         if out:
-            return out
-        try:
-            session_steps(self.sim.duration, dt)
-        except ConfigError as exc:
-            out.extend(exc.problems)
+            raise ConfigError(out)
+        ratio = self.sim.duration / dt
+        steps = int(ratio + 1e-9) if ratio >= 0 else -1
+        if not 0 <= steps <= MAX_SESSION_STEPS:
+            out.append(f"duration / time_step = {ratio:.9g} steps; must "
+                       f"lie in [0, {MAX_SESSION_STEPS:,}]")
         window = steps_per(self.security.distill_interval, dt) * dt
         for cls in ("mu", "nu1", "nu2"):
             p = getattr(source, f"p_{cls}")
@@ -268,7 +271,9 @@ class Config:
                 out.append(f"clock_rate * distill_interval * p_{cls} = "
                            f"{per_window:.3g} pulses of class {cls} per "
                            f"distillation window; must be <= {MAX_PULSES:g}")
-        return out
+        if out:
+            raise ConfigError(out)
+        return steps
 
 
 class ConfigKey(NamedTuple):
@@ -298,17 +303,6 @@ def config_keys() -> Iterator[ConfigKey]:
 def steps_per(interval: float, dt: float) -> int:
     """Whole time steps in `interval`, at least one."""
     return max(1, int(round(interval / dt)))
-
-
-def session_steps(duration: float, dt: float) -> int:
-    """Whole time steps in a session of `duration`, a trailing fraction of a
-    step dropped; ConfigError unless that is 0 to MAX_SESSION_STEPS."""
-    ratio = duration / dt
-    steps = int(ratio + 1e-9) if 0 <= ratio < math.inf else -1
-    if not 0 <= steps <= MAX_SESSION_STEPS:
-        raise ConfigError([f"duration / time_step = {ratio:.9g} steps; must "
-                           f"lie in [0, {MAX_SESSION_STEPS:,}]"])
-    return steps
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 
 from .channel import (CLASSES, DriftState, PulseTally, class_rates, observed,
                       sample_tally)
-from .config import Config, session_steps, steps_per
+from .config import Config, steps_per
 from .finite_key import DecoyBounds, KeyResult, distill
 # Not called here: perfbench/tracing.BOUNDARIES looks them up in this module.
 from .finite_key import decoy_bounds, estimate_channel, secure_key_length
@@ -153,17 +153,17 @@ def run_session(config: Config, duration: float | None = None,
     `duration` and `seed` stand in for the config's `duration` and
     `rng_seed` when given.  Given an open text file, writes telemetry.csv to
     it block by block as the session steps, and the result's telemetry is
-    None; otherwise the result holds it as one array."""
+    None; otherwise the result holds it as one array.  Raises ConfigError,
+    before the first step, for a config or a session it cannot run."""
+    if duration is not None:
+        config = replace(config, sim=replace(config.sim, duration=duration))
     if seed is not None:
         config = replace(config, sim=replace(config.sim, rng_seed=seed))
-    config = config.validated()
+    n_steps = config.validated().session_steps()
     source, link, security, sim = (config.source, config.link,
                                    config.security, config.sim)
     control = config.control
     dt = sim.time_step
-    if duration is None:
-        duration = sim.duration
-    n_steps = session_steps(duration, dt)
 
     # The environment and the detections draw from streams of their own, so
     # sessions with one seed see one drift path whatever their counts draw.

@@ -8,12 +8,14 @@ a proportional attenuator correction computed from the monitored flux.
 The four EPC channels act on a shared effective rotation with decreasing
 lever arms (channel 1 dominant); this reproduces four-trace actuator
 telemetry without a full polarization-state simulation.
+
+Each loop updates one `ControllerState` in place and returns it.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
 from .channel import DriftState, _new
 from .config import ControlConfig, LinkConfig, SourceConfig
@@ -33,40 +35,28 @@ __all__ = [
 EPC_WEIGHTS = (1.0, 0.25, 0.1, 0.04)
 
 
-class ControllerState(NamedTuple):
-    """Actuator settings plus the per-loop dither memory."""
+@dataclass(slots=True)
+class ControllerState:
+    """Actuator settings plus the per-loop dither memory.  The loops update
+    it in place, one list entry per EPC channel."""
 
     control: ControlConfig = ControlConfig()
     stretcher_setting: float = 0.0        # rad-equivalent
-    epc_settings: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
+    epc_settings: list[float] = field(default_factory=lambda: [0.0] * 4)
     gate_delay: float = 0.0               # ps
     attenuator_setting: float = 0.0       # dB relative to nominal
     stretcher_dir: int = 1
-    epc_dirs: tuple[int, int, int, int] = (1, 1, 1, 1)
+    epc_dirs: list[int] = field(default_factory=lambda: [1] * 4)
     gate_dir: int = 1
     epc_cycle: int = 0                    # next EPC channel to dither
     last_qber: float | None = None        # reading at the previous stretcher move
-    last_counts_epc: tuple[float | None, float | None, float | None, float | None] = (
-        None, None, None, None)
+    last_counts_epc: list[float | None] = field(
+        default_factory=lambda: [None] * 4)
     last_count_gate: float | None = None
 
     def net_epc_angle(self) -> float:
         (w1, w2, w3, w4), (s1, s2, s3, s4) = EPC_WEIGHTS, self.epc_settings
         return w1 * s1 + w2 * s2 + w3 * s3 + w4 * s4
-
-
-# The loops update a state every step, so they rebuild it from a list of
-# its fields with `_new`: the same value as `_replace`, at less than half
-# the cost.
-_at = ControllerState._fields.index
-_STRETCHER, _STRETCHER_DIR, _LAST_QBER = (
-    _at("stretcher_setting"), _at("stretcher_dir"), _at("last_qber"))
-_EPC, _EPC_DIRS, _LAST_EPC, _EPC_CYCLE = (
-    _at("epc_settings"), _at("epc_dirs"), _at("last_counts_epc"),
-    _at("epc_cycle"))
-_GATE, _GATE_DIR, _LAST_GATE = (
-    _at("gate_delay"), _at("gate_dir"), _at("last_count_gate"))
-_ATTENUATOR = _at("attenuator_setting")
 
 
 def step_drift(drift: DriftState, link: LinkConfig, dt: float,
@@ -89,15 +79,11 @@ def stretcher_feedback(qber_estimate: float | None,
     """Dither-and-descend on the observed signal QBER."""
     if qber_estimate is None:
         return state
-    direction = state.stretcher_dir
     if state.last_qber is not None and qber_estimate > state.last_qber:
-        direction = -direction
-    values = list(state)
-    values[_STRETCHER] = (state.stretcher_setting
-                          + direction * state.control.stretcher_step)
-    values[_STRETCHER_DIR] = direction
-    values[_LAST_QBER] = qber_estimate
-    return _new(ControllerState, values)
+        state.stretcher_dir = -state.stretcher_dir
+    state.stretcher_setting += state.stretcher_dir * state.control.stretcher_step
+    state.last_qber = qber_estimate
+    return state
 
 
 def polarization_feedback(count_rate: float | None,
@@ -108,24 +94,15 @@ def polarization_feedback(count_rate: float | None,
         return state
     ch = state.epc_cycle
     last = state.last_counts_epc[ch]
-    values = list(state)
-    values[_EPC_CYCLE] = (ch + 1) % 4
+    state.epc_cycle = (ch + 1) % 4
     if count_rate == 0.0 and (last is None or last == 0.0):
         # channel dark: no gradient signal, hold everything
-        return _new(ControllerState, values)
-    direction = state.epc_dirs[ch]
+        return state
     if last is not None and count_rate < last:
-        direction = -direction
-    settings = list(state.epc_settings)
-    settings[ch] += direction * state.control.epc_step
-    dirs = list(state.epc_dirs)
-    dirs[ch] = direction
-    lasts = list(state.last_counts_epc)
-    lasts[ch] = count_rate
-    values[_EPC] = tuple(settings)
-    values[_EPC_DIRS] = tuple(dirs)
-    values[_LAST_EPC] = tuple(lasts)
-    return _new(ControllerState, values)
+        state.epc_dirs[ch] = -state.epc_dirs[ch]
+    state.epc_settings[ch] += state.epc_dirs[ch] * state.control.epc_step
+    state.last_counts_epc[ch] = count_rate
+    return state
 
 
 def gate_delay_feedback(count_rate: float | None,
@@ -138,14 +115,11 @@ def gate_delay_feedback(count_rate: float | None,
     last = state.last_count_gate
     if count_rate == 0.0 and (last is None or last == 0.0):
         return state
-    direction = state.gate_dir
     if last is not None and count_rate < last:
-        direction = -direction
-    values = list(state)
-    values[_GATE] = state.gate_delay + direction * state.control.gate_step
-    values[_GATE_DIR] = direction
-    values[_LAST_GATE] = count_rate
-    return _new(ControllerState, values)
+        state.gate_dir = -state.gate_dir
+    state.gate_delay += state.gate_dir * state.control.gate_step
+    state.last_count_gate = count_rate
+    return state
 
 
 def intensity_feedback(measured_flux: float, source: SourceConfig,
@@ -156,10 +130,8 @@ def intensity_feedback(measured_flux: float, source: SourceConfig,
     if measured_flux <= 0.0 or target <= 0.0:
         return state
     correction = 10.0 * math.log10(measured_flux / target)
-    values = list(state)
-    values[_ATTENUATOR] = (state.attenuator_setting
-                           + state.control.intensity_gain * correction)
-    return _new(ControllerState, values)
+    state.attenuator_setting += state.control.intensity_gain * correction
+    return state
 
 
 def apply_controls(drift: DriftState, state: ControllerState) -> DriftState:

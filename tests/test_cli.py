@@ -36,6 +36,12 @@ def test_every_config_key_has_an_override_flag():
                             "stabilization_enabled": "false"}
 
 
+@pytest.mark.parametrize("value", ["-1e6", "-1e-3"])
+def test_negative_value_in_exponent_form_follows_its_flag(value):
+    req = parse_command(["simulate", "--timing-drift-rate", value])
+    assert req.overrides == {"timing_drift_rate": value}
+
+
 @pytest.mark.parametrize("sub,defaults", [
     ("simulate", {}),
     ("keyrate", {"n_pulses": 1.2e12, "tally_file": None}),
@@ -131,6 +137,13 @@ def test_keyrate_default_window(tmp_path, capsys):
     assert efficiency == pytest.approx(0.96, abs=0.03)
     header = (tmp_path / "keyrate.csv").read_text().splitlines()[0]
     assert header.startswith("secure_bits,")
+
+
+def test_keyrate_accepts_a_duration_no_session_could_hold(tmp_path, capsys):
+    # keyrate runs no session, so the session's step limit does not apply
+    assert main(["keyrate", "--duration", "1e12", "--out", str(tmp_path)]) \
+        == EXIT_OK
+    assert (tmp_path / "keyrate.csv").exists()
 
 
 def test_keyrate_from_tally_file(tmp_path, capsys, preset):

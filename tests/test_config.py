@@ -8,8 +8,9 @@ from qkdsim.config import (MAX_PULSES, MAX_SESSION_STEPS, Config, ConfigError,
                            ControlConfig, LinkConfig, Range, SecurityConfig,
                            SimConfig, SourceConfig, apply_overrides,
                            config_keys, config_to_text, parse_config_text,
-                           parse_key_values, session_steps)
+                           parse_key_values)
 from qkdsim.optimizer import MU_BOUNDS
+from qkdsim.session import run_session
 
 
 def test_preset_passes_validation():
@@ -60,18 +61,23 @@ def test_one_diagnostic_per_violation():
     assert any("intensity_gain" in p for p in problems)
 
 
+def _session(duration: float, time_step: float = 1.0) -> Config:
+    return Config(sim=SimConfig(duration=duration, time_step=time_step))
+
+
 def test_session_step_limit():
-    longest = Config(sim=SimConfig(duration=MAX_SESSION_STEPS * 0.5,
-                                   time_step=0.5))
-    assert longest.validated() is longest
+    # a command that runs no session accepts what only a session cannot hold
+    longest = _session(MAX_SESSION_STEPS * 0.5, time_step=0.5)
+    assert longest.session_steps() == MAX_SESSION_STEPS
+    too_long = _session((MAX_SESSION_STEPS + 1) * 0.5, time_step=0.5)
+    assert too_long.validated() is too_long
     with pytest.raises(ConfigError, match="duration / time_step"):
-        dataclasses.replace(longest, sim=SimConfig(
-            duration=(MAX_SESSION_STEPS + 1) * 0.5, time_step=0.5)).validated()
-    assert session_steps(129600.0, 1.0) == 129600
-    assert session_steps(0.0, 1.0) == 0
+        run_session(too_long)
+    assert _session(129600.0).session_steps() == 129600
+    assert _session(0.0).session_steps() == 0
     for duration in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ConfigError):
-            session_steps(duration, 1.0)
+            _session(duration).session_steps()
 
 
 def test_window_pulse_limit():
@@ -79,10 +85,11 @@ def test_window_pulse_limit():
     window = SecurityConfig().distill_interval
     at_limit = MAX_PULSES / (window * SourceConfig().p_mu)
     fastest = Config(source=SourceConfig(clock_rate=at_limit * (1 - 1e-9)))
-    assert fastest.validated() is fastest
+    assert fastest.validated().session_steps() == 129600
+    too_fast = Config(source=SourceConfig(clock_rate=at_limit * (1 + 1e-9)))
+    assert too_fast.validated() is too_fast
     with pytest.raises(ConfigError, match="class mu per distillation window"):
-        Config(source=SourceConfig(
-            clock_rate=at_limit * (1 + 1e-9))).validated()
+        run_session(too_fast)
 
 
 def test_background_yield_counts_both_detectors():

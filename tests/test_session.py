@@ -27,8 +27,12 @@ def short_session(preset):
 
 
 def test_session_is_deterministic(preset):
+    # two loops-on runs in one process: a controller list shared through a
+    # default would carry the first run's actuator settings into the second
+    assert preset.sim.stabilization_enabled
     a = run_session(preset, duration=600.0, seed=3)
     b = run_session(preset, duration=600.0, seed=3)
+    np.testing.assert_array_equal(a.telemetry, b.telemetry)
     assert a.summary == b.summary
     assert a.rows == b.rows
     assert a.records == b.records
@@ -239,7 +243,7 @@ def test_write_outputs_removes_earlier_files_when_one_fails(tmp_path):
 
 
 def test_session_beyond_step_limit_rejected_before_it_starts(preset):
-    # run_session(duration=...) is not checked by Config.validated
+    # the duration given stands in for the config's, and is checked as its
     with pytest.raises(ConfigError, match="duration / time_step"):
         run_session(preset, duration=MAX_SESSION_STEPS + 1.0, seed=1)
 

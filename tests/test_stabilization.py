@@ -1,4 +1,6 @@
+import copy
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -108,7 +110,7 @@ def test_stretcher_reverses_after_worse_reading():
 
 def test_stretcher_holds_on_absent_feedback():
     ctrl = ControllerState(control=ControlConfig())
-    assert stretcher_feedback(None, ctrl) == ctrl
+    assert stretcher_feedback(None, copy.deepcopy(ctrl)) == ctrl
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +142,7 @@ def test_epc_converged_stays_near_optimum():
 
 def test_epc_dark_channel_holds_settings():
     ctrl = ControllerState(control=ControlConfig())
-    state = ctrl
+    state = copy.deepcopy(ctrl)
     for _ in range(8):
         state = polarization_feedback(0.0, state)
     assert state.epc_settings == ctrl.epc_settings
@@ -148,7 +150,7 @@ def test_epc_dark_channel_holds_settings():
 
 def test_epc_single_update_moves_one_channel_one_step():
     ctrl = ControllerState(control=ControlConfig(epc_step=0.02))
-    after = polarization_feedback(1000.0, ctrl)
+    after = polarization_feedback(1000.0, copy.deepcopy(ctrl))
     moved = [abs(b - a) for a, b in zip(ctrl.epc_settings, after.epc_settings)]
     assert sorted(moved) == [0.0, 0.0, 0.0, pytest.approx(0.02)]
 
@@ -212,7 +214,7 @@ def test_intensity_on_target_is_idle():
     source = SourceConfig()
     ctrl = ControllerState(control=ControlConfig())
     target = source.clock_rate * source.mean_intensity()
-    assert intensity_feedback(target, source, ctrl) == ctrl
+    assert intensity_feedback(target, source, copy.deepcopy(ctrl)) == ctrl
 
 
 def test_intensity_corrects_in_one_update():
@@ -252,9 +254,22 @@ def _actuators(state: ControllerState):
 ])
 def test_each_update_touches_exactly_one_actuator(update, feedback):
     before = ControllerState(control=ControlConfig())
-    after = update(feedback, before)
+    after = update(feedback, copy.deepcopy(before))
     changed = sum(a != b for a, b in zip(_actuators(before), _actuators(after)))
     assert changed == 1
+
+
+def test_states_share_no_list():
+    # the loops update the per-channel lists in place: a list shared through
+    # a default would carry one session's settings into the next
+    a, b = ControllerState(), ControllerState()
+    lists = [f.name for f in fields(a) if isinstance(getattr(a, f.name), list)]
+    assert lists == ["epc_settings", "epc_dirs", "last_counts_epc"]
+    for name in lists:
+        assert getattr(a, name) is not getattr(b, name)
+    polarization_feedback(1000.0, a)
+    assert (b.epc_settings, b.epc_dirs, b.last_counts_epc) == (
+        [0.0] * 4, [1] * 4, [None] * 4)
 
 
 def test_apply_controls_composition():
