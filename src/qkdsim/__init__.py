@@ -11,8 +11,7 @@ from .finite_key import (BinomialBound, DecoyBounds, KeyResult, asymptotic_rate,
                          secure_key_length)
 from .optimizer import OptimizationResult, objective, optimize_source
 from .session import (SecureKeyRecord, SessionResult, SessionSummary,
-                      TelemetryRow, distill_window, export_timeseries,
-                      run_session)
+                      TelemetryRow, distill_window, run_session)
 from .stabilization import (ControllerState, apply_controls, gate_delay_feedback,
                             intensity_feedback, polarization_feedback, step_drift,
                             stretcher_feedback)

@@ -34,6 +34,11 @@ EXIT_CONFIG_FILE = 3
 EXIT_VALIDATION = 4
 EXIT_IO = 5
 
+# The most points of one efficiency curve: at about 0.35 ms a point (2-vCPU
+# Xeon) half a minute of work, and 16,000 points to each decade of the
+# default pulse range.  A larger grid spends minutes, then all memory.
+MAX_POINTS = 10**5
+
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
@@ -78,7 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
             help="key-extraction efficiency vs. pulse count")
     p.add_argument("--min-pulses", type=float, default=1e9)
     p.add_argument("--max-pulses", type=float, default=1e15)
-    p.add_argument("--points", type=int, default=20)
+    p.add_argument("--points", type=int, default=20,
+                   help=f"grid points, 1 to {MAX_POINTS:,} (default: 20)")
 
     p = add("optimize", _run_optimize, help="optimize source parameters")
     p.add_argument("--n-pulses", type=float, default=1.2e12,
@@ -165,12 +171,7 @@ def _read_tally_file(path: str) -> channel.PulseTally:
 
 
 def _run_simulate(req: argparse.Namespace, cfg: Config) -> None:
-    cfg.session_steps()  # a session it cannot run leaves --out as it was
-    with session.write_outputs(req.out, ("telemetry.csv", "keys.csv",
-                                         "summary.txt")) as files:
-        result = session.run_session(cfg, telemetry_csv=files["telemetry.csv"])
-        session.export_timeseries(result.telemetry, result.records, files,
-                                  summary=result.summary)
+    result = session.run_session(cfg, out=req.out)
     sys.stdout.write(session.format_summary(result.summary))
 
 
@@ -197,8 +198,9 @@ def _run_efficiency_curve(req: argparse.Namespace, cfg: Config) -> None:
     _check_pulses("--max-pulses", req.max_pulses, cfg.source)
     if req.min_pulses > req.max_pulses:
         raise ValueError("--min-pulses must not exceed --max-pulses")
-    if req.points < 1:
-        raise ValueError(f"--points must be >= 1, got {req.points}")
+    if not 1 <= req.points <= MAX_POINTS:
+        raise ValueError(f"--points must be >= 1 and at most {MAX_POINTS:,}, "
+                         f"got {req.points}")
     grid = np.logspace(np.log10(req.min_pulses), np.log10(req.max_pulses),
                        req.points)
     lines = ["n_pulses,efficiency\n"]

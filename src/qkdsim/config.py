@@ -46,9 +46,9 @@ _MAX_STEP_PULSES = 2.0 ** 63
 # The largest count of one class's pulses that is distilled at once: the
 # range the Clopper-Pearson bounds are tested to.
 MAX_PULSES = 1e15
-# `simulate` streams its telemetry and keeps none of it.  The array that
-# `run_session` returns to a library caller holds 18 float64 cells per step,
-# so this bounds it at 1.44 GB; the 36 h default is 129,600 steps.
+# A session given `out` streams its telemetry.  The array that `run_session`
+# returns without `out` holds 18 float64 cells per step, so this bounds it
+# at 1.44 GB; the 36 h default is 129,600 steps.
 MAX_SESSION_STEPS = 10**7
 
 

@@ -7,15 +7,16 @@ hidden diagnostic truth.  Completed distillation windows are turned into
 secure key records; a trailing partial window is discarded.
 
 The telemetry has a row per step and a column per `TelemetryRow` field.
-`run_session` either writes it to an open telemetry.csv block by block as
-the session steps, or returns it whole as one float64 array.  NaN marks an
-absent cell: a QBER or transmittance of a class that sent or sifted nothing
-that step.  It is written to telemetry.csv as an empty field.
+Given an output directory, `run_session` streams it to telemetry.csv block
+by block as the session steps; otherwise it returns it whole as one float64
+array.  NaN marks an absent cell: a QBER or transmittance of a class that
+sent or sifted nothing that step.  It is written to telemetry.csv as an
+empty field.
 """
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager, nullcontext, suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
@@ -46,10 +47,13 @@ __all__ = [
     "write_outputs",
     "load_telemetry_csv",
     "load_keys_csv",
+    "SESSION_FILES",
     "TELEMETRY_HEADER",
     "KEYS_HEADER",
 ]
 
+# What a session writes into the output directory it is given.
+SESSION_FILES = ("telemetry.csv", "keys.csv", "summary.txt")
 KEYS_HEADER = ("window_start_s,window_end_s,"
                "sifted_mu,errors_mu,sifted_nu1,errors_nu1,sifted_nu2,errors_nu2,"
                "qber_mu,y1_lower,e1_upper,secure_bits,secure_rate_bps,efficiency")
@@ -84,6 +88,10 @@ class TelemetryRow(NamedTuple):
 
 
 TELEMETRY_HEADER = ",".join(TelemetryRow._fields)
+# A block of telemetry rows formats in one operation.  %.9g writes every NaN,
+# signed or not, as "nan", which no number's text contains, so replacing it
+# leaves the absent cells empty.
+_TELEMETRY_LINE = ",".join(["%.9g"] * len(TelemetryRow._fields)) + "\n"
 # Steps run as one block: their environment draws are made at once and their
 # telemetry rows are kept as tuples until the block is written out, so its
 # size bounds the memory both take.
@@ -147,19 +155,30 @@ def distill_window(tally: PulseTally, config: Config, window_start: float,
 
 def run_session(config: Config, duration: float | None = None,
                 seed: int | None = None,
-                telemetry_csv: TextIO | None = None) -> SessionResult:
+                out: str | Path | None = None) -> SessionResult:
     """Run a full closed-loop session and distill every complete window.
 
     `duration` and `seed` stand in for the config's `duration` and
-    `rng_seed` when given.  Given an open text file, writes telemetry.csv to
-    it block by block as the session steps, and the result's telemetry is
-    None; otherwise the result holds it as one array.  Raises ConfigError,
-    before the first step, for a config or a session it cannot run."""
+    `rng_seed` when given.  Raises ConfigError, before `out` is touched, for
+    a config or a session it cannot run.  Given `out`, writes the
+    `SESSION_FILES` there in one `write_outputs` transaction, and the
+    result's telemetry is None; otherwise the result holds it as one array."""
     if duration is not None:
         config = replace(config, sim=replace(config.sim, duration=duration))
     if seed is not None:
         config = replace(config, sim=replace(config.sim, rng_seed=seed))
     n_steps = config.validated().session_steps()
+    if out is None:
+        return _run(config, n_steps, None)
+    with write_outputs(out, SESSION_FILES) as files:
+        result = _run(config, n_steps, files["telemetry.csv"])
+        export_timeseries(result, files)
+    return result
+
+
+def _run(config: Config, n_steps: int,
+         telemetry_csv: TextIO | None) -> SessionResult:
+    """Step a session, streaming its telemetry to `telemetry_csv` if open."""
     source, link, security, sim = (config.source, config.link,
                                    config.security, config.sim)
     control = config.control
@@ -250,7 +269,8 @@ def run_session(config: Config, duration: float | None = None,
         if telemetry is not None:
             telemetry[start:start + len(rows)] = rows
         else:
-            telemetry_csv.write(_telemetry_block(rows))
+            telemetry_csv.write(((_TELEMETRY_LINE * len(rows)) % tuple(
+                chain.from_iterable(rows))).replace("nan", ""))
 
     total_bits = sum(r.key.secure_bits for r in records)
     window_time = len(records) * window_steps * dt
@@ -279,16 +299,6 @@ def _fmt(value: float | int | None) -> str:
         return str(value)
     return f"{value:.9g}"
 
-
-# A block of telemetry rows formats in one operation.  %.9g writes every NaN,
-# signed or not, as "nan", which no number's text contains, so replacing it
-# leaves the absent cells empty.
-_TELEMETRY_LINE = ",".join(["%.9g"] * len(TelemetryRow._fields)) + "\n"
-
-
-def _telemetry_block(rows: list) -> str:
-    return ((_TELEMETRY_LINE * len(rows)) % tuple(chain.from_iterable(rows))
-            ).replace("nan", "")
 
 
 def format_summary(summary: SessionSummary) -> str:
@@ -336,37 +346,23 @@ def write_outputs(destination: str | Path,
         raise
 
 
-def export_timeseries(telemetry: np.ndarray | None,
-                      records: list[SecureKeyRecord],
-                      destination: str | Path | dict[str, TextIO],
-                      summary: SessionSummary | None = None) -> list[Path]:
-    """Write telemetry.csv from a `SessionResult.telemetry` array, unless it
-    is None (streamed by `run_session`), then keys.csv, and summary.txt when
-    given.  `destination` is a directory, or the files of an open
-    `write_outputs` transaction, which this closes; returns their paths."""
-    names = ["telemetry.csv", "keys.csv"]
-    if summary is not None:
-        names.append("summary.txt")
-    with (nullcontext(destination) if isinstance(destination, dict)
-          else write_outputs(destination, names)) as files:
-        if telemetry is not None:
-            files["telemetry.csv"].write(TELEMETRY_HEADER + "\n")
-            for start in range(0, len(telemetry), _BLOCK):
-                files["telemetry.csv"].write(_telemetry_block(
-                    telemetry[start:start + _BLOCK].tolist()))
-        files["keys.csv"].writelines([KEYS_HEADER + "\n"] + [",".join(
-            _fmt(v) for v in (
-                rec.window_start, rec.window_end,
-                rec.tally.sifted_mu, rec.tally.errors_mu,
-                rec.tally.sifted_nu1, rec.tally.errors_nu1,
-                rec.tally.sifted_nu2, rec.tally.errors_nu2,
-                rec.qber_signal, rec.bounds.y1_lower, rec.bounds.e1_upper,
-                rec.key.secure_bits, rec.secure_rate,
-                rec.key.efficiency)) + "\n" for rec in records])
-        if summary is not None:
-            files["summary.txt"].write(format_summary(summary))
-        for fh in files.values():
-            fh.close()
+def export_timeseries(result: SessionResult,
+                      files: dict[str, TextIO]) -> list[Path]:
+    """Write a session's keys.csv and summary.txt into the open files of its
+    `write_outputs(out, SESSION_FILES)` transaction, whose telemetry.csv it
+    has streamed; closes all three and returns their paths."""
+    files["keys.csv"].writelines([KEYS_HEADER + "\n"] + [",".join(
+        _fmt(v) for v in (
+            rec.window_start, rec.window_end,
+            rec.tally.sifted_mu, rec.tally.errors_mu,
+            rec.tally.sifted_nu1, rec.tally.errors_nu1,
+            rec.tally.sifted_nu2, rec.tally.errors_nu2,
+            rec.qber_signal, rec.bounds.y1_lower, rec.bounds.e1_upper,
+            rec.key.secure_bits, rec.secure_rate,
+            rec.key.efficiency)) + "\n" for rec in result.records])
+    files["summary.txt"].write(format_summary(result.summary))
+    for fh in files.values():
+        fh.close()
     return [Path(fh.name) for fh in files.values()]
 
 

@@ -19,7 +19,7 @@ from qkdsim.finite_key import (BinomialBound, ChannelEstimates, asymptotic_rate,
                                clopper_pearson, decoy_bounds, estimate_channel,
                                key_efficiency)
 from qkdsim.optimizer import objective, optimize_source
-from qkdsim.session import export_timeseries, run_session
+from qkdsim.session import run_session
 
 
 @pytest.fixture(scope="module")
@@ -231,9 +231,7 @@ def test_criterion_09_optimizer_matches_grid_oracle(preset):
 
 def test_criterion_10_byte_identical_outputs_for_same_seed(preset, tmp_path):
     for name in ("a", "b"):
-        result = run_session(preset, duration=3600.0, seed=13)
-        export_timeseries(result.telemetry, result.records, tmp_path / name,
-                          summary=result.summary)
+        run_session(preset, duration=3600.0, seed=13, out=tmp_path / name)
     for fname in ("telemetry.csv", "keys.csv", "summary.txt"):
         assert (tmp_path / "a" / fname).read_bytes() == \
             (tmp_path / "b" / fname).read_bytes()

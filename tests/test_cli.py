@@ -5,7 +5,7 @@ import pytest
 from qkdsim import session
 from qkdsim.channel import PulseTally
 from qkdsim.cli import (EXIT_CONFIG_FILE, EXIT_IO, EXIT_OK, EXIT_USAGE,
-                        EXIT_VALIDATION, main, parse_command)
+                        EXIT_VALIDATION, MAX_POINTS, main, parse_command)
 from qkdsim.config import DEFAULT_MISALIGNMENT, parse_config_text
 from qkdsim.finite_key import expectation_tally
 
@@ -391,6 +391,20 @@ def test_efficiency_curve_rejects_non_positive_points(tmp_path, capsys, points):
     assert not (tmp_path / "efficiency_curve.csv").exists()
 
 
+@pytest.mark.parametrize("points", [str(MAX_POINTS + 1), "100000000000",
+                                    "99999999999999999999"])
+def test_efficiency_curve_rejects_points_above_its_bound(tmp_path, capsys,
+                                                         points):
+    # numpy could not allocate the grid, or named no flag in its message
+    _assert_rejected(["efficiency-curve", "--out", str(tmp_path / "out"),
+                      "--points", points], capsys,
+                     f"--points must be >= 1 and at most 100,000, got {points}")
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(SystemExit):
+        main(["efficiency-curve", "--help"])
+    assert "grid points, 1 to 100,000" in capsys.readouterr().out
+
+
 def test_efficiency_curve_rejects_reversed_range(tmp_path, capsys):
     _assert_rejected(["efficiency-curve", "--out", str(tmp_path),
                       "--min-pulses", "1e13", "--max-pulses", "1e10"], capsys,
@@ -475,9 +489,10 @@ def test_class_without_pulses_rejected_before_any_work(
         tmp_path, capsys, monkeypatch, argv, message):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the input was rejected")
-    monkeypatch.setattr("qkdsim.session.run_session", no_work)
+    monkeypatch.setattr("qkdsim.session.step_drift", no_work)
     monkeypatch.setattr("qkdsim.finite_key.clopper_pearson", no_work)
-    _assert_rejected([*argv, "--out", str(tmp_path)], capsys, message)
+    _assert_rejected([*argv, "--out", str(tmp_path / "out")], capsys, message)
+    assert not (tmp_path / "out").exists()
 
 
 def test_keyrate_rejects_tally_without_pulses(tmp_path, capsys, preset):

@@ -97,7 +97,8 @@ SPECIFIC = {
     "simulate": {},
     "keyrate": {"--n-pulses": PULSES},
     "efficiency-curve": {"--min-pulses": PULSES, "--max-pulses": PULSES,
-                         "--points": st.sampled_from(["-1", "0", "1", "3", "x"])},
+                         "--points": st.sampled_from(["-1", "0", "1", "3", "x",
+                                                     "100000000000"])},
     # sweeps stay small: one sweep is about 170 objective evaluations
     "optimize": {"--n-pulses": PULSES,
                  "--sweeps": st.sampled_from(["-1", "0", "1", "x"])},

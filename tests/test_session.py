@@ -13,8 +13,8 @@ from qkdsim.config import (MAX_SESSION_STEPS, Config, ConfigError,
                            apply_overrides)
 from qkdsim.finite_key import (decoy_bounds, estimate_channel,
                                expectation_tally, secure_key_length)
-from qkdsim.session import (KEYS_HEADER, TELEMETRY_HEADER, TelemetryRow,
-                            distill_window, export_timeseries, format_summary,
+from qkdsim.session import (KEYS_HEADER, SESSION_FILES, TELEMETRY_HEADER,
+                            TelemetryRow, distill_window, format_summary,
                             load_keys_csv, load_telemetry_csv, run_session,
                             write_outputs)
 from qkdsim.stabilization import step_drift
@@ -151,10 +151,12 @@ def test_distill_window_matches_direct_pipeline(preset):
     assert rec.qber_signal == pytest.approx(tally.errors_mu / tally.sifted_mu)
 
 
-def test_csv_export_round_trip(short_session, tmp_path):
-    paths = export_timeseries(short_session.telemetry, short_session.records,
-                              tmp_path, summary=short_session.summary)
-    names = sorted(p.name for p in paths)
+def test_csv_export_round_trip(preset, short_session, tmp_path):
+    written = run_session(preset, duration=3000.0, seed=7, out=tmp_path)
+    assert written.telemetry is None
+    assert written.records == short_session.records
+    assert written.summary == short_session.summary
+    names = sorted(p.name for p in tmp_path.iterdir())
     assert names == ["keys.csv", "summary.txt", "telemetry.csv"]
 
     telemetry = load_telemetry_csv(tmp_path / "telemetry.csv")
@@ -172,19 +174,22 @@ def test_csv_export_round_trip(short_session, tmp_path):
     assert keys[1]["window_start_s"] == 1200.0
 
 
-def test_csv_headers_are_stable(tmp_path, short_session):
-    export_timeseries(short_session.telemetry[:1], [], tmp_path)
-    first = (tmp_path / "telemetry.csv").read_text().splitlines()[0]
-    assert first == TELEMETRY_HEADER
-    assert (tmp_path / "keys.csv").read_text().splitlines()[0] == KEYS_HEADER
+def test_csv_headers_are_stable(preset, tmp_path):
+    # a session of no steps writes the header lines alone
+    for steps in (1, 0):
+        out = tmp_path / str(steps)
+        run_session(preset, duration=float(steps), seed=7, out=out)
+        telemetry = (out / "telemetry.csv").read_text().splitlines()
+        assert telemetry[0] == TELEMETRY_HEADER
+        assert len(telemetry) == 1 + steps
+        assert (out / "keys.csv").read_text() == KEYS_HEADER + "\n"
 
 
 def test_absent_values_export_as_empty_cells(preset, tmp_path):
     cfg = dataclasses.replace(preset,
                               source=SourceConfig(clock_rate=1e3),
                               sim=SimConfig(stabilization_enabled=False))
-    result = run_session(cfg, duration=50.0, seed=2)
-    export_timeseries(result.telemetry, result.records, tmp_path)
+    run_session(cfg, duration=50.0, seed=2, out=tmp_path)
     body = (tmp_path / "telemetry.csv").read_text().splitlines()[1:]
     assert any(",," in line for line in body)
     loaded = load_telemetry_csv(tmp_path / "telemetry.csv")
@@ -210,11 +215,11 @@ def test_format_summary_fields(short_session):
     assert text.endswith("\n")
 
 
-def test_export_to_unwritable_destination_raises(short_session, tmp_path):
+def test_export_to_unwritable_destination_raises(preset, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("x")
     with pytest.raises(OSError):
-        export_timeseries(short_session.telemetry[:1], [], blocker / "sub")
+        run_session(preset, duration=1.0, seed=7, out=blocker / "sub")
 
 
 def test_write_outputs_removes_earlier_files_when_one_fails(tmp_path):
@@ -242,10 +247,14 @@ def test_write_outputs_removes_earlier_files_when_one_fails(tmp_path):
     assert (tmp_path / "ok" / "a").read_text() == "x\ny\n"
 
 
-def test_session_beyond_step_limit_rejected_before_it_starts(preset):
+def test_session_beyond_step_limit_rejected_before_it_starts(preset,
+                                                            tmp_path):
     # the duration given stands in for the config's, and is checked as its
+    # before the output directory is made
     with pytest.raises(ConfigError, match="duration / time_step"):
-        run_session(preset, duration=MAX_SESSION_STEPS + 1.0, seed=1)
+        run_session(preset, duration=MAX_SESSION_STEPS + 1.0, seed=1,
+                    out=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_negative_seed_rejected_before_it_starts(preset):
@@ -262,7 +271,7 @@ def test_nan_cells_are_the_cells_read_back_as_absent(preset, tmp_path):
     cfg = dataclasses.replace(preset, source=SourceConfig(clock_rate=100.0),
                               security=SecurityConfig(distill_interval=120.0))
     result = run_session(cfg, duration=600.0, seed=13)
-    export_timeseries(result.telemetry, result.records, tmp_path)
+    run_session(cfg, duration=600.0, seed=13, out=tmp_path)
     loaded = load_telemetry_csv(tmp_path / "telemetry.csv")
     absent = [[v is None for v in row.values()] for row in loaded]
     assert np.array_equal(np.isnan(result.telemetry), absent)
@@ -285,19 +294,29 @@ SPARSE = {"clock_rate": "100", "distill_interval": "120"}
                          ids=["loops-on", "loops-off", "sparse"])
 def test_streamed_outputs_equal_the_library_export(preset, tmp_path, capsys,
                                                    steps, overrides):
-    # simulate writes telemetry.csv block by block as the session steps; the
-    # library path fills the array and exports it afterwards
+    # simulate and a library call given `out` write the same files; the
+    # telemetry streamed to disk reads back as the array of a run without
+    # `out`, at the 9 significant digits written, empty where it holds NaN
     flags = [arg for key, value in overrides.items()
              for arg in ("--" + key.replace("_", "-"), value)]
-    assert main(["simulate", "--out", str(tmp_path / "streamed"), "--seed",
+    assert main(["simulate", "--out", str(tmp_path / "cli"), "--seed",
                  "13", "--duration", str(steps), *flags]) == EXIT_OK
-    result = run_session(apply_overrides(preset, overrides),
-                         duration=float(steps), seed=13)
-    export_timeseries(result.telemetry, result.records, tmp_path / "array",
-                      summary=result.summary)
-    for name in ("telemetry.csv", "keys.csv", "summary.txt"):
-        assert (tmp_path / "streamed" / name).read_bytes() == \
-            (tmp_path / "array" / name).read_bytes(), name
+    cfg = apply_overrides(preset, overrides)
+    written = run_session(cfg, duration=float(steps), seed=13,
+                          out=tmp_path / "lib")
+    for name in SESSION_FILES:
+        assert (tmp_path / "cli" / name).read_bytes() == \
+            (tmp_path / "lib" / name).read_bytes(), name
+    result = run_session(cfg, duration=float(steps), seed=13)
+    assert (written.records, written.summary) == (result.records,
+                                                   result.summary)
+    loaded = np.array(
+        [[np.nan if v is None else v for v in row.values()]
+         for row in load_telemetry_csv(tmp_path / "lib" / "telemetry.csv")]
+    ).reshape(-1, len(TelemetryRow._fields))
+    rounded = np.array([float("%.9g" % v) for v in result.telemetry.flat]
+                       ).reshape(result.telemetry.shape)
+    np.testing.assert_array_equal(loaded, rounded)  # NaN where NaN
     qber_mu = result.telemetry[:, TelemetryRow._fields.index("qber_mu")]
     qber_mu = qber_mu[~np.isnan(qber_mu)]
     assert result.summary.max_qber_signal == \
