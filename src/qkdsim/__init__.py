@@ -7,8 +7,8 @@ from .channel import (SIFTING, DriftState, PulseTally, calibrate_misalignment,
                       expected_rates, observed, sample_tally)
 from .finite_key import (BinomialBound, DecoyBounds, KeyResult, asymptotic_rate,
                          binary_entropy, clopper_pearson, decoy_bounds, distill,
-                         estimate_channel, expectation_tally, key_efficiency,
-                         secure_key_length)
+                         efficiency_curve, estimate_channel, expectation_tally,
+                         key_efficiency, secure_key_length)
 from .optimizer import OptimizationResult, objective, optimize_source
 from .session import (SecureKeyRecord, SessionResult, SessionSummary,
                       TelemetryRow, distill_window, run_session)

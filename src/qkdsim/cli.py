@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -183,8 +183,10 @@ def _run_keyrate(req: argparse.Namespace, cfg: Config) -> None:
         tally = finite_key.expectation_tally(req.n_pulses, cfg.source, cfg.link)
     with session.write_outputs(req.out, ("keyrate.csv",)) as files:
         bounds, result = finite_key.distill(tally, cfg.source, cfg.security)
-        values = {**asdict(result), "y1_lower": bounds.y1_lower,
-                  "e1_upper": bounds.e1_upper}
+        values = {name: getattr(result, name) for name in (
+            "secure_bits", "single_photon_bits", "leakage_bits",
+            "finite_size_bits", "efficiency", "epsilon_spent")}
+        values.update(y1_lower=bounds.y1_lower, e1_upper=bounds.e1_upper)
         files["keyrate.csv"].writelines([
             ",".join(values) + "\n",
             ",".join(session._fmt(v) for v in values.values()) + "\n"])
@@ -202,13 +204,12 @@ def _run_efficiency_curve(req: argparse.Namespace, cfg: Config) -> None:
         raise ValueError(f"--points must be >= 1 and at most {MAX_POINTS:,}, "
                          f"got {req.points}")
     grid = np.logspace(np.log10(req.min_pulses), np.log10(req.max_pulses),
-                       req.points)
-    lines = ["n_pulses,efficiency\n"]
+                       req.points).tolist()
     with session.write_outputs(req.out, ("efficiency_curve.csv",)) as files:
-        for n in grid:
-            eff = finite_key.key_efficiency(float(n), cfg.source, cfg.link,
-                                            cfg.security)
-            lines.append(f"{float(n):.9g},{eff:.9g}\n")
+        effs = finite_key.efficiency_curve(grid, cfg.source, cfg.link,
+                                           cfg.security)
+        lines = ["n_pulses,efficiency\n"] + [
+            f"{n:.9g},{eff:.9g}\n" for n, eff in zip(grid, effs)]
         files["efficiency_curve.csv"].writelines(lines)
     sys.stdout.writelines(lines)
 

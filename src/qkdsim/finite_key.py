@@ -22,7 +22,10 @@ extrapolating a near-linear transform of the tail from the points that
 failed, and narrows the bracket down to two adjacent floats by
 Anderson-Bjorck false position on that transform, bisecting instead where
 that stalls.  It takes about 5.5 forward evaluations per endpoint at the
-counts the program uses.
+counts the program uses.  It moves between a float and its bit pattern
+through one 8-byte buffer per thread, an `array('d')` also seen as a signed
+64-bit integer.  tests/test_endpoint_replay.py pins its probes, in order,
+to a reference copy of the search.
 
 The forward functions are scipy's scalar entry points in
 `scipy.special.cython_special`, looked up as `special.betainc`,
@@ -31,14 +34,21 @@ kernels as the `scipy.special` ufuncs and return Python floats, without the
 ufunc dispatch, which took about 0.8 us of a 1.3 us scalar `betainc` call.
 tests/test_forward_identity.py pins them to the ufuncs bit for bit, so an
 endpoint judged by the ufuncs gets the same verdict.
+
+A `KeyResult` keeps the tally, source and security settings it was
+distilled from, and computes its `efficiency`, the ratio to the
+infinite-statistics key from the same tally, on first read.  The session's
+keys.csv and `keyrate` read it; the optimizer's objective and
+`key_efficiency`, which read only the key length, never compute it.
 """
 from __future__ import annotations
 
 import math
-import struct
-from collections.abc import Callable
-from dataclasses import dataclass, fields
-from functools import lru_cache
+import threading
+from array import array
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass, field, fields
+from functools import cached_property, lru_cache
 
 from scipy.special import cython_special as special
 
@@ -59,6 +69,7 @@ __all__ = [
     "distill",
     "asymptotic_rate",
     "expectation_tally",
+    "efficiency_curve",
     "key_efficiency",
 ]
 
@@ -79,8 +90,18 @@ class BinomialBound:
     upper: float
 
 
-_DOUBLE = struct.Struct("<d")
-_INT64 = struct.Struct("<q")
+class _Bits(threading.local):
+    """One 8-byte buffer per thread, seen both as a double (`value`) and as
+    its bit pattern, a signed 64-bit integer (`bits`).  Writing one view
+    and reading the other converts between the two, with no call in
+    between, so a search that calls back into another search is safe."""
+
+    def __init__(self) -> None:
+        self.value = array("d", (0.0,))
+        self.bits = memoryview(self.value).cast("B").cast("q")
+
+
+_BITS = _Bits()
 
 
 def _tail_excess(t: float, target: float, w_target: float) -> float:
@@ -110,9 +131,11 @@ def _target_constants(target: float) -> tuple[float, float, float]:
 
 def _tail_endpoint(forward: Callable[[float, float, float], float],
                    a: float, b: float, estimate: float, guess: float,
-                   edge: float, target: float) -> float:
+                   edge: float, target: float, w_target: float,
+                   h_half: float) -> float:
     """Tightest float endpoint x whose forward tail `forward(a, b, x)` is
-    <= target.
+    <= target; `w_target` and `h_half` are the last two of
+    `_target_constants(target)`.
 
     The tail is a binomial tail probability that falls monotonically from
     the point estimate k/n towards `edge` (0 or 1).  At k/n the binomial
@@ -146,13 +169,13 @@ def _tail_endpoint(forward: Callable[[float, float, float], float],
     another probe path can stop on another pair of adjacent floats that
     meets the same contract.
     """
-    pack_d, unpack_d = _DOUBLE.pack, _DOUBLE.unpack
-    pack_q, unpack_q = _INT64.pack, _INT64.unpack
     log, sqrt, inf = math.log, math.sqrt, math.inf
-    _, w_target, h_half = _target_constants(target)
+    value, bits = _BITS.value, _BITS.bits
     w2 = w_target * w_target
-    edge_bits = unpack_q(pack_d(edge))[0]
-    inside, h_in = unpack_q(pack_d(estimate))[0], h_half
+    value[0] = edge
+    edge_bits = bits[0]
+    value[0] = estimate
+    inside, h_in = bits[0], h_half
     outside, h_out = edge_bits, inf
     prev, h_prev = inside, -inf     # the failed point before `inside`
     rising = inside < outside   # the patterns grow from k/n towards edge
@@ -172,7 +195,8 @@ def _tail_endpoint(forward: Callable[[float, float, float], float],
                 if not (failed < x < edge if rising else edge < x < failed):
                     x = edge + (failed - edge) * shrink
                     shrink *= shrink
-                probe = unpack_q(pack_d(x))[0]
+                value[0] = x
+                probe = bits[0]
         elif streak < 4 and -inf < h_in < h_out < inf:
             probe = inside + round(h_in / (h_in - h_out) * (outside - inside))
         else:
@@ -183,7 +207,8 @@ def _tail_endpoint(forward: Callable[[float, float, float], float],
         elif probe >= hi:
             probe, x = hi - 1, None
         if x is None:
-            x = unpack_d(pack_q(probe))[0]
+            bits[0] = probe
+            x = value[0]
         t = forward(a, b, x)
         if t > 0.0:     # _tail_excess(t, target, w_target)
             log_ratio = log(t / target)
@@ -210,7 +235,8 @@ def _tail_endpoint(forward: Callable[[float, float, float], float],
             last_passed = False
             prev, h_prev = inside, h_in
             inside, h_in, failed = probe, h, x
-    return unpack_d(pack_q(outside))[0]
+    bits[0] = outside
+    return value[0]
 
 
 def clopper_pearson(successes: int, trials: int,
@@ -233,7 +259,7 @@ def clopper_pearson(successes: int, trials: int,
     k, n = successes, trials
     estimate = k / n
     # first guesses: the Wilson score interval at the same normal quantile
-    z = _target_constants(half)[0]
+    z, w_target, h_half = _target_constants(half)
     z2 = z * z
     center = (k + z2 / 2.0) / (n + z2)
     width = z * math.sqrt(k * (n - k) / n + z2 / 4.0) / (n + z2)
@@ -241,12 +267,14 @@ def clopper_pearson(successes: int, trials: int,
         lower = 0.0
     else:
         lower = _tail_endpoint(special.betainc, float(k), float(n - k + 1),
-                               estimate, center - width, 0.0, half)
+                               estimate, center - width, 0.0, half,
+                               w_target, h_half)
     if k == n:
         upper = 1.0
     else:
         upper = _tail_endpoint(special.betaincc, float(k + 1), float(n - k),
-                               estimate, center + width, 1.0, half)
+                               estimate, center + width, 1.0, half,
+                               w_target, h_half)
     return BinomialBound(lower=lower, upper=upper)
 
 
@@ -362,14 +390,31 @@ def decoy_bounds(estimates: ChannelEstimates, source: SourceConfig) -> DecoyBoun
 
 @dataclass(frozen=True)
 class KeyResult:
-    """Outcome of distilling one window."""
+    """Outcome of distilling one window, with the tally, source and security
+    settings it was distilled from."""
 
     secure_bits: int
     single_photon_bits: float   # N1_lower * (1 - H2(e1_upper))
     leakage_bits: float         # f * n_sift * H2(E_upper)
     finite_size_bits: float     # privacy-amplification penalty
-    efficiency: float           # ratio to the infinite-statistics key from the same tally
     epsilon_spent: float
+    tally: PulseTally = field(repr=False)
+    source: SourceConfig = field(repr=False)
+    security: SecurityConfig = field(repr=False)
+
+    @cached_property
+    def efficiency(self) -> float:
+        """Ratio of `secure_bits` to the infinite-statistics key from the
+        same tally: the key with every interval at its point estimate and
+        no privacy-amplification penalty.  Computed on first read and kept,
+        so a caller that reads only the key length (the optimizer's
+        objective, `key_efficiency`) never pays for it."""
+        ref_bounds = decoy_bounds(point_estimates(self.tally), self.source)
+        ref_single, ref_leak, _ = _key_terms(self.tally, ref_bounds,
+                                             self.security, self.source)
+        reference = max(0.0, ref_single - ref_leak)
+        return (min(1.0, self.secure_bits / reference) if reference > 0
+                else 0.0)
 
 
 def _key_terms(tally: PulseTally, bounds: DecoyBounds,
@@ -397,21 +442,15 @@ def secure_key_length(tally: PulseTally, bounds: DecoyBounds,
     Its key is epsilon-secure only when called as `distill` calls it.
     """
     single, leakage, pa = _key_terms(tally, bounds, security, source)
-    secure = max(0, math.floor(single - leakage - pa))
-
-    # Infinite-statistics reference from the very same counts, for the
-    # efficiency ratio.
-    ref_bounds = decoy_bounds(point_estimates(tally), source)
-    ref_single, ref_leak, _ = _key_terms(tally, ref_bounds, security, source)
-    reference = max(0.0, ref_single - ref_leak)
-    efficiency = min(1.0, secure / reference) if reference > 0 else 0.0
     return KeyResult(
-        secure_bits=secure,
+        secure_bits=max(0, math.floor(single - leakage - pa)),
         single_photon_bits=single,
         leakage_bits=leakage,
         finite_size_bits=pa,
-        efficiency=efficiency,
         epsilon_spent=security.epsilon,
+        tally=tally,
+        source=source,
+        security=security,
     )
 
 
@@ -471,15 +510,27 @@ def expectation_tally(n_pulses: float, source: SourceConfig,
     return PulseTally(*counts)
 
 
+def efficiency_curve(budgets: Iterable[float], source: SourceConfig,
+                     link: LinkConfig, security: SecurityConfig) -> list[float]:
+    """For each pulse budget, the finite-size key from its expectation tally
+    over the infinite-session key for the same channel and budget.  The
+    infinite-session rate does not depend on the budget, so it is computed
+    once for the whole grid."""
+    budgets = list(budgets)
+    if any(n <= 0 for n in budgets):
+        raise ValueError("n_pulses must be > 0")
+    rate = asymptotic_rate(source, link, security)
+    effs = []
+    for n_pulses in budgets:
+        _, result = distill(expectation_tally(n_pulses, source, link), source,
+                            security)
+        asymptotic = n_pulses * rate
+        effs.append(min(1.0, result.secure_bits / asymptotic)
+                    if asymptotic > 0 else 0.0)
+    return effs
+
+
 def key_efficiency(n_pulses: float, source: SourceConfig, link: LinkConfig,
                    security: SecurityConfig) -> float:
-    """Finite-size key from expectation tallies over the infinite-session key
-    for the same channel and pulse budget."""
-    if n_pulses <= 0:
-        raise ValueError("n_pulses must be > 0")
-    _, result = distill(expectation_tally(n_pulses, source, link), source,
-                        security)
-    asymptotic = n_pulses * asymptotic_rate(source, link, security)
-    if asymptotic <= 0:
-        return 0.0
-    return min(1.0, result.secure_bits / asymptotic)
+    """`efficiency_curve` at one pulse budget."""
+    return efficiency_curve((n_pulses,), source, link, security)[0]

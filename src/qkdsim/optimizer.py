@@ -59,14 +59,19 @@ class OptimizationResult:
     evaluations: int = 0
 
 
-def _project(source: SourceConfig) -> SourceConfig:
-    mu = min(max(source.mu, MU_BOUNDS[0]), MU_BOUNDS[1])
-    nu1 = min(max(source.nu1, _MARGIN), mu * (1.0 - _MARGIN))
-    nu2 = min(max(source.nu2, 0.0), nu1 * (1.0 - _MARGIN))
-    p_mu = min(max(source.p_mu, _P_FLOOR), 1.0 - 2.0 * _P_FLOOR)
-    p_nu1 = min(max(source.p_nu1, _P_FLOOR), 1.0 - p_mu - _P_FLOOR)
+def _project(base: SourceConfig, coord: str, x: float) -> SourceConfig:
+    """`base` with its `coord` set to x, projected back inside the source
+    invariants: one `replace`."""
+    mu = min(max(x if coord == "mu" else base.mu, MU_BOUNDS[0]), MU_BOUNDS[1])
+    nu1 = min(max(x if coord == "nu1" else base.nu1, _MARGIN),
+              mu * (1.0 - _MARGIN))
+    nu2 = min(max(x if coord == "nu2" else base.nu2, 0.0), nu1 * (1.0 - _MARGIN))
+    p_mu = min(max(x if coord == "p_mu" else base.p_mu, _P_FLOOR),
+               1.0 - 2.0 * _P_FLOOR)
+    p_nu1 = min(max(x if coord == "p_nu1" else base.p_nu1, _P_FLOOR),
+                1.0 - p_mu - _P_FLOOR)
     p_nu2 = 1.0 - p_mu - p_nu1
-    return replace(source, mu=mu, nu1=nu1, nu2=nu2,
+    return replace(base, mu=mu, nu1=nu1, nu2=nu2,
                    p_mu=p_mu, p_nu1=p_nu1, p_nu2=p_nu2)
 
 
@@ -97,7 +102,8 @@ def optimize_source(link: LinkConfig, security: SecurityConfig, n_pulses: float,
     if sweeps < 0:
         raise ValueError(f"sweeps must be >= 0, got {sweeps}")
 
-    result = OptimizationResult(best=_project(start), rate=-1.0)
+    result = OptimizationResult(best=_project(start, "mu", start.mu),
+                                rate=-1.0)
     interval = lru_cache(maxsize=None)(finite_key.clopper_pearson)
 
     def evaluate(candidate: SourceConfig) -> float:
@@ -116,7 +122,7 @@ def optimize_source(link: LinkConfig, security: SecurityConfig, n_pulses: float,
             base = result.best
 
             def line(x: float, coord=coord, base=base) -> float:
-                return evaluate(_project(replace(base, **{coord: x})))
+                return evaluate(_project(base, coord, x))
 
             if coord == "mu":
                 lo, hi = MU_BOUNDS

@@ -132,7 +132,13 @@ class SessionResult:
     @cached_property
     def rows(self) -> list[TelemetryRow]:
         """The telemetry as one `TelemetryRow` per step, None for NaN; built
-        on first access and kept."""
+        on first access and kept.  A session run with `out` streamed its
+        telemetry to telemetry.csv there and holds no rows."""
+        if self.telemetry is None:
+            raise ValueError("this session streamed its telemetry to "
+                             "telemetry.csv under its `out` directory and "
+                             "holds no rows; read them with "
+                             "load_telemetry_csv")
         return [TelemetryRow._make([None if v != v else v for v in row])
                 for row in self.telemetry.tolist()]
 

@@ -278,6 +278,16 @@ def test_nan_cells_are_the_cells_read_back_as_absent(preset, tmp_path):
     assert 0 < np.isnan(result.telemetry).sum() < result.telemetry.size
 
 
+def test_streamed_session_rows_name_where_the_telemetry_went(preset,
+                                                            tmp_path):
+    result = run_session(preset, duration=10.0, seed=1, out=tmp_path)
+    assert result.telemetry is None
+    with pytest.raises(ValueError, match="streamed its telemetry to "
+                                         "telemetry.csv under its `out`"):
+        result.rows
+    assert len(load_telemetry_csv(tmp_path / "telemetry.csv")) == 10
+
+
 def test_zero_duration_session(preset):
     result = run_session(preset, duration=0.0, seed=1)
     assert result.rows == []
