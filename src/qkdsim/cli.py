@@ -34,9 +34,9 @@ EXIT_CONFIG_FILE = 3
 EXIT_VALIDATION = 4
 EXIT_IO = 5
 
-# The most points of one efficiency curve: at about 0.35 ms a point (2-vCPU
-# Xeon) half a minute of work, and 16,000 points to each decade of the
-# default pulse range.  A larger grid spends minutes, then all memory.
+# The most points of one efficiency curve: at 0.22-0.30 ms a point (2-vCPU
+# Xeon, Python 3.11) 20 to 30 s of work, and 16,000 points to each decade of
+# the default pulse range.  A larger grid spends minutes, then all memory.
 MAX_POINTS = 10**5
 
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")

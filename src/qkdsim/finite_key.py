@@ -91,10 +91,12 @@ class BinomialBound:
 
 
 class _Bits(threading.local):
-    """One 8-byte buffer per thread, seen both as a double (`value`) and as
-    its bit pattern, a signed 64-bit integer (`bits`).  Writing one view
-    and reading the other converts between the two, with no call in
-    between, so a search that calls back into another search is safe."""
+    """An 8-byte buffer seen both as a double (`value`) and as its bit
+    pattern, a signed 64-bit integer (`bits`): writing one view and reading
+    the other converts between the two.  No call comes between the write
+    and the read, so a forward function that starts another search cannot
+    disturb a conversion; each thread has a buffer of its own, so threads
+    never share one."""
 
     def __init__(self) -> None:
         self.value = array("d", (0.0,))
