@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
-from math import nan
+from math import floor, nan
 from typing import NamedTuple
 
 import numpy as np
@@ -156,23 +156,36 @@ def sample_tally(rates: tuple[tuple[float, float], ...], source: SourceConfig,
     Sent counts are deterministic (clock_rate * step * p_class) with the
     fractional remainder of each class carried in `carry`, a list indexed
     like CLASSES, across calls; sifted and error counts are binomial with
-    the basis-sifting factor.
+    the basis-sifting factor, drawn sifted then errors, class by class.
+    Unrolled: the session calls it every step.
     """
     if carry is None:
         carry = [0.0] * len(CLASSES)
     binomial = rng.binomial  # a Python int for scalar arguments
     pulses = source.clock_rate * step
-    counts = []
-    for i, p_cls, (q, e) in zip(range(len(CLASSES)),
-                                (source.p_mu, source.p_nu1, source.p_nu2),
-                                rates):
-        exact = pulses * p_cls + carry[i]
-        sent = math.floor(exact + 1e-9)
-        carry[i] = exact - sent
-        sifted = binomial(sent, q * SIFTING) if sent > 0 and q > 0 else 0
-        errors = binomial(sifted, e) if sifted > 0 and e > 0 else 0
-        counts += (sent, sifted, errors)
-    return _new(PulseTally, counts)
+    # gain q and QBER r of each class; sent s, sifted d and errors e counts
+    (q_mu, r_mu), (q_nu1, r_nu1), (q_nu2, r_nu2) = rates
+
+    exact = pulses * source.p_mu + carry[0]
+    s_mu = floor(exact + 1e-9)
+    carry[0] = exact - s_mu
+    d_mu = binomial(s_mu, q_mu * SIFTING) if s_mu > 0 and q_mu > 0 else 0
+    e_mu = binomial(d_mu, r_mu) if d_mu > 0 and r_mu > 0 else 0
+
+    exact = pulses * source.p_nu1 + carry[1]
+    s_nu1 = floor(exact + 1e-9)
+    carry[1] = exact - s_nu1
+    d_nu1 = binomial(s_nu1, q_nu1 * SIFTING) if s_nu1 > 0 and q_nu1 > 0 else 0
+    e_nu1 = binomial(d_nu1, r_nu1) if d_nu1 > 0 and r_nu1 > 0 else 0
+
+    exact = pulses * source.p_nu2 + carry[2]
+    s_nu2 = floor(exact + 1e-9)
+    carry[2] = exact - s_nu2
+    d_nu2 = binomial(s_nu2, q_nu2 * SIFTING) if s_nu2 > 0 and q_nu2 > 0 else 0
+    e_nu2 = binomial(d_nu2, r_nu2) if d_nu2 > 0 and r_nu2 > 0 else 0
+
+    return _new(PulseTally, (s_mu, d_mu, e_mu, s_nu1, d_nu1, e_nu1,
+                             s_nu2, d_nu2, e_nu2))
 
 
 def calibrate_misalignment(source: SourceConfig, link: LinkConfig,

@@ -8,20 +8,26 @@ secure key records; a trailing partial window is discarded.
 
 The telemetry has a row per step and a column per `TelemetryRow` field.
 Given an output directory, `run_session` streams it to telemetry.csv block
-by block as the session steps; otherwise it returns it whole as one float64
-array.  NaN marks an absent cell: a QBER or transmittance of a class that
-sent or sifted nothing that step.  It is written to telemetry.csv as an
-empty field.
+by block as the session steps: each block's rows go as raw doubles to a
+writer process of their own, which formats and writes them while the
+session steps on, on another CPU where there is one.  Otherwise it returns
+the telemetry whole as one float64 array.  NaN marks an absent cell: a QBER
+or transmittance of a class that sent or sifted nothing that step.  It is
+written to telemetry.csv as an empty field.
 """
 from __future__ import annotations
 
 import math
+import struct
+import subprocess
+import sys
+import tempfile
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -88,14 +94,30 @@ class TelemetryRow(NamedTuple):
 
 
 TELEMETRY_HEADER = ",".join(TelemetryRow._fields)
+_WIDTH = len(TelemetryRow._fields)
 # A block of telemetry rows formats in one operation.  %.9g writes every NaN,
 # signed or not, as "nan", which no number's text contains, so replacing it
 # leaves the absent cells empty.
-_TELEMETRY_LINE = ",".join(["%.9g"] * len(TelemetryRow._fields)) + "\n"
+_TELEMETRY_LINE = ",".join(["%.9g"] * _WIDTH) + "\n"
 # Steps run as one block: their environment draws are made at once and their
-# telemetry rows are kept as tuples until the block is written out, so its
-# size bounds the memory both take.
+# telemetry rows are kept as tuples until the block is sent to the writer
+# (or copied into the array), so its size bounds the memory both take.
 _BLOCK = 4096
+# The writer of a streamed session's telemetry.csv: stdlib only, so that it
+# starts in about 20 ms, while the first block steps.  Its stdin carries
+# native doubles, _WIDTH to a row; it writes the rows to stdout as the
+# session would, and ends at end of input, so also when the session's
+# process dies.  A Ctrl-C at the terminal is the session's to handle.
+_WRITER = f"""\
+import signal, struct, sys
+signal.signal(signal.SIGINT, signal.SIG_IGN)
+read, write = sys.stdin.buffer.read, sys.stdout.write
+while data := read({8 * _WIDTH * _BLOCK}):
+    cells = struct.unpack(f"{{len(data) // 8}}d", data)
+    write(({_TELEMETRY_LINE!r} * (len(cells) // {_WIDTH}) % cells
+           ).replace("nan", ""))
+sys.stdout.flush()
+"""
 
 
 @dataclass(frozen=True)
@@ -177,14 +199,51 @@ def run_session(config: Config, duration: float | None = None,
     if out is None:
         return _run(config, n_steps, None)
     with write_outputs(out, SESSION_FILES) as files:
-        result = _run(config, n_steps, files["telemetry.csv"])
+        with _telemetry_writer(files["telemetry.csv"]) as writer:
+            result = _run(config, n_steps, writer)
         export_timeseries(result, files)
     return result
 
 
+@contextmanager
+def _telemetry_writer(telemetry_csv: TextIO) -> Iterator[BinaryIO]:
+    """Write the header to `telemetry_csv`, then start a `_WRITER` process
+    that appends to it; yields the writer's stdin for the rows.  On exit
+    closes it and waits for the writer, raising OSError if it failed; on any
+    exception kills and reaps the writer first.  Either way no process is
+    left."""
+    telemetry_csv.write(TELEMETRY_HEADER + "\n")
+    telemetry_csv.flush()
+    # A file, not a pipe: the writer can never block on a full stderr.
+    with tempfile.TemporaryFile() as stderr:
+        writer = subprocess.Popen(
+            [sys.executable, "-I", "-S", "-c", _WRITER],
+            stdin=subprocess.PIPE, stdout=telemetry_csv, stderr=stderr)
+        try:
+            yield writer.stdin
+            writer.stdin.close()
+            writer.wait()
+        except BrokenPipeError:  # the writer stopped first: its status says why
+            if writer.wait() == 0:
+                raise
+        except BaseException:
+            writer.kill()
+            writer.wait()
+            with suppress(OSError):
+                writer.stdin.close()
+            raise
+        if writer.returncode != 0:
+            stderr.seek(0)
+            why = stderr.read().decode(errors="replace").strip().splitlines()
+            raise OSError(f"the telemetry.csv writer exited with status "
+                          f"{writer.returncode}"
+                          + (f": {why[-1]}" if why else ""))
+
+
 def _run(config: Config, n_steps: int,
-         telemetry_csv: TextIO | None) -> SessionResult:
-    """Step a session, streaming its telemetry to `telemetry_csv` if open."""
+         telemetry_out: BinaryIO | None) -> SessionResult:
+    """Step a session, sending its telemetry rows to `telemetry_out` if
+    given, as `_telemetry_writer` reads them."""
     source, link, security, sim = (config.source, config.link,
                                    config.security, config.sim)
     control = config.control
@@ -207,11 +266,8 @@ def _run(config: Config, n_steps: int,
     intensity_every = steps_per(control.intensity_interval, dt)
     window_steps = steps_per(security.distill_interval, dt)
 
-    if telemetry_csv is None:
-        telemetry = np.empty((n_steps, len(TelemetryRow._fields)))
-    else:
-        telemetry = None
-        telemetry_csv.write(TELEMETRY_HEADER + "\n")
+    telemetry = (np.empty((n_steps, _WIDTH)) if telemetry_out is None
+                 else None)
     records: list[SecureKeyRecord] = []
     # This window's step tallies, folded into their sum every 64 steps so that
     # memory does not grow with the window; a sum kept every step costs 1 us.
@@ -275,8 +331,8 @@ def _run(config: Config, n_steps: int,
         if telemetry is not None:
             telemetry[start:start + len(rows)] = rows
         else:
-            telemetry_csv.write(((_TELEMETRY_LINE * len(rows)) % tuple(
-                chain.from_iterable(rows))).replace("nan", ""))
+            telemetry_out.write(struct.pack(f"{len(rows) * _WIDTH}d",
+                                            *chain.from_iterable(rows)))
 
     total_bits = sum(r.key.secure_bits for r in records)
     window_time = len(records) * window_steps * dt

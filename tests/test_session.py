@@ -1,5 +1,9 @@
 import dataclasses
+import gc
 import math
+import os
+import signal
+import subprocess
 import tracemalloc
 from pathlib import Path
 
@@ -7,7 +11,8 @@ import numpy as np
 import pytest
 
 from qkdsim.channel import DriftState
-from qkdsim.cli import EXIT_OK, main
+from qkdsim import session
+from qkdsim.cli import EXIT_IO, EXIT_OK, main
 from qkdsim.config import (MAX_SESSION_STEPS, Config, ConfigError,
                            SecurityConfig, SimConfig, SourceConfig,
                            apply_overrides)
@@ -342,6 +347,7 @@ def test_simulate_memory_does_not_grow_with_duration(tmp_path, capsys):
                  "1200"]) == EXIT_OK  # first-call caches stay out of the peaks
     peaks = {}
     for steps in (4500, 13000):
+        gc.collect()  # garbage of earlier tests is no part of this peak
         tracemalloc.start()
         try:
             assert main([*argv, "--out", str(tmp_path / str(steps)),
@@ -363,6 +369,7 @@ def test_session_memory_does_not_grow_with_the_distillation_window(tmp_path,
                  "--distill-interval", "100"]) == EXIT_OK
     steps, peaks = 2400, {}
     for interval in (100, 2 * steps):
+        gc.collect()  # garbage of earlier tests is no part of this peak
         tracemalloc.start()
         try:
             assert main([*argv, "--out", str(tmp_path / str(interval)),
@@ -373,3 +380,80 @@ def test_session_memory_does_not_grow_with_the_distillation_window(tmp_path,
             tracemalloc.stop()
     # a step's tally kept until its window closes takes about 300 bytes
     assert peaks[2 * steps] - peaks[100] < 64 * steps
+
+
+# A session cheap to step whose rows are as wide as any other's.
+CHEAP = ["simulate", "--stabilization-enabled", "false", "--clock-rate", "100"]
+
+
+def _assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _on_step(monkeypatch, step, action):
+    """Call `action` as the session begins step number `step` (from 0)."""
+    drift, steps = session.step_drift, []
+
+    def counted(*args):
+        if len(steps) == step:
+            action()
+        steps.append(None)
+        return drift(*args)
+    monkeypatch.setattr(session, "step_drift", counted)
+
+
+@pytest.mark.parametrize("program, message", [
+    # stops before reading a row: the session finds a broken pipe
+    ("import sys; sys.exit('cannot write the rows')", "cannot write the rows"),
+    # fails at the end, with a traceback on its stderr
+    ("import sys; sys.stdin.buffer.read(); "
+     "raise OSError(28, 'No space left on device')",
+     "OSError: [Errno 28] No space left on device"),
+], ids=["at-once", "at-end"])
+def test_failing_telemetry_writer_exits_5_and_leaves_nothing(
+        tmp_path, capfd, monkeypatch, program, message):
+    monkeypatch.setattr(session, "_WRITER", program)
+    status = main([*CHEAP, "--duration", str(session._BLOCK + 904),
+                   "--out", str(tmp_path / "out")])
+    assert status == EXIT_IO
+    err = capfd.readouterr().err  # the writer's stderr would show here too
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "telemetry.csv writer exited with status 1: " + message in err
+    assert not (tmp_path / "out").exists()
+    _assert_no_child_process()
+
+
+def test_interrupt_after_a_block_kills_the_writer_and_leaves_nothing(
+        preset, tmp_path, monkeypatch):
+    def interrupt():
+        raise KeyboardInterrupt
+    _on_step(monkeypatch, session._BLOCK + 100, interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run_session(preset, duration=6000.0, seed=1, out=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+    _assert_no_child_process()
+
+
+def test_telemetry_writer_leaves_a_ctrl_c_to_the_session(tmp_path, capsys,
+                                                         monkeypatch):
+    # A Ctrl-C at a terminal reaches the writer too.  Sent once the first
+    # block has gone, after the writer has read most of it, so after it
+    # set SIGINT aside; the session runs on and writes the same bytes.
+    popen, writers = subprocess.Popen, []
+
+    def recorded(*args, **kwargs):
+        writers.append(popen(*args, **kwargs))
+        return writers[-1]
+    monkeypatch.setattr(subprocess, "Popen", recorded)
+    _on_step(monkeypatch, session._BLOCK + 1,
+             lambda: os.kill(writers[0].pid, signal.SIGINT))
+    argv = [*CHEAP, "--seed", "3", "--duration", str(session._BLOCK + 904)]
+    assert main([*argv, "--out", str(tmp_path / "signalled")]) == EXIT_OK
+    assert len(writers) == 1 and writers[0].returncode == 0
+    monkeypatch.undo()
+    assert main([*argv, "--out", str(tmp_path / "quiet")]) == EXIT_OK
+    for name in SESSION_FILES:
+        assert (tmp_path / "signalled" / name).read_bytes() == \
+            (tmp_path / "quiet" / name).read_bytes(), name
+    _assert_no_child_process()
