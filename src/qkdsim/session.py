@@ -229,9 +229,10 @@ def _telemetry_writer(telemetry_csv: TextIO) -> Iterator[BinaryIO]:
         except BaseException:
             writer.kill()
             writer.wait()
+            raise
+        finally:  # after a failed write, closing fails to flush, and closes
             with suppress(OSError):
                 writer.stdin.close()
-            raise
         if writer.returncode != 0:
             stderr.seek(0)
             why = stderr.read().decode(errors="replace").strip().splitlines()

@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qkdsim.channel import DriftState
 from qkdsim import session
+from qkdsim.channel import DriftState
 from qkdsim.cli import EXIT_IO, EXIT_OK, main
 from qkdsim.config import (MAX_SESSION_STEPS, Config, ConfigError,
                            SecurityConfig, SimConfig, SourceConfig,
