@@ -230,7 +230,7 @@ def _telemetry_writer(telemetry_csv: TextIO) -> Iterator[BinaryIO]:
             writer.kill()
             writer.wait()
             raise
-        finally:  # after a failed write, closing fails to flush, and closes
+        finally:  # closes it even with bytes left that it cannot flush
             with suppress(OSError):
                 writer.stdin.close()
         if writer.returncode != 0:
