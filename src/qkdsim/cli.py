@@ -38,6 +38,9 @@ EXIT_IO = 5
 # Xeon, Python 3.11) 20 to 30 s of work, and 16,000 points to each decade of
 # the default pulse range.  A larger grid spends minutes, then all memory.
 MAX_POINTS = 10**5
+# The most sweeps of one search: a sweep of about 170 candidates takes 5 ms
+# even once the search has converged (2-vCPU Xeon), so 1,000 take 5 s.
+MAX_SWEEPS = 1000
 
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
@@ -90,7 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-pulses", type=float, default=1.2e12,
                    help="pulse budget of the finite-size objective")
     p.add_argument("--sweeps", type=int, default=5,
-                   help="coordinate-descent passes (default: 5)")
+                   help=f"coordinate-descent passes, 0 to {MAX_SWEEPS:,} "
+                        "(default: 5)")
 
     p = add("calibrate", _run_calibrate,
             help="solve intrinsic misalignment for a target QBER")
@@ -216,6 +220,9 @@ def _run_efficiency_curve(req: argparse.Namespace, cfg: Config) -> None:
 
 def _run_optimize(req: argparse.Namespace, cfg: Config) -> None:
     _check_pulses("--n-pulses", req.n_pulses, cfg.source)
+    if not 0 <= req.sweeps <= MAX_SWEEPS:
+        raise ValueError(f"--sweeps must be >= 0 and at most {MAX_SWEEPS:,}, "
+                         f"got {req.sweeps}")
     with session.write_outputs(req.out, ("optimize.txt",
                                          "best_config.cfg")) as files:
         result = optimizer.optimize_source(

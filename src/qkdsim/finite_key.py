@@ -35,11 +35,11 @@ ufunc dispatch, which took about 0.8 us of a 1.3 us scalar `betainc` call.
 tests/test_forward_identity.py pins them to the ufuncs bit for bit, so an
 endpoint judged by the ufuncs gets the same verdict.
 
-A `KeyResult` keeps the tally, source and security settings it was
-distilled from, and computes its `efficiency`, the ratio to the
-infinite-statistics key from the same tally, on first read.  The session's
-keys.csv and `keyrate` read it; the optimizer's objective and
-`key_efficiency`, which read only the key length, never compute it.
+One table of which counts bound which estimate (`_estimates`) and one key
+formula (`_key_terms`) serve the finite key and both of its references:
+`_infinite_key` of the same tally, which a `KeyResult` divides by in its
+`efficiency` on first read, and `asymptotic_rate`, the same key of one
+pulse's exact expected counts on the drift-free channel.
 """
 from __future__ import annotations
 
@@ -305,43 +305,48 @@ def _doubled(b: BinomialBound) -> BinomialBound:
                          upper=min(1.0, b.upper / SIFTING))
 
 
+def _estimates(tally: PulseTally,
+               interval: Callable[[int, int, float], BinomialBound],
+               eps: float) -> ChannelEstimates:
+    """Which counts bound which estimate: `interval(k, n, eps)` on each
+    field's k of n, the gains scaled back from sifted counts to Q."""
+    return ChannelEstimates(
+        q_mu=_doubled(interval(tally.sifted_mu, tally.sent_mu, eps)),
+        e_mu=interval(tally.errors_mu, tally.sifted_mu, eps),
+        q_nu1=_doubled(interval(tally.sifted_nu1, tally.sent_nu1, eps)),
+        q_nu2=_doubled(interval(tally.sifted_nu2, tally.sent_nu2, eps)),
+        eq_nu1=_doubled(interval(tally.errors_nu1, tally.sent_nu1, eps)),
+        eq_nu2=_doubled(interval(tally.errors_nu2, tally.sent_nu2, eps)),
+    )
+
+
 def estimate_channel(tally: PulseTally, security: SecurityConfig,
                      interval: Callable[[int, int, float], BinomialBound]
                      | None = None) -> ChannelEstimates:
     """Clopper-Pearson intervals for the key-length analysis, each at its
-    share of the epsilon budget.  Without sifted signal bits there is no
-    error rate to bound, and e_mu is the whole of [0, 1].
+    share of the epsilon budget.  A field without trials, such as e_mu
+    without sifted signal bits, bounds nothing: it is the whole of [0, 1].
 
     `interval` computes each interval in place of `clopper_pearson`; a
     search passes a memo of it, so that tallies it has seen are not bounded
     twice."""
     cp = interval or clopper_pearson
-    eps = security.epsilon / 2.0 / N_BOUND_CALLS
-    return ChannelEstimates(
-        q_mu=_doubled(cp(tally.sifted_mu, tally.sent_mu, eps)),
-        e_mu=(cp(tally.errors_mu, tally.sifted_mu, eps)
-              if tally.sifted_mu > 0 else BinomialBound(0.0, 1.0)),
-        q_nu1=_doubled(cp(tally.sifted_nu1, tally.sent_nu1, eps)),
-        q_nu2=_doubled(cp(tally.sifted_nu2, tally.sent_nu2, eps)),
-        eq_nu1=_doubled(cp(tally.errors_nu1, tally.sent_nu1, eps)),
-        eq_nu2=_doubled(cp(tally.errors_nu2, tally.sent_nu2, eps)),
-    )
+
+    def bound(k: int, n: int, eps: float) -> BinomialBound:
+        return cp(k, n, eps) if n > 0 else BinomialBound(0.0, 1.0)
+
+    return _estimates(tally, bound, security.epsilon / 2.0 / N_BOUND_CALLS)
+
+
+def _point(k: float, n: float, eps: float) -> BinomialBound:
+    # A zero-width interval at k/n, or at 0.0 where there are no trials.
+    p = k / n if n > 0 else 0.0
+    return BinomialBound(p, p)
 
 
 def point_estimates(tally: PulseTally) -> ChannelEstimates:
     """Zero-width intervals at the observed ratios (infinite-statistics limit)."""
-    def ratio(k: int, n: int, scale: float = 1.0 / SIFTING) -> BinomialBound:
-        p = min(1.0, scale * k / n) if n > 0 else 0.0
-        return BinomialBound(p, p)
-
-    return ChannelEstimates(
-        q_mu=ratio(tally.sifted_mu, tally.sent_mu),
-        e_mu=ratio(tally.errors_mu, tally.sifted_mu, scale=1.0),
-        q_nu1=ratio(tally.sifted_nu1, tally.sent_nu1),
-        q_nu2=ratio(tally.sifted_nu2, tally.sent_nu2),
-        eq_nu1=ratio(tally.errors_nu1, tally.sent_nu1),
-        eq_nu2=ratio(tally.errors_nu2, tally.sent_nu2),
-    )
+    return _estimates(tally, _point, 0.0)
 
 
 @dataclass(frozen=True)
@@ -406,17 +411,11 @@ class KeyResult:
 
     @cached_property
     def efficiency(self) -> float:
-        """Ratio of `secure_bits` to the infinite-statistics key from the
-        same tally: the key with every interval at its point estimate and
-        no privacy-amplification penalty.  Computed on first read and kept,
-        so a caller that reads only the key length (the optimizer's
-        objective, `key_efficiency`) never pays for it."""
-        ref_bounds = decoy_bounds(point_estimates(self.tally), self.source)
-        ref_single, ref_leak, _ = _key_terms(self.tally, ref_bounds,
-                                             self.security, self.source)
-        reference = max(0.0, ref_single - ref_leak)
-        return (min(1.0, self.secure_bits / reference) if reference > 0
-                else 0.0)
+        """Ratio of `secure_bits` to `_infinite_key` of the same tally,
+        computed on first read and kept: a caller that reads only the key
+        length (the optimizer's objective, `key_efficiency`) never pays."""
+        reference = _infinite_key(self.tally, self.source, self.security)
+        return min(1.0, self.secure_bits / reference) if reference > 0 else 0.0
 
 
 def _key_terms(tally: PulseTally, bounds: DecoyBounds,
@@ -432,6 +431,15 @@ def _key_terms(tally: PulseTally, bounds: DecoyBounds,
         min(0.5, bounds.e_mu_upper))
     pa = math.log2(2.0 / (security.epsilon / 2.0))
     return single, leakage, pa
+
+
+def _infinite_key(tally: PulseTally, source: SourceConfig,
+                  security: SecurityConfig) -> float:
+    """Key bits from `tally` in the infinite-statistics limit: every
+    interval at its point estimate, no privacy-amplification penalty."""
+    single, leakage, _ = _key_terms(
+        tally, decoy_bounds(point_estimates(tally), source), security, source)
+    return max(0.0, single - leakage)
 
 
 def secure_key_length(tally: PulseTally, bounds: DecoyBounds,
@@ -474,42 +482,33 @@ def distill(tally: PulseTally, source: SourceConfig, security: SecurityConfig,
     return bounds, secure_key_length(tally, bounds, security, source)
 
 
+def _expected_counts(n_pulses: float, source: SourceConfig, link: LinkConfig,
+                     whole: Callable[[float], float]) -> PulseTally:
+    """Expected counts for n_pulses emitted on the drift-free channel, each
+    passed through `whole` before the next is derived from it."""
+    counts = []
+    for p_cls, (q, e) in zip((source.p_mu, source.p_nu1, source.p_nu2),
+                             class_rates(DriftState(), source, link)):
+        sent = whole(n_pulses * p_cls)
+        sifted = whole(sent * q * SIFTING)
+        counts.extend((sent, sifted, whole(sifted * e)))
+    return PulseTally(*counts)
+
+
 def asymptotic_rate(source: SourceConfig, link: LinkConfig,
                     security: SecurityConfig) -> float:
     """Secure bits per emitted pulse for an infinitely long session on the
-    drift-free channel (decoy bounds at their infinite-statistics point
-    estimates, statistical penalties gone)."""
-    (q_mu, e_mu), (q_nu1, e_nu1), (q_nu2, e_nu2) = class_rates(
-        DriftState(), source, link)
-    est = ChannelEstimates(
-        q_mu=BinomialBound(q_mu, q_mu),
-        e_mu=BinomialBound(e_mu, e_mu),
-        q_nu1=BinomialBound(q_nu1, q_nu1),
-        q_nu2=BinomialBound(q_nu2, q_nu2),
-        eq_nu1=BinomialBound(e_nu1 * q_nu1, e_nu1 * q_nu1),
-        eq_nu2=BinomialBound(e_nu2 * q_nu2, e_nu2 * q_nu2),
-    )
-    bounds = decoy_bounds(est, source)
-    q1 = source.mu * math.exp(-source.mu) * bounds.y1_lower
-    rate = SIFTING * source.p_mu * (
-        q1 * (1.0 - binary_entropy(bounds.e1_upper))
-        - security.ec_efficiency * q_mu * binary_entropy(e_mu)
-    )
-    return max(0.0, rate)
+    drift-free channel: the infinite-statistics key of one pulse's exact
+    expected counts."""
+    return _infinite_key(_expected_counts(1.0, source, link, float), source,
+                         security)
 
 
 def expectation_tally(n_pulses: float, source: SourceConfig,
                       link: LinkConfig) -> PulseTally:
     """Deterministic expected counts for n_pulses emitted on the drift-free
-    channel (no sampling)."""
-    counts = []
-    for p_cls, (q, e) in zip((source.p_mu, source.p_nu1, source.p_nu2),
-                             class_rates(DriftState(), source, link)):
-        sent = round(n_pulses * p_cls)
-        sifted = round(sent * q * SIFTING)
-        errors = round(sifted * e)
-        counts.extend((int(sent), int(sifted), int(errors)))
-    return PulseTally(*counts)
+    channel (no sampling), each rounded to a whole count."""
+    return _expected_counts(n_pulses, source, link, round)
 
 
 def efficiency_curve(budgets: Iterable[float], source: SourceConfig,
@@ -522,14 +521,12 @@ def efficiency_curve(budgets: Iterable[float], source: SourceConfig,
     if any(n <= 0 for n in budgets):
         raise ValueError("n_pulses must be > 0")
     rate = asymptotic_rate(source, link, security)
-    effs = []
-    for n_pulses in budgets:
-        _, result = distill(expectation_tally(n_pulses, source, link), source,
-                            security)
-        asymptotic = n_pulses * rate
-        effs.append(min(1.0, result.secure_bits / asymptotic)
-                    if asymptotic > 0 else 0.0)
-    return effs
+
+    def efficiency(n_pulses: float) -> float:
+        _, key = distill(expectation_tally(n_pulses, source, link), source,
+                         security)
+        return min(1.0, key.secure_bits / (n_pulses * rate))
+    return [efficiency(n) if n * rate > 0 else 0.0 for n in budgets]
 
 
 def key_efficiency(n_pulses: float, source: SourceConfig, link: LinkConfig,

@@ -2,10 +2,11 @@ import os
 
 import pytest
 
-from qkdsim import session
+from qkdsim import optimizer, session
 from qkdsim.channel import PulseTally
 from qkdsim.cli import (EXIT_CONFIG_FILE, EXIT_IO, EXIT_OK, EXIT_USAGE,
-                        EXIT_VALIDATION, MAX_POINTS, main, parse_command)
+                        EXIT_VALIDATION, MAX_POINTS, MAX_SWEEPS, main,
+                        parse_command)
 from qkdsim.config import DEFAULT_MISALIGNMENT, parse_config_text
 from qkdsim.finite_key import expectation_tally
 
@@ -431,10 +432,25 @@ def test_calibrate_rejects_non_finite_target(tmp_path, capsys, value):
 
 
 def test_optimize_rejects_negative_sweeps(tmp_path, capsys):
-    # the search rejects it after --out was opened: the directory goes too
     _assert_rejected(["optimize", "--out", str(tmp_path / "new"), "--sweeps",
                       "-1"], capsys, "sweeps must be >= 0")
     assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("sweeps", [str(MAX_SWEEPS + 1), "1000000000"])
+def test_optimize_rejects_sweeps_above_its_bound(tmp_path, capsys,
+                                                 monkeypatch, sweeps):
+    # rejected before the search starts: it would run for months
+    def unstarted(*args, **kwargs):
+        raise AssertionError("the search started")
+    monkeypatch.setattr(optimizer, "optimize_source", unstarted)
+    _assert_rejected(["optimize", "--out", str(tmp_path / "new"), "--sweeps",
+                      sweeps], capsys,
+                     f"--sweeps must be >= 0 and at most 1,000, got {sweeps}")
+    assert not (tmp_path / "new").exists()
+    with pytest.raises(SystemExit):
+        main(["optimize", "--help"])
+    assert "passes, 0 to 1,000" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flag,key", [("--duration", "duration"),

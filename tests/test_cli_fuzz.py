@@ -99,9 +99,11 @@ SPECIFIC = {
     "efficiency-curve": {"--min-pulses": PULSES, "--max-pulses": PULSES,
                          "--points": st.sampled_from(["-1", "0", "1", "3", "x",
                                                      "100000000000"])},
-    # sweeps stay small: one sweep is about 170 objective evaluations
+    # sweeps stay small: one sweep is about 170 objective evaluations, and
+    # a count above MAX_SWEEPS is rejected before the search starts
     "optimize": {"--n-pulses": PULSES,
-                 "--sweeps": st.sampled_from(["-1", "0", "1", "x"])},
+                 "--sweeps": st.sampled_from(["-1", "0", "1", "x",
+                                              "1000000000"])},
     "calibrate": {"--target-qber": _flag(st.floats(-0.1, 0.6).map(repr))},
 }
 
@@ -192,6 +194,8 @@ def run_cli(argv: list[str]) -> tuple[int, str]:
 @example((["keyrate", "--mu", "1e17"], True))
 @example((["keyrate", "--mu", "1e300", "--nu1", "1"], True))
 @example((["keyrate", "--epsilon", "1e-320"], True))
+# a sweep count that no search finishes within months
+@example((["optimize", "--sweeps=1000000000"], False))
 def test_cli_exits_with_a_documented_status(command):
     argv, out_of_range = command
     status, err = run_cli(argv)

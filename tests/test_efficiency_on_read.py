@@ -36,17 +36,33 @@ TALLIES = ["positive", "no-key", "no-sifted-signal"]
 
 
 def test_key_length_readers_never_build_the_reference(preset, monkeypatch):
-    def unread(*args, **kwargs):
-        raise AssertionError("the efficiency reference was built")
-    monkeypatch.setattr(finite_key, "point_estimates", unread)
+    # the infinite-statistics key is built once per efficiency grid, for
+    # one pulse's expected counts, and for a key's own tally only when its
+    # efficiency is read
+    built = []
+    infinite_key = finite_key._infinite_key
+
+    def counted(tally, *args):
+        built.append(tally)
+        return infinite_key(tally, *args)
+    monkeypatch.setattr(finite_key, "_infinite_key", counted)
+    one_pulse = finite_key._expected_counts(1.0, preset.source, preset.link,
+                                            float)
     assert optimizer.objective(preset.source, preset.link, preset.security,
                                N_PULSES) > 0
-    assert 0 < finite_key.key_efficiency(N_PULSES, preset.source, preset.link,
-                                         preset.security) <= 1
     _, key = distill(_tally("positive", preset), preset.source,
                      preset.security)
-    with pytest.raises(AssertionError, match="reference was built"):
-        key.efficiency
+    assert built == []
+    assert 0 < finite_key.key_efficiency(N_PULSES, preset.source, preset.link,
+                                         preset.security) <= 1
+    assert built == [one_pulse]
+    built.clear()
+    assert len(finite_key.efficiency_curve((1e10, N_PULSES), preset.source,
+                                           preset.link, preset.security)) == 2
+    assert built == [one_pulse]
+    built.clear()
+    assert key.efficiency == key.efficiency
+    assert built == [key.tally]
 
 
 @pytest.mark.parametrize("kind", TALLIES)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qkdsim import session
-from qkdsim.channel import DriftState
+from qkdsim.channel import DriftState, PulseTally
 from qkdsim.cli import EXIT_IO, EXIT_OK, main
 from qkdsim.config import (MAX_SESSION_STEPS, Config, ConfigError,
                            SecurityConfig, SimConfig, SourceConfig,
@@ -76,6 +76,19 @@ def test_summary_totals_consistent(short_session):
         s.total_secure_bits / 2400.0)
     assert 0.0 < s.mean_qber_signal < 0.5
     assert s.max_qber_signal >= s.mean_qber_signal
+
+
+def test_summary_qber_spans_every_step_and_the_rate_complete_windows(
+        short_session):
+    # the signal QBER's mean and max take in the 600 s tail that keys.csv
+    # drops; the mean secure rate is over the two complete windows
+    s, records = short_session.summary, short_session.records
+    windows = sum((r.tally for r in records), PulseTally())
+    assert f"{s.mean_qber_signal:.6g}" == "0.0387875"
+    assert f"{windows.errors_mu / windows.sifted_mu:.6g}" == "0.0387855"
+    qber_mu = short_session.telemetry[:, TelemetryRow._fields.index("qber_mu")]
+    assert s.max_qber_signal == np.nanmax(qber_mu)
+    assert s.mean_secure_rate_bps == s.total_secure_bits / 2400.0
 
 
 def test_telemetry_reports_observables_and_hidden_truth(short_session):
@@ -303,15 +316,30 @@ def test_zero_duration_session(preset):
 SPARSE = {"clock_rate": "100", "distill_interval": "120"}
 
 
-@pytest.mark.parametrize("steps", [0, 1, 4095, 4096, 4097, 9000])
-@pytest.mark.parametrize("overrides", [{}, {"stabilization_enabled": "false"},
-                                       SPARSE],
-                         ids=["loops-on", "loops-off", "sparse"])
+# The block these cases step in, in place of _BLOCK; each case is named by
+# the step count that stands at the same place among _BLOCK's boundaries
+# (4,096 steps).  One case keeps the real _BLOCK.
+SMALL_BLOCK = 64
+STREAMED = [
+    *(pytest.param(overrides, SMALL_BLOCK, steps, id=f"{name}-{real}")
+      for name, overrides in (("loops-on", {}),
+                              ("loops-off", {"stabilization_enabled": "false"}),
+                              ("sparse", SPARSE))
+      for steps, real in ((0, 0), (1, 1), (63, 4095), (64, 4096), (65, 4097),
+                          (140, 9000))),
+    pytest.param({}, session._BLOCK, session._BLOCK + 1,
+                 id="loops-on-4097-real-block"),
+]
+
+
+@pytest.mark.parametrize("overrides,block,steps", STREAMED)
 def test_streamed_outputs_equal_the_library_export(preset, tmp_path, capsys,
-                                                   steps, overrides):
+                                                   monkeypatch, overrides,
+                                                   block, steps):
     # simulate and a library call given `out` write the same files; the
     # telemetry streamed to disk reads back as the array of a run without
     # `out`, at the 9 significant digits written, empty where it holds NaN
+    monkeypatch.setattr(session, "_BLOCK", block)
     flags = [arg for key, value in overrides.items()
              for arg in ("--" + key.replace("_", "-"), value)]
     assert main(["simulate", "--out", str(tmp_path / "cli"), "--seed",
@@ -338,15 +366,17 @@ def test_streamed_outputs_equal_the_library_export(preset, tmp_path, capsys,
         (float(qber_mu.max()) if qber_mu.size else None)
 
 
-def test_simulate_memory_does_not_grow_with_duration(tmp_path, capsys):
+def test_simulate_memory_does_not_grow_with_duration(tmp_path, capsys,
+                                                     monkeypatch):
     # Tracing makes each step about ten times slower: a cheap session, whose
-    # telemetry rows are as wide as any other's.
+    # telemetry rows are as wide as any other's, in blocks of 256 steps.
+    monkeypatch.setattr(session, "_BLOCK", 256)
     argv = ["simulate", "--stabilization-enabled", "false", "--clock-rate",
             "100"]
     assert main([*argv, "--out", str(tmp_path / "warm"), "--duration",
                  "1200"]) == EXIT_OK  # first-call caches stay out of the peaks
     peaks = {}
-    for steps in (4500, 13000):
+    for steps in (600, 1800):
         gc.collect()  # garbage of earlier tests is no part of this peak
         tracemalloc.start()
         try:
@@ -356,18 +386,19 @@ def test_simulate_memory_does_not_grow_with_duration(tmp_path, capsys):
         finally:
             tracemalloc.stop()
     # a whole telemetry array would grow by 18 float64 cells a step
-    assert peaks[13000] - peaks[4500] < 0.5 * 18 * 8 * (13000 - 4500)
+    assert peaks[1800] - peaks[600] < 0.5 * 18 * 8 * (1800 - 600)
 
 
-def test_session_memory_does_not_grow_with_the_distillation_window(tmp_path,
-                                                                   capsys):
+def test_session_memory_does_not_grow_with_the_distillation_window(
+        tmp_path, capsys, monkeypatch):
     # A window's counts are summed as the session steps, so a session of a
     # fixed length peaks no higher with a window that never closes than
     # with many short ones.
+    monkeypatch.setattr(session, "_BLOCK", 256)
     argv = ["simulate", "--stabilization-enabled", "false"]
     assert main([*argv, "--out", str(tmp_path / "warm"), "--duration", "200",
                  "--distill-interval", "100"]) == EXIT_OK
-    steps, peaks = 2400, {}
+    steps, peaks = 600, {}
     for interval in (100, 2 * steps):
         gc.collect()  # garbage of earlier tests is no part of this peak
         tracemalloc.start()
