@@ -75,10 +75,13 @@ class PulseTally(NamedTuple):
     def __add__(self, other: "PulseTally") -> "PulseTally":
         return PulseTally._make(map(operator.add, self, other))
 
-    def check(self) -> None:
+    def check(self, where: str = "") -> None:
+        """Raise ValueError, its message prefixed by `where`, unless
+        errors <= sifted <= sent in every class."""
         for cls, s, d, e in zip(CLASSES, self[0::3], self[1::3], self[2::3]):
             if not 0 <= e <= d <= s:
-                raise ValueError(f"tally invariant violated for class {cls}: "
+                raise ValueError(f"{where}tally invariant violated for class "
+                                 f"{cls}: "
                                  f"sent={s} sifted={d} errors={e}")
 
 

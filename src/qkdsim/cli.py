@@ -9,7 +9,8 @@ Subcommands:
 
 Every configuration key is exposed both in the key=value config file and as
 a command-line override flag; overrides apply after the file, before
-validation.  All randomness flows from a single seed.
+validation.  Each command's own flags (`COMMAND_FLAGS`) are declared, parsed
+and checked as the keys are.  All randomness flows from a single seed.
 
 Exit status: 0 success, 2 usage, 3 unreadable config or input file,
 4 configuration or input validation error, 5 output I/O failure.
@@ -24,7 +25,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import channel, config as config_mod, finite_key, optimizer, session
-from .config import Config, ConfigError
+from .config import Config, ConfigError, ConfigKey, Range
 
 __all__ = ["parse_command", "dispatch", "main"]
 
@@ -42,7 +43,34 @@ MAX_POINTS = 10**5
 # even once the search has converged (2-vCPU Xeon), so 1,000 take 5 s.
 MAX_SWEEPS = 1000
 
+# Each command's own flags, declared, parsed, checked and listed by --help
+# as the configuration keys are.  A pulse budget is at most MAX_PULSES.
+_PULSES = Range(0.0, config_mod.MAX_PULSES, "(]")
+_N_PULSES = ConfigKey("--n-pulses", 1.2e12, float, "pulses", _PULSES)
+COMMAND_FLAGS = {
+    "simulate": (), "keyrate": (_N_PULSES,),
+    "efficiency-curve": (
+        ConfigKey("--min-pulses", 1e9, float, "pulses", _PULSES),
+        ConfigKey("--max-pulses", 1e15, float, "pulses", _PULSES),
+        ConfigKey("--points", 20, int, "grid points",
+                  Range(1, MAX_POINTS, "[]"))),
+    "optimize": (_N_PULSES, ConfigKey("--sweeps", 5, int,
+                                      "coordinate-descent passes",
+                                      Range(0, MAX_SWEEPS, "[]"))),
+    "calibrate": (ConfigKey("--target-qber", 0.0385, float, "probability",
+                            Range(0.0, 0.5, "[]")),),
+}
+
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
+def _add_input(parser, key: ConfigKey, *flags: str, dest=None, default=None):
+    """Add the flags of a configuration key or a command flag: a value given
+    stays text until `_load_config` parses it, one not given is `default`."""
+    parser.add_argument(*flags, dest=dest, default=default,
+                        metavar=key.type.__name__.upper(),
+                        help=f"{key.unit}, {key.range} "
+                             f"(default: {key.default})")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,9 +79,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simulate a continuously stabilized decoy-state BB84 link "
                     "and distill finite-size secure keys.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name: str, run, **kwargs) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, **kwargs)
+    for name, run, about in (
+            ("simulate", _run_simulate, "run a closed-loop session"),
+            ("keyrate", _run_keyrate, "distill a single window"),
+            ("efficiency-curve", _run_efficiency_curve,
+             "key-extraction efficiency vs. pulse count"),
+            ("optimize", _run_optimize, "optimize source parameters"),
+            ("calibrate", _run_calibrate,
+             "solve intrinsic misalignment for a target QBER")):
+        p = sub.add_parser(name, help=about)
         # argparse's own pattern has no exponent in some Python releases:
         # it would take "-1e6" for an option rather than a value
         p._negative_number_matcher = _NEGATIVE_NUMBER
@@ -62,43 +96,18 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="key=value configuration file (all keys optional)")
         p.add_argument("--out", metavar="DIR", default=".",
                        help="output directory (default: current directory)")
-        p.add_argument("--seed", type=int,
-                       help="RNG seed; overrides the rng_seed key")
         for key in config_mod.config_keys():
-            p.add_argument("--" + key.name.replace("_", "-"),
-                           dest=f"key_{key.name}",
-                           metavar=key.type.__name__.upper(),
-                           help=f"{key.unit}, {key.range} "
-                                f"(default: {key.default})")
-        return p
-
-    add("simulate", _run_simulate, help="run a closed-loop session")
-
-    p = add("keyrate", _run_keyrate, help="distill a single window")
-    p = p.add_mutually_exclusive_group()  # --n-pulses or --tally-file
-    p.add_argument("--n-pulses", type=float, default=1.2e12,
-                   help="pulse budget for expectation tallies (default: 1.2e12)")
-    p.add_argument("--tally-file", metavar="FILE",
-                   help="key=value counts (sent_mu, sifted_mu, errors_mu, ...) "
-                        "used instead of expectation tallies")
-
-    p = add("efficiency-curve", _run_efficiency_curve,
-            help="key-extraction efficiency vs. pulse count")
-    p.add_argument("--min-pulses", type=float, default=1e9)
-    p.add_argument("--max-pulses", type=float, default=1e15)
-    p.add_argument("--points", type=int, default=20,
-                   help=f"grid points, 1 to {MAX_POINTS:,} (default: 20)")
-
-    p = add("optimize", _run_optimize, help="optimize source parameters")
-    p.add_argument("--n-pulses", type=float, default=1.2e12,
-                   help="pulse budget of the finite-size objective")
-    p.add_argument("--sweeps", type=int, default=5,
-                   help=f"coordinate-descent passes, 0 to {MAX_SWEEPS:,} "
-                        "(default: 5)")
-
-    p = add("calibrate", _run_calibrate,
-            help="solve intrinsic misalignment for a target QBER")
-    p.add_argument("--target-qber", type=float, default=0.0385)
+            _add_input(p, key, "--" + key.name.replace("_", "-"),
+                       *(["--seed"] if key.name == "rng_seed" else []),
+                       dest=f"key_{key.name}")
+        if name == "keyrate":   # --n-pulses or --tally-file
+            p = p.add_mutually_exclusive_group()
+            p.add_argument("--tally-file", metavar="FILE",
+                           help="key=value counts (sent_mu, sifted_mu, "
+                                "errors_mu, ...) used instead of expectation "
+                                "tallies")
+        for key in COMMAND_FLAGS[name]:
+            _add_input(p, key, key.name, default=key.default)
     return parser
 
 
@@ -114,24 +123,28 @@ def parse_command(argv: list[str]) -> argparse.Namespace:
 
 
 def _load_config(req: argparse.Namespace) -> Config:
-    if req.config is not None:
-        cfg = config_mod.load_config_file(req.config)
-    else:
-        cfg = Config()
-    cfg = config_mod.apply_overrides(cfg, req.overrides)
-    if req.seed is not None:
-        cfg = replace(cfg, sim=replace(cfg.sim, rng_seed=req.seed))
-    return cfg.validated()
+    """Parse and check the request's command flags in place and return its
+    validated configuration: ConfigError or _UnreadableInputError if bad."""
+    flags = {key.name[2:].replace("-", "_"): key   # argparse's dest
+             for key in COMMAND_FLAGS[req.subcommand]}
+    for dest, key in flags.items():
+        setattr(req, dest, key.parse(str(getattr(req, dest))))
+    problems = [key.out_of_range(value) for dest, key in flags.items()
+                if (value := getattr(req, dest)) not in key.range]
+    if problems:
+        raise ConfigError(problems)
+    try:
+        cfg = (Config() if req.config is None
+               else config_mod.load_config_file(req.config))
+    except OSError as exc:
+        raise _UnreadableInputError(f"cannot read config: {exc}") from exc
+    return config_mod.apply_overrides(cfg, req.overrides).validated()
 
 
 def _check_pulses(flag: str, value: float,
                   source: config_mod.SourceConfig) -> None:
-    """Reject a pulse budget above MAX_PULSES, or whose expectation tally
-    leaves a class without pulses (each class gets round(value * p_class)
-    of them)."""
-    if not 0.0 < value <= config_mod.MAX_PULSES:
-        raise ValueError(f"{flag} must be a positive finite pulse count of at "
-                         f"most {config_mod.MAX_PULSES:g}, got {value:.9g}")
+    """Reject a pulse budget whose expectation tally leaves a class without
+    pulses (each class gets round(value * p_class) of them)."""
     for cls in channel.CLASSES:
         p = getattr(source, f"p_{cls}")
         if round(value * p) < 1:
@@ -140,7 +153,7 @@ def _check_pulses(flag: str, value: float,
 
 
 class _UnreadableInputError(Exception):
-    """An input file named on the command line could not be read."""
+    """A config or input file named on the command line could not be read."""
 
 
 def _read_tally_file(path: str) -> channel.PulseTally:
@@ -167,7 +180,7 @@ def _read_tally_file(path: str) -> channel.PulseTally:
     if missing:
         raise ValueError(f"{path}: missing tally keys: {', '.join(missing)}")
     tally = channel.PulseTally(**counts)
-    tally.check()
+    tally.check(f"{path}: ")
     for cls, sent in zip(channel.CLASSES, tally[0::3]):
         if sent == 0:
             raise ValueError(f"{path}: class {cls} has no pulses (sent_{cls} = 0)")
@@ -204,9 +217,6 @@ def _run_efficiency_curve(req: argparse.Namespace, cfg: Config) -> None:
     _check_pulses("--max-pulses", req.max_pulses, cfg.source)
     if req.min_pulses > req.max_pulses:
         raise ValueError("--min-pulses must not exceed --max-pulses")
-    if not 1 <= req.points <= MAX_POINTS:
-        raise ValueError(f"--points must be >= 1 and at most {MAX_POINTS:,}, "
-                         f"got {req.points}")
     grid = np.logspace(np.log10(req.min_pulses), np.log10(req.max_pulses),
                        req.points).tolist()
     with session.write_outputs(req.out, ("efficiency_curve.csv",)) as files:
@@ -220,9 +230,6 @@ def _run_efficiency_curve(req: argparse.Namespace, cfg: Config) -> None:
 
 def _run_optimize(req: argparse.Namespace, cfg: Config) -> None:
     _check_pulses("--n-pulses", req.n_pulses, cfg.source)
-    if not 0 <= req.sweeps <= MAX_SWEEPS:
-        raise ValueError(f"--sweeps must be >= 0 and at most {MAX_SWEEPS:,}, "
-                         f"got {req.sweeps}")
     with session.write_outputs(req.out, ("optimize.txt",
                                          "best_config.cfg")) as files:
         result = optimizer.optimize_source(
@@ -256,16 +263,7 @@ def _run_calibrate(req: argparse.Namespace, cfg: Config) -> None:
 def dispatch(request: argparse.Namespace) -> int:
     """Execute a parsed request; returns the process exit status."""
     try:
-        cfg = _load_config(request)
-    except ConfigError as exc:
-        print(f"qkdsim: configuration error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"qkdsim: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_FILE
-
-    try:
-        request.run(request, cfg)
+        request.run(request, _load_config(request))
     except (_UnreadableInputError, OSError, ValueError) as exc:
         print(f"qkdsim: {exc}", file=sys.stderr)
         if isinstance(exc, _UnreadableInputError):

@@ -50,6 +50,9 @@ MAX_PULSES = 1e15
 # returns without `out` holds 18 float64 cells per step, so this bounds it
 # at 1.44 GB; the 36 h default is 129,600 steps.
 MAX_SESSION_STEPS = 10**7
+# The texts of a boolean key's values.
+_BOOLEANS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
+             **dict.fromkeys(("false", "0", "no", "off"), False)}
 
 
 class ConfigError(ValueError):
@@ -215,14 +218,8 @@ class Config:
         """Check every key against its declared range and the rules that
         join keys; return self unchanged or raise ConfigError naming every
         violation.  A session's counts are checked by `session_steps`."""
-        problems = []
-        for key in _KEYS.values():
-            value = key.value(self)
-            if value not in key.range:
-                finite = ("finite and " if value != value
-                          or value in (math.inf, -math.inf) else "")
-                problems.append(f"{key.name} must be {finite}{key.range} "
-                                f"({key.unit}), got {value!r}")
+        problems = [key.out_of_range(value) for key in _KEYS.values()
+                    if (value := key.value(self)) not in key.range]
         source, sim = self.source, self.sim
         if not source.mu > source.nu1:
             problems.append("mu must exceed nu1")
@@ -277,21 +274,42 @@ class Config:
 
 
 class ConfigKey(NamedTuple):
-    """One configuration key, as its dataclass field declares it."""
+    """One declared input: a configuration key, as its dataclass field
+    declares it, or a command's own flag, which is read the same way."""
 
     name: str
-    section: str    # the attribute of its section on Config
     default: Any
     type: type
     unit: str
     range: Range
+    section: str = ""   # the attribute of its section on Config, if a key
 
     def value(self, config: Config) -> Any:
         return getattr(getattr(config, self.section), self.name)
 
+    def parse(self, raw: str) -> Any:
+        """The value that `raw` is the text of; ConfigError if it is none."""
+        raw = raw.strip()
+        try:
+            return (_BOOLEANS[raw.lower()] if self.type is bool
+                    else self.type(raw))
+        except (KeyError, ValueError):
+            kind = {bool: "a boolean", int: "an integer"}.get(self.type,
+                                                             "a number")
+            raise ConfigError([f"{self.name} must be {kind}, got {raw!r}"]) \
+                from None
 
-_KEYS = {f.name: ConfigKey(f.name, section.name, f.default, type(f.default),
-                           f.metadata["unit"], f.metadata["range"])
+    def out_of_range(self, value: Any) -> str:
+        """The message that rejects `value`, which is outside the range."""
+        finite = ("finite and " if value != value
+                  or value in (math.inf, -math.inf) else "")
+        return (f"{self.name} must be {finite}{self.range} ({self.unit}), "
+                f"got {value!r}")
+
+
+_KEYS = {f.name: ConfigKey(f.name, f.default, type(f.default),
+                           f.metadata["unit"], f.metadata["range"],
+                           section.name)
          for section in fields(Config) for f in fields(section.default)}
 
 
@@ -309,22 +327,6 @@ def steps_per(interval: float, dt: float) -> int:
 # Flat key=value configuration file support.
 # ---------------------------------------------------------------------------
 
-def _coerce(key: str, raw: str) -> Any:
-    typ = _KEYS[key].type
-    raw = raw.strip()
-    if typ is bool:
-        if raw.lower() in ("true", "1", "yes", "on"):
-            return True
-        if raw.lower() in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError([f"{key} must be a boolean, got {raw!r}"])
-    try:
-        return typ(raw)
-    except ValueError:
-        kind = "an integer" if typ is int else "a number"
-        raise ConfigError([f"{key} must be {kind}, got {raw!r}"]) from None
-
-
 def apply_overrides(config: Config, overrides: dict[str, Any]) -> Config:
     """Layer key -> value overrides onto a Config; unknown keys are an error.
     Each value is parsed from its text, as a config file line would be."""
@@ -333,8 +335,8 @@ def apply_overrides(config: Config, overrides: dict[str, Any]) -> Config:
         raise ConfigError([f"unknown configuration key: {k}" for k in unknown])
     per_section: dict[str, dict[str, Any]] = {}
     for key, value in overrides.items():
-        per_section.setdefault(_KEYS[key].section, {})[key] = _coerce(
-            key, str(value))
+        per_section.setdefault(_KEYS[key].section, {})[key] = \
+            _KEYS[key].parse(str(value))
     for section, kv in per_section.items():
         config = replace(config, **{section: replace(getattr(config, section), **kv)})
     return config

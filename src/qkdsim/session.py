@@ -17,6 +17,7 @@ written to telemetry.csv as an empty field.
 """
 from __future__ import annotations
 
+import io
 import math
 import struct
 import subprocess
@@ -100,8 +101,8 @@ _WIDTH = len(TelemetryRow._fields)
 # leaves the absent cells empty.
 _TELEMETRY_LINE = ",".join(["%.9g"] * _WIDTH) + "\n"
 # Steps run as one block: their environment draws are made at once and their
-# telemetry rows are kept as tuples until the block is sent to the writer
-# (or copied into the array), so its size bounds the memory both take.
+# telemetry rows are kept as tuples until the block is packed as raw doubles,
+# so its size bounds the memory both take.
 _BLOCK = 4096
 # The writer of a streamed session's telemetry.csv: stdlib only, so that it
 # starts in about 20 ms, while the first block steps.  Its stdin carries
@@ -197,7 +198,9 @@ def run_session(config: Config, duration: float | None = None,
         config = replace(config, sim=replace(config.sim, rng_seed=seed))
     n_steps = config.validated().session_steps()
     if out is None:
-        return _run(config, n_steps, None)
+        result = _run(config, n_steps, raw := io.BytesIO())
+        return replace(result, telemetry=np.frombuffer(
+            raw.getbuffer()).reshape(n_steps, _WIDTH))
     with write_outputs(out, SESSION_FILES) as files:
         with _telemetry_writer(files["telemetry.csv"]) as writer:
             result = _run(config, n_steps, writer)
@@ -242,9 +245,9 @@ def _telemetry_writer(telemetry_csv: TextIO) -> Iterator[BinaryIO]:
 
 
 def _run(config: Config, n_steps: int,
-         telemetry_out: BinaryIO | None) -> SessionResult:
-    """Step a session, sending its telemetry rows to `telemetry_out` if
-    given, as `_telemetry_writer` reads them."""
+         telemetry_out: BinaryIO) -> SessionResult:
+    """Step a session, writing its telemetry rows to `telemetry_out` block by
+    block as native doubles, as `_telemetry_writer` reads them."""
     source, link, security, sim = (config.source, config.link,
                                    config.security, config.sim)
     control = config.control
@@ -267,8 +270,6 @@ def _run(config: Config, n_steps: int,
     intensity_every = steps_per(control.intensity_interval, dt)
     window_steps = steps_per(security.distill_interval, dt)
 
-    telemetry = (np.empty((n_steps, _WIDTH)) if telemetry_out is None
-                 else None)
     records: list[SecureKeyRecord] = []
     # This window's step tallies, folded into their sum every 64 steps so that
     # memory does not grow with the window; a sum kept every step costs 1 us.
@@ -329,11 +330,8 @@ def _run(config: Config, n_steps: int,
                 records.append(distill_window(
                     window.pop(), config,
                     (i + 1 - window_steps) * dt, (i + 1) * dt))
-        if telemetry is not None:
-            telemetry[start:start + len(rows)] = rows
-        else:
-            telemetry_out.write(struct.pack(f"{len(rows) * _WIDTH}d",
-                                            *chain.from_iterable(rows)))
+        telemetry_out.write(struct.pack(f"{len(rows) * _WIDTH}d",
+                                        *chain.from_iterable(rows)))
 
     total_bits = sum(r.key.secure_bits for r in records)
     window_time = len(records) * window_steps * dt
@@ -348,7 +346,7 @@ def _run(config: Config, n_steps: int,
                           if total.sifted_mu > 0 else None),
         max_qber_signal=max_qber if max_qber > -math.inf else None,
     )
-    return SessionResult(telemetry=telemetry, records=records, summary=summary)
+    return SessionResult(telemetry=None, records=records, summary=summary)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +359,6 @@ def _fmt(value: float | int | None) -> str:
     if isinstance(value, int):
         return str(value)
     return f"{value:.9g}"
-
 
 
 def format_summary(summary: SessionSummary) -> str:

@@ -14,7 +14,7 @@ import pytest
 from scipy import special
 
 from qkdsim.channel import DriftState, class_rates, expected_rates, sample_tally
-from qkdsim.config import SecurityConfig, SimConfig, SourceConfig
+from qkdsim.config import SimConfig, SourceConfig
 from qkdsim.finite_key import (BinomialBound, ChannelEstimates, asymptotic_rate,
                                clopper_pearson, decoy_bounds, estimate_channel,
                                key_efficiency)

@@ -3,19 +3,18 @@ import os
 import pytest
 
 from qkdsim import optimizer, session
-from qkdsim.channel import PulseTally
-from qkdsim.cli import (EXIT_CONFIG_FILE, EXIT_IO, EXIT_OK, EXIT_USAGE,
-                        EXIT_VALIDATION, MAX_POINTS, MAX_SWEEPS, main,
-                        parse_command)
-from qkdsim.config import DEFAULT_MISALIGNMENT, parse_config_text
+from qkdsim.cli import (COMMAND_FLAGS, EXIT_CONFIG_FILE, EXIT_IO, EXIT_OK,
+                        EXIT_USAGE, EXIT_VALIDATION, MAX_POINTS, MAX_SWEEPS,
+                        main, parse_command)
+from qkdsim.config import DEFAULT_MISALIGNMENT, config_keys, parse_config_text
 from qkdsim.finite_key import expectation_tally
 
 
 def test_parse_simulate_with_session_overrides():
+    # --seed is the second spelling of --rng-seed
     req = parse_command(["simulate", "--duration", "129600", "--seed", "7"])
     assert req.subcommand == "simulate"
-    assert req.overrides == {"duration": "129600"}
-    assert req.seed == 7
+    assert req.overrides == {"duration": "129600", "rng_seed": "7"}
 
 
 def test_parse_requires_subcommand():
@@ -165,12 +164,15 @@ def test_keyrate_from_tally_file(tmp_path, capsys, preset):
     assert from_file == from_expectation
 
 
-def test_keyrate_rejects_inconsistent_tally(tmp_path, capsys):
-    bad = tmp_path / "bad.txt"
-    bad.write_text("sent_mu = 10\nsifted_mu = 20\n")
-    status = main(["keyrate", "--out", str(tmp_path),
-                   "--tally-file", str(bad)])
-    assert status == EXIT_VALIDATION
+def test_keyrate_rejects_inconsistent_tally(tmp_path, capsys, preset):
+    bad = _write_tally(tmp_path / "bad.txt", preset,
+                       extra=["sent_mu = 100", "sifted_mu = 200",
+                              "errors_mu = 1"],
+                       drop=["sent_mu", "sifted_mu", "errors_mu"])
+    _assert_rejected(["keyrate", "--out", str(tmp_path), "--tally-file",
+                      str(bad)], capsys,
+                     f"{bad}: tally invariant violated for class mu: "
+                     f"sent=100 sifted=200 errors=1")
     assert not (tmp_path / "keyrate.csv").exists()
 
 
@@ -351,6 +353,41 @@ def test_malformed_number_names_the_kind_expected(tmp_path, capsys, flag,
                      capsys, message)
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["keyrate", "--n-pulses", "x"], "--n-pulses must be a number, got 'x'"),
+    (["optimize", "--sweeps", "1.5"],
+     "--sweeps must be an integer, got '1.5'"),
+    (["efficiency-curve", "--points", "2e3"],
+     "--points must be an integer, got '2e3'"),
+    (["calibrate", "--target-qber", ""],
+     "--target-qber must be a number, got ''"),
+])
+def test_malformed_command_flag_exits_with_validation_status(
+        tmp_path, capsys, argv, message):
+    # argparse's own type check exited 2, with a message of its own
+    _assert_rejected([*argv, "--out", str(tmp_path / "out")], capsys, message)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["x", "1.5", "-1"])
+def test_seed_is_a_second_spelling_of_rng_seed(tmp_path, capsys, value):
+    errors = []
+    for flag in ("--seed", "--rng-seed"):
+        assert main(["simulate", "--out", str(tmp_path), "--duration", "10",
+                     f"{flag}={value}"]) == EXIT_VALIDATION
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and "rng_seed must be" in errors[0]
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_help_lists_every_flag_with_its_unit_and_range(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    for key in [*config_keys(), *COMMAND_FLAGS[command]]:
+        assert f"{key.unit}, {key.range} (default: {key.default})" in out
+
+
 def _write_tally(path, preset, extra=(), drop=()):
     tally = expectation_tally(1.2e12, preset.source, preset.link)
     lines = [f"{name} = {getattr(tally, name)}"
@@ -388,7 +425,9 @@ def test_keyrate_rejects_missing_tally_key(tmp_path, capsys, preset):
 @pytest.mark.parametrize("points", ["0", "-3"])
 def test_efficiency_curve_rejects_non_positive_points(tmp_path, capsys, points):
     _assert_rejected(["efficiency-curve", "--out", str(tmp_path),
-                      "--points", points], capsys, "--points must be >= 1")
+                      "--points", points], capsys,
+                     f"--points must be in [1, 100000] (grid points), "
+                     f"got {points}")
     assert not (tmp_path / "efficiency_curve.csv").exists()
 
 
@@ -399,11 +438,13 @@ def test_efficiency_curve_rejects_points_above_its_bound(tmp_path, capsys,
     # numpy could not allocate the grid, or named no flag in its message
     _assert_rejected(["efficiency-curve", "--out", str(tmp_path / "out"),
                       "--points", points], capsys,
-                     f"--points must be >= 1 and at most 100,000, got {points}")
+                     f"--points must be in [1, 100000] (grid points), "
+                     f"got {points}")
     assert not (tmp_path / "out").exists()
     with pytest.raises(SystemExit):
         main(["efficiency-curve", "--help"])
-    assert "grid points, 1 to 100,000" in capsys.readouterr().out
+    assert "grid points, in [1, 100000] (default: 20)" in " ".join(
+        capsys.readouterr().out.split())
 
 
 def test_efficiency_curve_rejects_reversed_range(tmp_path, capsys):
@@ -417,9 +458,11 @@ def test_efficiency_curve_rejects_reversed_range(tmp_path, capsys):
                                         ("--max-pulses", "inf")])
 def test_efficiency_curve_rejects_non_positive_pulses(tmp_path, capsys, flag,
                                                       value):
+    finite = "finite and " if value == "inf" else ""
     _assert_rejected(["efficiency-curve", "--out", str(tmp_path),
                       f"{flag}={value}"], capsys,
-                     f"{flag} must be a positive finite pulse count")
+                     f"{flag} must be {finite}in (0, 1e+15] (pulses), "
+                     f"got {float(value)!r}")
 
 
 @pytest.mark.parametrize("value", ["nan", "-inf"])
@@ -427,13 +470,15 @@ def test_calibrate_rejects_non_finite_target(tmp_path, capsys, value):
     # every comparison with NaN is false: the check must be written to fail it
     _assert_rejected(["calibrate", "--out", str(tmp_path),
                       f"--target-qber={value}"], capsys,
-                     f"target QBER {value} unreachable on this link")
+                     f"--target-qber must be finite and in [0, 0.5] "
+                     f"(probability), got {value}")
     assert not (tmp_path / "calibrated.cfg").exists()
 
 
 def test_optimize_rejects_negative_sweeps(tmp_path, capsys):
     _assert_rejected(["optimize", "--out", str(tmp_path / "new"), "--sweeps",
-                      "-1"], capsys, "sweeps must be >= 0")
+                      "-1"], capsys, "--sweeps must be in [0, 1000] "
+                                     "(coordinate-descent passes), got -1")
     assert not (tmp_path / "new").exists()
 
 
@@ -446,11 +491,13 @@ def test_optimize_rejects_sweeps_above_its_bound(tmp_path, capsys,
     monkeypatch.setattr(optimizer, "optimize_source", unstarted)
     _assert_rejected(["optimize", "--out", str(tmp_path / "new"), "--sweeps",
                       sweeps], capsys,
-                     f"--sweeps must be >= 0 and at most 1,000, got {sweeps}")
+                     f"--sweeps must be in [0, 1000] (coordinate-descent "
+                     f"passes), got {sweeps}")
     assert not (tmp_path / "new").exists()
     with pytest.raises(SystemExit):
         main(["optimize", "--help"])
-    assert "passes, 0 to 1,000" in capsys.readouterr().out
+    assert "coordinate-descent passes, in [0, 1000] (default: 5)" in " ".join(
+        capsys.readouterr().out.split())
 
 
 @pytest.mark.parametrize("flag,key", [("--duration", "duration"),
@@ -522,13 +569,11 @@ def test_keyrate_rejects_tally_without_pulses(tmp_path, capsys, preset):
 
 @pytest.mark.parametrize("argv,message", [
     (["keyrate", "--n-pulses=1e300"],
-     "--n-pulses must be a positive finite pulse count of at most 1e+15, "
-     "got 1e+300"),
+     "--n-pulses must be in (0, 1e+15] (pulses), got 1e+300"),
     (["optimize", "--n-pulses=1.000001e15"],
-     "--n-pulses must be a positive finite pulse count of at most 1e+15, "
-     "got 1.000001e+15"),
+     "--n-pulses must be in (0, 1e+15] (pulses), got 1000001000000000.0"),
     (["efficiency-curve", "--max-pulses=1e16"],
-     "--max-pulses must be a positive finite pulse count of at most 1e+15"),
+     "--max-pulses must be in (0, 1e+15] (pulses), got 1e+16"),
 ])
 def test_pulse_budget_above_max_pulses_rejected_before_any_work(
         tmp_path, capsys, monkeypatch, argv, message):

@@ -1,6 +1,5 @@
 import dataclasses
 import gc
-import math
 import os
 import signal
 import subprocess
