@@ -81,8 +81,7 @@ class PulseTally(NamedTuple):
         for cls, s, d, e in zip(CLASSES, self[0::3], self[1::3], self[2::3]):
             if not 0 <= e <= d <= s:
                 raise ValueError(f"{where}tally invariant violated for class "
-                                 f"{cls}: "
-                                 f"sent={s} sifted={d} errors={e}")
+                                 f"{cls}: sent={s} sifted={d} errors={e}")
 
 
 def channel_transmittance(loss_coefficient: float, fiber_length: float) -> float:
