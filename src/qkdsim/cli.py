@@ -10,7 +10,10 @@ Subcommands:
 Every configuration key is exposed both in the key=value config file and as
 a command-line override flag; overrides apply after the file, before
 validation.  Each command's own flags (`COMMAND_FLAGS`) are declared, parsed
-and checked as the keys are.  All randomness flows from a single seed.
+and checked as the keys are.  A call builds the arguments of the one
+subcommand it names; the others get only their name and help line, which
+`qkdsim --help` and the unknown-command error list.  All randomness flows
+from a single seed.
 
 Exit status: 0 success, 2 usage, 3 unreadable config or input file,
 4 configuration or input validation error, 5 output I/O failure.
@@ -73,7 +76,9 @@ def _add_input(parser, key: ConfigKey, *flags: str, dest=None, default=None):
                              f"(default: {key.default})")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of every subcommand's name and help line, with the
+    arguments of `command` alone: the others are never parsed."""
     parser = argparse.ArgumentParser(
         prog="qkdsim",
         description="Simulate a continuously stabilized decoy-state BB84 link "
@@ -88,6 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
             ("calibrate", _run_calibrate,
              "solve intrinsic misalignment for a target QBER")):
         p = sub.add_parser(name, help=about)
+        if name != command:
+            continue
         # argparse's own pattern has no exponent in some Python releases:
         # it would take "-1e6" for an option rather than a value
         p._negative_number_matcher = _NEGATIVE_NUMBER
@@ -114,8 +121,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def parse_command(argv: list[str]) -> argparse.Namespace:
     """Parse an argument list into the subcommand's namespace, with its
     runner as `run` and the configuration flags given as `overrides` (raises
-    SystemExit(2) on usage errors, matching argparse conventions)."""
-    req = _build_parser().parse_args(argv)
+    SystemExit(2) on usage errors, matching argparse conventions).  Only
+    the subcommand named by the first positional argument gets its
+    arguments built."""
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    req = _build_parser(command).parse_args(argv)
     req.overrides = {key.name: getattr(req, f"key_{key.name}")
                      for key in config_mod.config_keys()
                      if getattr(req, f"key_{key.name}") is not None}

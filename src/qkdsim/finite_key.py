@@ -47,8 +47,9 @@ import math
 import threading
 from array import array
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from scipy.special import cython_special as special
 
@@ -82,8 +83,7 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-@dataclass(frozen=True)
-class BinomialBound:
+class BinomialBound(NamedTuple):
     """Two-sided confidence interval on a binomial success probability."""
 
     lower: float
@@ -277,11 +277,10 @@ def clopper_pearson(successes: int, trials: int,
         upper = _tail_endpoint(special.betaincc, float(k + 1), float(n - k),
                                estimate, center + width, 1.0, half,
                                w_target, h_half)
-    return BinomialBound(lower=lower, upper=upper)
+    return BinomialBound(lower, upper)
 
 
-@dataclass(frozen=True)
-class ChannelEstimates:
+class ChannelEstimates(NamedTuple):
     """Confidence intervals on per-class gains Q_c and decoy error gains
     E_c*Q_c (probabilities per sent pulse, sifting undone), and on the signal
     error rate E_mu (per sifted bit)."""
@@ -296,13 +295,13 @@ class ChannelEstimates:
 
 # One distillation spends epsilon/2 on privacy amplification and splits the
 # other half equally across the intervals that estimate_channel returns.
-N_BOUND_CALLS = len(fields(ChannelEstimates))
+N_BOUND_CALLS = len(ChannelEstimates._fields)
 
 
 def _doubled(b: BinomialBound) -> BinomialBound:
     # Sifted counts are binomial in Q * SIFTING per sent pulse; scale back to Q.
-    return BinomialBound(lower=min(1.0, b.lower / SIFTING),
-                         upper=min(1.0, b.upper / SIFTING))
+    return BinomialBound(min(1.0, b.lower / SIFTING),
+                         min(1.0, b.upper / SIFTING))
 
 
 def _estimates(tally: PulseTally,
@@ -311,12 +310,12 @@ def _estimates(tally: PulseTally,
     """Which counts bound which estimate: `interval(k, n, eps)` on each
     field's k of n, the gains scaled back from sifted counts to Q."""
     return ChannelEstimates(
-        q_mu=_doubled(interval(tally.sifted_mu, tally.sent_mu, eps)),
-        e_mu=interval(tally.errors_mu, tally.sifted_mu, eps),
-        q_nu1=_doubled(interval(tally.sifted_nu1, tally.sent_nu1, eps)),
-        q_nu2=_doubled(interval(tally.sifted_nu2, tally.sent_nu2, eps)),
-        eq_nu1=_doubled(interval(tally.errors_nu1, tally.sent_nu1, eps)),
-        eq_nu2=_doubled(interval(tally.errors_nu2, tally.sent_nu2, eps)),
+        _doubled(interval(tally.sifted_mu, tally.sent_mu, eps)),      # q_mu
+        interval(tally.errors_mu, tally.sifted_mu, eps),              # e_mu
+        _doubled(interval(tally.sifted_nu1, tally.sent_nu1, eps)),    # q_nu1
+        _doubled(interval(tally.sifted_nu2, tally.sent_nu2, eps)),    # q_nu2
+        _doubled(interval(tally.errors_nu1, tally.sent_nu1, eps)),    # eq_nu1
+        _doubled(interval(tally.errors_nu2, tally.sent_nu2, eps)),    # eq_nu2
     )
 
 
@@ -349,8 +348,7 @@ def point_estimates(tally: PulseTally) -> ChannelEstimates:
     return _estimates(tally, _point, 0.0)
 
 
-@dataclass(frozen=True)
-class DecoyBounds:
+class DecoyBounds(NamedTuple):
     """Single-photon characterization from the decoy classes, with the
     signal-class endpoints the key length needs."""
 
@@ -390,9 +388,8 @@ def decoy_bounds(estimates: ChannelEstimates, source: SourceConfig) -> DecoyBoun
             e1 = (estimates.eq_nu1.upper * e_nu1
                   - estimates.eq_nu2.lower * e_nu2) / ((nu1 - nu2) * y1_lower)
             e1_upper = min(0.5, max(0.0, e1))
-    return DecoyBounds(y1_lower=y1_lower, e1_upper=e1_upper, y0_lower=y0_lower,
-                       q_mu_upper=estimates.q_mu.upper,
-                       e_mu_upper=estimates.e_mu.upper)
+    return DecoyBounds(y1_lower, e1_upper, y0_lower, estimates.q_mu.upper,
+                       estimates.e_mu.upper)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ distinct interval once; the memo ends with the search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from . import finite_key
@@ -61,7 +61,7 @@ class OptimizationResult:
 
 def _project(base: SourceConfig, coord: str, x: float) -> SourceConfig:
     """`base` with its `coord` set to x, projected back inside the source
-    invariants: one `replace`."""
+    invariants: one `SourceConfig` call, which names every field."""
     mu = min(max(x if coord == "mu" else base.mu, MU_BOUNDS[0]), MU_BOUNDS[1])
     nu1 = min(max(x if coord == "nu1" else base.nu1, _MARGIN),
               mu * (1.0 - _MARGIN))
@@ -71,8 +71,8 @@ def _project(base: SourceConfig, coord: str, x: float) -> SourceConfig:
     p_nu1 = min(max(x if coord == "p_nu1" else base.p_nu1, _P_FLOOR),
                 1.0 - p_mu - _P_FLOOR)
     p_nu2 = 1.0 - p_mu - p_nu1
-    return replace(base, mu=mu, nu1=nu1, nu2=nu2,
-                   p_mu=p_mu, p_nu1=p_nu1, p_nu2=p_nu2)
+    return SourceConfig(mu=mu, nu1=nu1, nu2=nu2, p_mu=p_mu, p_nu1=p_nu1,
+                        p_nu2=p_nu2, clock_rate=base.clock_rate)
 
 
 def _golden_max(f, lo: float, hi: float) -> None:

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from qkdsim import optimizer, session
+from qkdsim import cli, optimizer, session
 from qkdsim.cli import (COMMAND_FLAGS, EXIT_CONFIG_FILE, EXIT_IO, EXIT_OK,
                         EXIT_USAGE, EXIT_VALIDATION, MAX_POINTS, MAX_SWEEPS,
                         main, parse_command)
@@ -386,6 +386,41 @@ def test_help_lists_every_flag_with_its_unit_and_range(capsys, command):
     out = " ".join(capsys.readouterr().out.split())
     for key in [*config_keys(), *COMMAND_FLAGS[command]]:
         assert f"{key.unit}, {key.range} (default: {key.default})" in out
+
+
+HELP_LINES = {
+    "simulate": "run a closed-loop session",
+    "keyrate": "distill a single window",
+    "efficiency-curve": "key-extraction efficiency vs. pulse count",
+    "optimize": "optimize source parameters",
+    "calibrate": "solve intrinsic misalignment for a target QBER",
+}
+
+
+def test_help_lists_every_subcommand_with_its_help_line(capsys):
+    assert set(HELP_LINES) == set(COMMAND_FLAGS)
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == EXIT_OK
+    out = " ".join(capsys.readouterr().out.split())
+    for command, about in HELP_LINES.items():
+        assert f"{command} {about}" in out
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_one_parse_adds_the_inputs_of_its_own_command_alone(monkeypatch,
+                                                            command):
+    # building every command's arguments took three times as long as
+    # building one, on each call of the program
+    added, add_input = [], cli._add_input
+
+    def counted(parser, key, *flags, **kwargs):
+        added.append(key.name)
+        return add_input(parser, key, *flags, **kwargs)
+    monkeypatch.setattr(cli, "_add_input", counted)
+    parse_command([command])
+    assert sorted(added) == sorted(
+        key.name for key in [*config_keys(), *COMMAND_FLAGS[command]])
 
 
 def _write_tally(path, preset, extra=(), drop=()):

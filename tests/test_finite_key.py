@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -350,7 +349,7 @@ def test_one_distillation_computes_each_interval_once(preset, monkeypatch):
     security = SecurityConfig()
     bounds = decoy_bounds(estimate_channel(tally, security), preset.source)
     secure_key_length(tally, bounds, security, preset.source)
-    assert N_BOUND_CALLS == len(dataclasses.fields(ChannelEstimates)) == 6
+    assert N_BOUND_CALLS == len(ChannelEstimates._fields) == 6
     assert len(calls) == len(set(calls)) == N_BOUND_CALLS
     assert {eps for _, _, eps in calls} == {security.epsilon / 2 / N_BOUND_CALLS}
     assert (tally.errors_mu, tally.sifted_mu) in {(k, n) for k, n, _ in calls}

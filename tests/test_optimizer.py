@@ -1,3 +1,4 @@
+import dataclasses
 from functools import lru_cache
 
 import numpy as np
@@ -7,7 +8,7 @@ from qkdsim import finite_key
 from qkdsim.config import Config, LinkConfig, SourceConfig
 from qkdsim.finite_key import (N_BOUND_CALLS, clopper_pearson,
                                estimate_channel, expectation_tally)
-from qkdsim.optimizer import MU_BOUNDS, objective, optimize_source
+from qkdsim.optimizer import MU_BOUNDS, _project, objective, optimize_source
 
 N_PULSES = 1.2e12  # one 20-min window at the GHz clock
 
@@ -143,3 +144,27 @@ def test_estimate_channel_same_with_interval_memo(preset):
     assert estimate_channel(tally, preset.security, memo) == direct
     assert estimate_channel(tally, preset.security, memo) == direct
     assert memo.cache_info().hits == N_BOUND_CALLS
+
+
+def test_a_candidate_keeps_every_field_that_is_not_searched():
+    # _project names each field of SourceConfig: one it left out would take
+    # its default, not the base's value
+    searched = {"mu", "nu1", "nu2", "p_mu", "p_nu1", "p_nu2"}
+    kept = [f.name for f in dataclasses.fields(SourceConfig)
+            if f.name not in searched]
+    assert kept   # clock_rate
+    base = dataclasses.replace(
+        SourceConfig(mu=0.6, nu1=0.2, nu2=0.01, p_mu=0.875, p_nu1=0.0625,
+                     p_nu2=0.0625),
+        **{name: getattr(SourceConfig(), name) * 2 for name in kept})
+    for coord, x in (("mu", 0.7), ("nu1", 0.15), ("nu2", 0.02),
+                     ("p_mu", 0.75), ("p_nu1", 0.1)):
+        candidate = _project(base, coord, x)
+        for name in kept:
+            assert getattr(candidate, name) == getattr(base, name), name
+        # inside the invariants, nothing is clamped: x is set, the other
+        # coordinates are the base's, and p_nu2 is the simplex remainder
+        for name in searched - {"p_nu2"}:
+            assert getattr(candidate, name) == (
+                x if name == coord else getattr(base, name)), name
+        assert candidate.p_nu2 == 1.0 - candidate.p_mu - candidate.p_nu1
