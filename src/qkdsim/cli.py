@@ -7,13 +7,13 @@ Subcommands:
     optimize          search source intensities/probabilities for best rate
     calibrate         solve the intrinsic misalignment for a target QBER
 
-Every configuration key is exposed both in the key=value config file and as
-a command-line override flag; overrides apply after the file, before
-validation.  Each command's own flags (`COMMAND_FLAGS`) are declared, parsed
-and checked as the keys are.  A call builds the arguments of the one
-subcommand it names; the others get only their name and help line, which
-`qkdsim --help` and the unknown-command error list.  All randomness flows
-from a single seed.
+Every configuration key is a config-file key and an override flag, applied
+after the file, before validation.  Each command's own flags (`COMMAND_FLAGS`)
+and a tally file's counts (`TALLY_KEYS`) are declared, read and checked as the
+keys are, and one message names every bad value of a command line or file.  A
+call builds the arguments of the one subcommand it names; the others get only
+their name and help line, which `qkdsim --help` and the unknown-command error
+list.  All randomness flows from a single seed.
 
 Exit status: 0 success, 2 usage, 3 unreadable config or input file,
 4 configuration or input validation error, 5 output I/O failure.
@@ -28,7 +28,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import channel, config as config_mod, finite_key, optimizer, session
-from .config import Config, ConfigError, ConfigKey, Range
+from .config import Config, ConfigError, ConfigKey, Count, Range
 
 __all__ = ["parse_command", "dispatch", "main"]
 
@@ -63,6 +63,12 @@ COMMAND_FLAGS = {
     "calibrate": (ConfigKey("--target-qber", 0.0385, float, "probability",
                             Range(0.0, 0.5, "[]")),),
 }
+# A tally file's counts; a class that sent no pulses has no key to distill.
+TALLY_KEYS = {f"{count}_{cls}": ConfigKey(
+    f"{count}_{cls}", None, Count, unit, Range(lo, config_mod.MAX_PULSES, "[]"))
+    for cls in channel.CLASSES for count, unit, lo in (
+        ("sent", "pulses", 1), ("sifted", "sifted detections", 0),
+        ("errors", "sifted errors", 0))}
 
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
@@ -134,21 +140,26 @@ def parse_command(argv: list[str]) -> argparse.Namespace:
 
 def _load_config(req: argparse.Namespace) -> Config:
     """Parse and check the request's command flags in place and return its
-    validated configuration: ConfigError or _UnreadableInputError if bad."""
+    validated configuration; one ConfigError names every bad flag and key."""
     flags = {key.name[2:].replace("-", "_"): key   # argparse's dest
              for key in COMMAND_FLAGS[req.subcommand]}
-    for dest, key in flags.items():
-        setattr(req, dest, key.parse(str(getattr(req, dest))))
-    problems = [key.out_of_range(value) for dest, key in flags.items()
-                if (value := getattr(req, dest)) not in key.range]
-    if problems:
-        raise ConfigError(problems)
+    problems: list[str] = []
+    try:
+        vars(req).update(config_mod.read_values(
+            {dest: getattr(req, dest) for dest in flags}, flags))
+    except ConfigError as exc:
+        problems = exc.problems
     try:
         cfg = (Config() if req.config is None
                else config_mod.load_config_file(req.config))
+        cfg = config_mod.apply_overrides(cfg, req.overrides).validated()
     except OSError as exc:
         raise _UnreadableInputError(f"cannot read config: {exc}") from exc
-    return config_mod.apply_overrides(cfg, req.overrides).validated()
+    except ConfigError as exc:
+        problems += exc.problems
+    if problems:
+        raise ConfigError(problems)
+    return cfg
 
 
 def _check_pulses(flag: str, value: float,
@@ -167,33 +178,16 @@ class _UnreadableInputError(Exception):
 
 
 def _read_tally_file(path: str) -> channel.PulseTally:
-    names = channel.PulseTally._fields
     try:
-        raw = config_mod.read_key_values(path, names)
+        raw = config_mod.read_key_values(path, TALLY_KEYS)
     except OSError as exc:
         raise _UnreadableInputError(f"cannot read tally file: {exc}") from exc
-    counts: dict[str, int] = {}
-    for key, text in raw.items():
-        try:
-            value = float(text)
-        except ValueError:
-            raise ValueError(f"{path}: {key} must be a count, got {text!r}") \
-                from None
-        if not value.is_integer():
-            raise ValueError(f"{path}: {key} must be a whole number, "
-                             f"got {text!r}")
-        if key.startswith("sent_") and value > config_mod.MAX_PULSES:
-            raise ValueError(f"{path}: {key} must be at most "
-                             f"{config_mod.MAX_PULSES:g}, got {text!r}")
-        counts[key] = int(value)
-    missing = [name for name in names if name not in counts]
+    counts = config_mod.read_values(raw, TALLY_KEYS, f"{path}: ")
+    missing = [name for name in TALLY_KEYS if name not in counts]
     if missing:
         raise ValueError(f"{path}: missing tally keys: {', '.join(missing)}")
     tally = channel.PulseTally(**counts)
     tally.check(f"{path}: ")
-    for cls, sent in zip(channel.CLASSES, tally[0::3]):
-        if sent == 0:
-            raise ValueError(f"{path}: class {cls} has no pulses (sent_{cls} = 0)")
     return tally
 
 

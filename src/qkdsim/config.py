@@ -8,10 +8,11 @@ composable security parameter of 1e-7.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Container, Iterator, NamedTuple
+from typing import Any, Container, Iterator, Mapping, NamedTuple
 
 __all__ = [
     "ConfigError",
@@ -25,10 +26,12 @@ __all__ = [
     "parse_config_text",
     "parse_key_values",
     "read_key_values",
+    "read_values",
     "apply_overrides",
     "config_to_text",
     "config_keys",
     "ConfigKey",
+    "Count",
     "Range",
     "steps_per",
     "MAX_SESSION_STEPS",
@@ -53,6 +56,15 @@ MAX_SESSION_STEPS = 10**7
 # The texts of a boolean key's values.
 _BOOLEANS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
              **dict.fromkeys(("false", "0", "no", "off"), False)}
+
+
+class Count(int):
+    """A declared count: a whole number, read from integral float text too."""
+
+    def __new__(cls, text: str) -> int:   # type: ignore[misc]
+        if not (value := float(text)).is_integer():
+            raise ValueError(text)
+        return int(value)
 
 
 class ConfigError(ValueError):
@@ -215,11 +227,11 @@ class Config:
     control: ControlConfig = ControlConfig()
 
     def validated(self) -> "Config":
-        """Check every key against its declared range and the rules that
-        join keys; return self unchanged or raise ConfigError naming every
-        violation.  A session's counts are checked by `session_steps`."""
-        problems = [key.out_of_range(value) for key in _KEYS.values()
-                    if (value := key.value(self)) not in key.range]
+        """Check every key's type and range (`ConfigKey.check`) and the rules
+        that join keys; return self unchanged or raise ConfigError naming
+        every violation.  A session's counts are checked by `session_steps`."""
+        problems = [problem for key in _KEYS.values()
+                    if (problem := key.check(key.value(self)))]
         source, sim = self.source, self.sim
         if not source.mu > source.nu1:
             problems.append("mu must exceed nu1")
@@ -275,7 +287,7 @@ class Config:
 
 class ConfigKey(NamedTuple):
     """One declared input: a configuration key, as its dataclass field
-    declares it, or a command's own flag, which is read the same way."""
+    declares it, or a command's flag or a tally file's count, read alike."""
 
     name: str
     default: Any
@@ -287,20 +299,17 @@ class ConfigKey(NamedTuple):
     def value(self, config: Config) -> Any:
         return getattr(getattr(config, self.section), self.name)
 
-    def parse(self, raw: str) -> Any:
-        """The value that `raw` is the text of; ConfigError if it is none."""
-        raw = raw.strip()
-        try:
-            return (_BOOLEANS[raw.lower()] if self.type is bool
-                    else self.type(raw))
-        except (KeyError, ValueError):
-            kind = {bool: "a boolean", int: "an integer"}.get(self.type,
-                                                             "a number")
-            raise ConfigError([f"{self.name} must be {kind}, got {raw!r}"]) \
-                from None
-
-    def out_of_range(self, value: Any) -> str:
-        """The message that rejects `value`, which is outside the range."""
+    def check(self, value: Any) -> str | None:
+        """The message that rejects `value` of another type than declared (no
+        bool for an int key; any real for a float key) or out of range."""
+        if not (isinstance(value, numbers.Real) if self.type is float
+                else isinstance(value, numbers.Integral)
+                and isinstance(value, bool) == (self.type is bool)):
+            kind = {bool: "a boolean", int: "an integer",
+                    Count: "a whole number"}.get(self.type, "a number")
+            return f"{self.name} must be {kind}, got {value!r}"
+        if value in self.range:
+            return None
         finite = ("finite and " if value != value
                   or value in (math.inf, -math.inf) else "")
         return (f"{self.name} must be {finite}{self.range} ({self.unit}), "
@@ -327,18 +336,39 @@ def steps_per(interval: float, dt: float) -> int:
 # Flat key=value configuration file support.
 # ---------------------------------------------------------------------------
 
-def apply_overrides(config: Config, overrides: dict[str, Any]) -> Config:
-    """Layer key -> value overrides onto a Config; unknown keys are an error.
-    Each value is parsed from its text, as a config file line would be."""
-    unknown = sorted(set(overrides) - set(_KEYS))
-    if unknown:
-        raise ConfigError([f"unknown configuration key: {k}" for k in unknown])
-    per_section: dict[str, dict[str, Any]] = {}
-    for key, value in overrides.items():
-        per_section.setdefault(_KEYS[key].section, {})[key] = \
-            _KEYS[key].parse(str(value))
-    for section, kv in per_section.items():
-        config = replace(config, **{section: replace(getattr(config, section), **kv)})
+def read_values(texts: Mapping[str, Any], keys: Mapping[str, ConfigKey],
+                where: str = "") -> dict[str, Any]:
+    """Each text's value, parsed by its key in `keys` and checked, but for the
+    range of a configuration key, which `Config.validated` checks.  One
+    ConfigError names, each after `where`, every unknown key and bad value."""
+    values: dict[str, Any] = {}
+    problems: list[str] = []
+    for name, text in texts.items():
+        if name not in keys:
+            problems.append(f"{where}unknown configuration key: {name}")
+            continue
+        key, text = keys[name], str(text).strip()
+        try:
+            value = (_BOOLEANS[text.lower()] if key.type is bool
+                     else key.type(text))
+        except (KeyError, ValueError):
+            value = text   # a str, which no key takes: `check` names it
+        if (not key.section or isinstance(value, str)) and (
+                problem := key.check(value)):
+            problems.append(where + problem)
+        values[name] = value
+    if problems:
+        raise ConfigError(problems)
+    return values
+
+
+def apply_overrides(config: Config, overrides: Mapping[str, Any]) -> Config:
+    """Layer key -> value-text overrides onto a Config, parsed by
+    `read_values` as a config file's values are."""
+    for name, value in read_values(overrides, _KEYS).items():
+        section = _KEYS[name].section
+        config = replace(config, **{section: replace(getattr(config, section),
+                                                     **{name: value})})
     return config
 
 
@@ -372,10 +402,10 @@ def parse_key_values(text: str, path: str,
 
 
 def read_key_values(path: str | Path, keys: Container[str]) -> dict[str, str]:
-    """`parse_key_values` of a file; OSError if it cannot be read or is not
-    UTF-8 text."""
+    """`parse_key_values` of a file of UTF-8 text, which may begin with a
+    byte-order mark; OSError if it cannot be read or is not UTF-8 text."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise OSError(f"{path} is not UTF-8 text: {exc}") from None
     return parse_key_values(text, str(path), keys)
@@ -400,7 +430,7 @@ def config_to_text(config: Config) -> str:
             value = getattr(obj, f.name)
             if isinstance(value, bool):
                 rendered = "true" if value else "false"
-            elif isinstance(value, int):
+            elif isinstance(value, numbers.Integral):
                 rendered = str(value)
             else:
                 rendered = repr(float(value))

@@ -187,11 +187,12 @@ def run_session(config: Config, duration: float | None = None,
                 out: str | Path | None = None) -> SessionResult:
     """Run a full closed-loop session and distill every complete window.
 
-    `duration` and `seed` stand in for the config's `duration` and
-    `rng_seed` when given.  Raises ConfigError, before `out` is touched, for
-    a config or a session it cannot run.  Given `out`, writes the
-    `SESSION_FILES` there in one `write_outputs` transaction, and the
-    result's telemetry is None; otherwise the result holds it as one array."""
+    `duration` and `seed` stand in for the config's `duration` and `rng_seed`
+    when given.  Raises ConfigError, before `out` is touched, for a config that
+    `Config.validated` refuses (a seed must be an int) or a session it cannot
+    run.  Given `out`, writes the `SESSION_FILES` there in one `write_outputs`
+    transaction, and the result's telemetry is None; otherwise the result holds
+    it as one array."""
     if duration is not None:
         config = replace(config, sim=replace(config.sim, duration=duration))
     if seed is not None:

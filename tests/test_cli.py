@@ -598,8 +598,11 @@ def test_keyrate_rejects_tally_without_pulses(tmp_path, capsys, preset):
                           extra=["sent_nu2 = 0", "sifted_nu2 = 0",
                                  "errors_nu2 = 0"],
                           drop=["sent_nu2", "sifted_nu2", "errors_nu2"])
+    # a class that sent no pulses is outside sent_nu2's declared range
     _assert_rejected(["keyrate", "--out", str(tmp_path), "--tally-file",
-                      str(counts)], capsys, "class nu2 has no pulses")
+                      str(counts)], capsys,
+                     f"{counts}: sent_nu2 must be in [1, 1e+15] (pulses), "
+                     f"got 0")
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -629,7 +632,8 @@ def test_max_pulses_itself_is_accepted(tmp_path, capsys):
 @pytest.mark.parametrize("line,message", [
     ("errors_mu = 104000000.9",
      "errors_mu must be a whole number, got '104000000.9'"),
-    ("sent_nu1 = 2e15", "sent_nu1 must be at most 1e+15, got '2e15'"),
+    ("sent_nu1 = 2e15",
+     "sent_nu1 must be in [1, 1e+15] (pulses), got 2000000000000000"),
     ("sifted_nu2 = inf", "sifted_nu2 must be a whole number, got 'inf'"),
 ])
 def test_keyrate_rejects_tally_count_it_cannot_use(tmp_path, capsys, preset,
@@ -638,8 +642,64 @@ def test_keyrate_rejects_tally_count_it_cannot_use(tmp_path, capsys, preset,
     counts = _write_tally(tmp_path / "counts.txt", preset, extra=[line],
                           drop=[key])
     _assert_rejected(["keyrate", "--out", str(tmp_path), "--tally-file",
-                      str(counts)], capsys, message)
+                      str(counts)], capsys, f"{counts}: {message}")
     assert not (tmp_path / "keyrate.csv").exists()
+
+
+@pytest.mark.parametrize("argv,lines,messages", [
+    (["keyrate", "--mu", "x", "--nu1", "y"], [],
+     ["mu must be a number, got 'x'", "nu1 must be a number, got 'y'"]),
+    (["efficiency-curve", "--points", "0", "--min-pulses", "-1", "--mu", "-1"],
+     [], ["--points must be in [1, 100000] (grid points), got 0",
+          "--min-pulses must be in (0, 1e+15] (pulses), got -1.0",
+          "mu must be in (0, 100] (photons/pulse), got -1.0"]),
+    (["keyrate", "--config", "{file}"], ["mu = x", "nu1 = y"],
+     ["mu must be a number, got 'x'", "nu1 must be a number, got 'y'"]),
+    (["keyrate", "--tally-file", "{file}"],
+     ["errors_mu = 1.5", "sifted_nu1 = x", "sent_nu2 = 0"],
+     ["{file}: errors_mu must be a whole number, got '1.5'",
+      "{file}: sifted_nu1 must be a whole number, got 'x'",
+      "{file}: sent_nu2 must be in [1, 1e+15] (pulses), got 0"]),
+    (["keyrate", "--tally-file", "{file}"], ["errors_mu = -5"],
+     ["{file}: errors_mu must be in [0, 1e+15] (sifted errors), got -5"]),
+], ids=["flags", "flags-and-keys", "config-file", "tally-file",
+        "negative-count"])
+def test_every_bad_value_is_named_at_once(tmp_path, capsys, preset, argv,
+                                          lines, messages):
+    # `lines` are a config file's, or replace those of a whole tally file
+    path = tmp_path / "input.txt"
+    if "--tally-file" in argv:
+        _write_tally(path, preset, extra=lines,
+                     drop=[line.split(" = ")[0] for line in lines])
+    else:
+        path.write_text("".join(line + "\n" for line in lines))
+    argv = [arg.replace("{file}", str(path)) for arg in argv]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    for message in messages:
+        assert message.replace("{file}", str(path)) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_files_may_begin_with_a_byte_order_mark(tmp_path, capsys, preset):
+    bom = b"\xef\xbb\xbf"
+    config = tmp_path / "bom.cfg"
+    config.write_bytes(bom + b"fiber_length = 25\n")
+    assert main(["calibrate", "--config", str(config), "--out",
+                 str(tmp_path / "cal")]) == EXIT_OK
+    assert parse_config_text((tmp_path / "cal" / "calibrated.cfg")
+                             .read_text()).link.fiber_length == 25.0
+    counts = _write_tally(tmp_path / "counts.txt", preset)
+    marked = tmp_path / "marked.txt"
+    marked.write_bytes(bom + counts.read_bytes())
+    outputs = []
+    for path in (counts, marked):
+        capsys.readouterr()
+        assert main(["keyrate", "--tally-file", str(path), "--out",
+                     str(tmp_path / path.stem)]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_keyrate_reads_integral_float_text_as_counts(tmp_path, capsys, preset):

@@ -2,11 +2,12 @@
 arguments, and whatever a config or tally file holds, `qkdsim` exits with a
 documented status and prints no traceback.
 
-Every configuration key (`config_keys()`) and every command's own flag
-(`cli.COMMAND_FLAGS`) is drawn from its declaration: mostly inside its
-declared range, sometimes outside it or not a value at all, and a value
-outside its range, or no value of its type, exits 4.  A new key or flag is
-fuzzed as soon as it is declared.  A simulated session is at
+Every configuration key (`config_keys()`), every command's own flag
+(`cli.COMMAND_FLAGS`) and every tally-file count (`cli.TALLY_KEYS`) is drawn
+from its declaration: mostly inside its declared range, sometimes outside it
+or not a value at all, and a value outside its range, or no value of its
+type, exits 4.  A new key, flag or count, or a new rule of one, is fuzzed as
+soon as it is declared.  A simulated session is at
 most 60 steps long, and a curve or a search is drawn with few points or
 sweeps, so that one example runs in milliseconds.
 """
@@ -19,8 +20,8 @@ from pathlib import Path
 from hypothesis import example, given, settings, strategies as st
 
 from qkdsim.channel import PulseTally
-from qkdsim.cli import COMMAND_FLAGS, EXIT_VALIDATION, main
-from qkdsim.config import ConfigKey, config_keys
+from qkdsim.cli import COMMAND_FLAGS, EXIT_VALIDATION, TALLY_KEYS, main
+from qkdsim.config import ConfigKey, Count, config_keys
 
 DOCUMENTED_EXITS = {0, 2, 3, 4, 5}
 KEYS = {key.name: key for key in config_keys()}
@@ -35,14 +36,17 @@ def inside(key: ConfigKey) -> st.SearchStrategy[str]:
     top = None if hi == math.inf else hi
     if key.type is bool:
         values = st.booleans()
-    elif key.type is int:
+    elif issubclass(key.type, int):
         values = st.integers(int(lo), None if top is None else int(top))
     else:
         values = st.floats(lo, top, exclude_min=ends[0] == "(",
                            exclude_max=top is not None and ends[1] == ")",
                            allow_nan=False, allow_infinity=False)
-    return values.filter(lambda v: v in key.range).map(
-        lambda v: str(v).lower() if key.type is bool else repr(v))
+    values = values.filter(lambda v: v in key.range)
+    if key.type is Count:   # integral float text is a count too
+        return st.one_of(values.map(repr), values.map(lambda v: repr(float(v))))
+    return values.map(lambda v: str(v).lower() if key.type is bool
+                      else repr(v))
 
 
 def outside(key: ConfigKey) -> st.SearchStrategy[str]:
@@ -50,10 +54,12 @@ def outside(key: ConfigKey) -> st.SearchStrategy[str]:
     lo, hi, ends = key.range
     if key.type is bool:
         return st.sampled_from(["maybe", "2", "-1", ""])
-    if key.type is int:
+    if issubclass(key.type, int):
         sides = [st.integers(max_value=int(lo) - 1)]
         if hi < math.inf:
             sides.append(st.integers(min_value=int(hi) + 1))
+        if key.type is Count:   # a float that is no whole number
+            sides.append(st.floats().filter(lambda v: not v.is_integer()))
     else:
         sides = [st.floats(max_value=lo, exclude_max=ends[0] == "[")]
         if hi < math.inf:
@@ -193,12 +199,13 @@ def test_cli_exits_with_a_documented_status(command):
         assert status == EXIT_VALIDATION, (status, err)
 
 
-def _file_body(keys: list[str], values: st.SearchStrategy[str]):
-    """Random bytes, or lines that are mostly `key = value` with a key from
-    `keys`, or one no file takes, and sometimes any text at all."""
+def _file_body(values: dict[str, st.SearchStrategy[str]]):
+    """Random bytes, or lines that are mostly `key = value` with a key of
+    `values` and a value it draws, or a key no file takes, and sometimes any
+    text at all."""
     line = st.one_of(
-        st.tuples(st.sampled_from([*keys, "not_a_key"]), values).map(
-            " = ".join),
+        st.sampled_from([*values, "not_a_key"]).flatmap(
+            lambda key: values.get(key, st.text()).map(f"{key} = ".__add__)),
         st.text(max_size=20))
     return st.one_of(
         st.binary(max_size=200),
@@ -208,8 +215,8 @@ def _file_body(keys: list[str], values: st.SearchStrategy[str]):
 CONFIG_VALUES = st.one_of(st.floats(-1.0, 2.0).map(repr),
                           st.integers(-2, 10).map(str),
                           st.sampled_from(["true", "false"]), ODD, st.text())
-COUNTS = st.one_of(st.integers(0, 10**16).map(str), ODD,
-                   st.floats(0, 1e16).map(repr), st.text())
+COUNTS = {name: st.one_of(inside(key), outside(key), st.text())
+          for name, key in TALLY_KEYS.items()}
 
 
 @st.composite
@@ -225,7 +232,7 @@ def _whole_tally(draw) -> bytes:
                    in zip(PulseTally._fields, counts)).encode()
 
 
-TALLY_BODY = st.one_of(_file_body(PulseTally._fields, COUNTS), _whole_tally())
+TALLY_BODY = st.one_of(_file_body(COUNTS), _whole_tally())
 
 
 @st.composite
@@ -233,8 +240,8 @@ def file_inputs(draw) -> tuple[list[str], bytes]:
     """`calibrate --config FILE` or `keyrate --tally-file FILE`, and the
     bytes of FILE."""
     if draw(st.booleans()):
-        return ["calibrate", "--config"], draw(_file_body(list(KEYS),
-                                                          CONFIG_VALUES))
+        return ["calibrate", "--config"], draw(_file_body(
+            dict.fromkeys(KEYS, CONFIG_VALUES)))
     return ["keyrate", "--tally-file"], draw(TALLY_BODY)
 
 

@@ -1,8 +1,9 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from qkdsim.config import (MAX_PULSES, MAX_SESSION_STEPS, Config, ConfigError,
                            ControlConfig, LinkConfig, Range, SecurityConfig,
@@ -120,6 +121,88 @@ def test_config_file_round_trip():
     cfg = Config().validated()
     text = config_to_text(cfg)
     assert parse_config_text(text) == cfg
+
+
+def _declared_value(key) -> st.SearchStrategy:
+    """A value of `key`'s declared type inside its declared range."""
+    lo, hi, ends = key.range
+    if key.type is bool:
+        return st.booleans()
+    if key.type is int:
+        return st.integers(int(lo), int(min(hi, 2**63 - 1)))
+    top = None if hi == math.inf else hi
+    return st.floats(lo, top, exclude_min=ends[0] == "(",
+                     exclude_max=top is not None and ends[1] == ")",
+                     allow_nan=False, allow_infinity=False)
+
+
+def _with(config: Config, **values) -> Config:
+    """`config` with the given keys set, whatever their sections."""
+    keys = {key.name: key for key in config_keys()}
+    for name, value in values.items():
+        section = keys[name].section
+        config = dataclasses.replace(config, **{section: dataclasses.replace(
+            getattr(config, section), **{name: value})})
+    return config
+
+
+@st.composite
+def _valid_configs(draw) -> Config:
+    """A config of every key drawn from its declaration, sometimes as numpy's
+    type of it, and kept if validation accepts it.  The intensities are
+    ordered and the send probabilities scaled to sum to 1, so that the rules
+    that join keys mostly hold."""
+    values = {key.name: draw(_declared_value(key)) for key in config_keys()}
+    values["mu"], values["nu1"], values["nu2"] = sorted(
+        (values["mu"], values["nu1"], values["nu2"]), reverse=True)
+    values["p_nu1"] *= 1.0 - values["p_mu"]
+    values["p_nu2"] = 1.0 - values["p_mu"] - values["p_nu1"]
+    if draw(st.booleans()):
+        values = {name: value if isinstance(value, bool)
+                  else np.float64(value) if isinstance(value, float)
+                  else np.int64(value) for name, value in values.items()}
+    config = _with(Config(), **values)
+    try:
+        return config.validated()
+    except ConfigError:
+        assume(False)
+
+
+@given(_valid_configs())
+def test_any_valid_config_round_trips_through_its_file(config):
+    assert parse_config_text(config_to_text(config)) == config
+
+
+@pytest.mark.parametrize("name,value,kind", [
+    ("num_detectors", 2.5, "an integer"), ("num_detectors", True, "an integer"),
+    ("rng_seed", 1.5, "an integer"), ("rng_seed", True, "an integer"),
+    ("stabilization_enabled", 0.5, "a boolean"),
+    ("stabilization_enabled", 1, "a boolean"),
+])
+def test_validation_refuses_a_value_of_another_type(name, value, kind):
+    # every int and bool key is among them
+    assert {key.name for key in config_keys() if key.type is not float} == {
+        "num_detectors", "rng_seed", "stabilization_enabled"}
+    with pytest.raises(ConfigError) as exc:
+        _with(Config(), **{name: value}).validated()
+    assert exc.value.problems == [f"{name} must be {kind}, got {value!r}"]
+
+
+def test_validation_takes_ints_and_numpy_numbers_of_their_kind():
+    config = _with(Config(), mu=np.float64(0.6), fiber_length=25,
+                   clock_rate=10**9, num_detectors=np.int64(4),
+                   rng_seed=np.uint32(7))
+    assert config.validated() is config
+
+
+@pytest.mark.parametrize("config,seed", [
+    (Config(sim=SimConfig(rng_seed=1.5)), None), (Config(), 1.5)])
+def test_session_refuses_a_seed_that_is_no_int(tmp_path, config, seed):
+    out = tmp_path / "d"
+    with pytest.raises(ConfigError,
+                       match="rng_seed must be an integer, got 1.5"):
+        run_session(config, duration=5, seed=seed, out=out)
+    assert not out.exists()
 
 
 def test_config_file_defaults_and_overrides():

@@ -190,6 +190,8 @@ def _interval_inputs(draw):
 @example((2229, 3710, 8.261915855494622e-14))
 @example((162, 181, 1.693139579212024e-13))
 @example((1379, 3060, 1.0578765005006704e-05))
+# the upper search probes points whose forward tail is exactly 0.0
+@example((1, 10**15, 1e-300))
 def test_clopper_pearson_endpoint_contract(inputs):
     # each endpoint brackets k/n and leaves at most eps/2 in its tail by the
     # forward function, while the next float towards k/n leaves more (or

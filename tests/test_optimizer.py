@@ -18,6 +18,11 @@ def search_result(preset):
     return optimize_source(preset.link, preset.security, N_PULSES)
 
 
+def test_negative_sweeps_rejected(preset):
+    with pytest.raises(ValueError, match="sweeps must be >= 0, got -1"):
+        optimize_source(preset.link, preset.security, N_PULSES, sweeps=-1)
+
+
 def test_objective_zero_without_signal(preset):
     dead = SourceConfig(mu=0.0, nu1=-1.0, nu2=-2.0)
     assert objective(dead, preset.link, preset.security, N_PULSES) == 0.0

@@ -173,6 +173,17 @@ def test_gate_holds_at_optimum():
     assert max(abs(d - 50.0) for d in seen[4:]) <= step + 1e-12
 
 
+def test_gate_dark_channel_holds_delay():
+    # no reading to climb on: no count, or none before it either
+    ctrl = ControllerState(control=ControlConfig())
+    state = copy.deepcopy(ctrl)
+    for _ in range(4):
+        state = gate_delay_feedback(0.0, state)
+    assert state == ctrl
+    state.last_count_gate = 0.0
+    assert gate_delay_feedback(0.0, copy.deepcopy(state)) == state
+
+
 def test_gate_tracks_constant_drift():
     # tracking fixed point: lag bounded by one step plus the drift per update
     rate, tau, step = 0.15, 5.0, 1.0
@@ -215,6 +226,14 @@ def test_intensity_on_target_is_idle():
     ctrl = ControllerState(control=ControlConfig())
     target = source.clock_rate * source.mean_intensity()
     assert intensity_feedback(target, source, copy.deepcopy(ctrl)) == ctrl
+
+
+@pytest.mark.parametrize("measured", [0.0, -1.0])
+def test_intensity_holds_without_a_positive_flux(measured):
+    # no log of the flux ratio to correct by
+    ctrl = ControllerState(control=ControlConfig())
+    assert intensity_feedback(measured, SourceConfig(),
+                              copy.deepcopy(ctrl)) == ctrl
 
 
 def test_intensity_corrects_in_one_update():
