@@ -63,6 +63,7 @@ __all__ = [
     "KeyResult",
     "binary_entropy",
     "clopper_pearson",
+    "wilson_interval",
     "estimate_channel",
     "point_estimates",
     "decoy_bounds",
@@ -260,24 +261,39 @@ def clopper_pearson(successes: int, trials: int,
     half = confidence_epsilon / 2.0
     k, n = successes, trials
     estimate = k / n
-    # first guesses: the Wilson score interval at the same normal quantile
-    z, w_target, h_half = _target_constants(half)
-    z2 = z * z
-    center = (k + z2 / 2.0) / (n + z2)
-    width = z * math.sqrt(k * (n - k) / n + z2 / 4.0) / (n + z2)
+    _, w_target, h_half = _target_constants(half)
+    guess = wilson_interval(k, n, confidence_epsilon)
     if k == 0:
         lower = 0.0
     else:
         lower = _tail_endpoint(special.betainc, float(k), float(n - k + 1),
-                               estimate, center - width, 0.0, half,
+                               estimate, guess.lower, 0.0, half,
                                w_target, h_half)
     if k == n:
         upper = 1.0
     else:
         upper = _tail_endpoint(special.betaincc, float(k + 1), float(n - k),
-                               estimate, center + width, 1.0, half,
+                               estimate, guess.upper, 1.0, half,
                                w_target, h_half)
     return BinomialBound(lower, upper)
+
+
+def wilson_interval(successes: int, trials: int,
+                    confidence_epsilon: float) -> BinomialBound:
+    """Wilson score interval (trials > 0) at the normal quantile of
+    confidence_epsilon/2 that `clopper_pearson` uses for each tail.
+
+    It is not conservative: it leaves about confidence_epsilon/2 in each tail
+    only as far as the binomial is normal.  `clopper_pearson` starts its
+    searches from it, and the optimizer ranks candidates by it; no reported
+    key length rests on it.
+    """
+    z = _target_constants(confidence_epsilon / 2.0)[0]
+    z2 = z * z
+    k, n = successes, trials
+    center = (k + z2 / 2.0) / (n + z2)
+    width = z * math.sqrt(k * (n - k) / n + z2 / 4.0) / (n + z2)
+    return BinomialBound(center - width, center + width)
 
 
 class ChannelEstimates(NamedTuple):

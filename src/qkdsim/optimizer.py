@@ -104,9 +104,9 @@ def optimize_source(link: LinkConfig, security: SecurityConfig, n_pulses: float,
 
     result = OptimizationResult(best=_project(start, "mu", start.mu),
                                 rate=-1.0)
-    interval = lru_cache(maxsize=None)(finite_key.clopper_pearson)
+    rank = lru_cache(maxsize=None)(finite_key.clopper_pearson)
 
-    def evaluate(candidate: SourceConfig) -> float:
+    def evaluate(candidate: SourceConfig, interval=rank) -> float:
         result.evaluations += 1
         rate = objective(candidate, link, security, n_pulses, interval)
         if rate > result.rate:
