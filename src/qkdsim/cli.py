@@ -57,7 +57,7 @@ COMMAND_FLAGS = {
         ConfigKey("--max-pulses", 1e15, float, "pulses", _PULSES),
         ConfigKey("--points", 20, int, "grid points",
                   Range(1, MAX_POINTS, "[]"))),
-    "optimize": (_N_PULSES, ConfigKey("--sweeps", 5, int,
+    "optimize": (_N_PULSES, ConfigKey("--sweeps", 8, int,
                                       "coordinate-descent passes",
                                       Range(0, MAX_SWEEPS, "[]"))),
     "calibrate": (ConfigKey("--target-qber", 0.0385, float, "probability",

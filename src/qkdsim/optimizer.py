@@ -6,10 +6,13 @@ every candidate is projected back inside the source invariants before
 evaluation, so gradients through the clamped (max with zero) regions of the
 objective are never needed.
 
-A line search moves one coordinate, so the classes it leaves alone keep
-their counts and their Clopper-Pearson intervals.  Each search therefore
-keeps its own memo of `finite_key.clopper_pearson`, and computes each
-distinct interval once; the memo ends with the search.
+The sweeps rank candidates on `finite_key.wilson_interval`, which is
+smooth, cheap and not conservative, through the `interval` hook of
+`objective`.  Only the ranking uses it: the search then evaluates its best
+candidate and the projected start once each on the exact
+`finite_key.clopper_pearson`, through a memo that ends with the search, and
+returns the one with the higher exact rate (the start, on a tie).  So the
+reported point and rate are always an exact key's.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from functools import lru_cache
 
 from . import finite_key
 from .config import LinkConfig, SecurityConfig, SourceConfig
-from .finite_key import distill, expectation_tally
+from .finite_key import distill, expectation_tally, wilson_interval
 # Not called here: perfbench/tracing.BOUNDARIES looks them up in this module.
 from .finite_key import decoy_bounds, estimate_channel, secure_key_length
 
@@ -96,17 +99,18 @@ def _golden_max(f, lo: float, hi: float) -> None:
 
 def optimize_source(link: LinkConfig, security: SecurityConfig, n_pulses: float,
                     start: SourceConfig = SourceConfig(),
-                    sweeps: int = 5) -> OptimizationResult:
+                    sweeps: int = 8) -> OptimizationResult:
     """Maximize the finite-size rate over intensities and send probabilities,
-    from `start`, in `sweeps` full passes over the coordinates."""
+    from `start`, in `sweeps` full passes over the coordinates ranked on the
+    Wilson interval; `rate` and `best` are the exact objective's.
+    `evaluations` counts every objective evaluation, ranked or exact."""
     if sweeps < 0:
         raise ValueError(f"sweeps must be >= 0, got {sweeps}")
 
-    result = OptimizationResult(best=_project(start, "mu", start.mu),
-                                rate=-1.0)
-    rank = lru_cache(maxsize=None)(finite_key.clopper_pearson)
+    start = _project(start, "mu", start.mu)
+    result = OptimizationResult(best=start, rate=-1.0)
 
-    def evaluate(candidate: SourceConfig, interval=rank) -> float:
+    def evaluate(candidate: SourceConfig, interval=wilson_interval) -> float:
         result.evaluations += 1
         rate = objective(candidate, link, security, n_pulses, interval)
         if rate > result.rate:
@@ -135,4 +139,10 @@ def optimize_source(link: LinkConfig, security: SecurityConfig, n_pulses: float,
             else:
                 lo, hi = _P_FLOOR, 1.0 - base.p_mu - _P_FLOOR
             _golden_max(line, lo, hi)
+
+    searched, exact = result.best, lru_cache(maxsize=None)(
+        finite_key.clopper_pearson)
+    result.best, result.rate = start, -1.0
+    for candidate in (start, searched):    # the start wins a tie
+        evaluate(candidate, exact)
     return result

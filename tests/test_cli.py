@@ -46,7 +46,7 @@ def test_negative_value_in_exponent_form_follows_its_flag(value):
     ("simulate", {}),
     ("keyrate", {"n_pulses": 1.2e12, "tally_file": None}),
     ("efficiency-curve", {"min_pulses": 1e9, "max_pulses": 1e15, "points": 20}),
-    ("optimize", {"n_pulses": 1.2e12, "sweeps": 5}),
+    ("optimize", {"n_pulses": 1.2e12, "sweeps": 8}),
     ("calibrate", {"target_qber": 0.0385}),
 ])
 def test_parse_carries_subcommand_defaults_and_runner(sub, defaults):
@@ -531,7 +531,7 @@ def test_optimize_rejects_sweeps_above_its_bound(tmp_path, capsys,
     assert not (tmp_path / "new").exists()
     with pytest.raises(SystemExit):
         main(["optimize", "--help"])
-    assert "coordinate-descent passes, in [0, 1000] (default: 5)" in " ".join(
+    assert "coordinate-descent passes, in [0, 1000] (default: 8)" in " ".join(
         capsys.readouterr().out.split())
 
 

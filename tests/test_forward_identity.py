@@ -49,8 +49,11 @@ def test_entry_points_match_ufuncs_on_the_program_evaluations(tmp_path,
     recorder = _Recorder(finite_key.special)
     monkeypatch.setattr(finite_key, "special", recorder)
     finite_key._target_constants.cache_clear()   # so ndtri is called again
+    # a search bounds only the two points it certifies: the curve's grid
+    # gives the tails most of their evaluations
     for argv in (["keyrate", "--n-pulses", "1.2e12"],
-                 ["optimize", "--sweeps", "1"]):
+                 ["optimize", "--sweeps", "1"],
+                 ["efficiency-curve", "--points", "50"]):
         assert main([*argv, "--out", str(tmp_path)]) == 0
     monkeypatch.undo()
     finite_key._target_constants.cache_clear()
