@@ -70,7 +70,7 @@ GOLDENS = {
     },
     ("optimize", "--sweeps", "1"): {
         "optimize.txt":
-            "3896936f5bd1badc9ae4ad4205240a9b78f05598fd28813a7ce3c3d954400aba",
+            "e730fa18166d5799ce3afb925a27a23f82a4f30ba7ac589d9283a89bc78f4be2",
         "best_config.cfg":
             "4dae3cfc386ac26a379f754ddb15bdbdb6e9b4af582c77f1ea50405d3654ac3a",
     },
