@@ -233,6 +233,10 @@ class Config:
         problems = [problem for key in _KEYS.values()
                     if (problem := key.check(key.value(self)))]
         source, sim = self.source, self.sim
+        # the rules compare numbers: a value of another kind is named above
+        if not all(isinstance(key.value(self), numbers.Real)
+                   for key in _KEYS.values()):
+            raise ConfigError(problems)
         if not source.mu > source.nu1:
             problems.append("mu must exceed nu1")
         if not source.nu1 > source.nu2:

@@ -188,6 +188,17 @@ def test_validation_refuses_a_value_of_another_type(name, value, kind):
     assert exc.value.problems == [f"{name} must be {kind}, got {value!r}"]
 
 
+@pytest.mark.parametrize("name", ["mu", "nu1", "nu2", "p_mu", "p_nu1",
+                                  "p_nu2", "duration", "time_step"])
+@pytest.mark.parametrize("value", ["x", None])
+def test_validation_names_a_non_number_in_a_key_the_rules_join(name, value):
+    # the rules that join keys (mu > nu1, ...) compare numbers: a value of
+    # another kind is named, not compared
+    with pytest.raises(ConfigError) as exc:
+        _with(Config(), **{name: value}).validated()
+    assert exc.value.problems == [f"{name} must be a number, got {value!r}"]
+
+
 def test_validation_takes_ints_and_numpy_numbers_of_their_kind():
     config = _with(Config(), mu=np.float64(0.6), fiber_length=25,
                    clock_rate=10**9, num_detectors=np.int64(4),

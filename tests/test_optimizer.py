@@ -4,7 +4,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from qkdsim import finite_key
+from qkdsim import finite_key, optimizer
 from qkdsim.config import Config, LinkConfig, SourceConfig
 from qkdsim.finite_key import (N_BOUND_CALLS, clopper_pearson,
                                estimate_channel, expectation_tally)
@@ -124,11 +124,43 @@ def _count_intervals(monkeypatch) -> list[tuple]:
 
 def test_search_bounds_each_distinct_interval_once(preset, monkeypatch):
     calls = _count_intervals(monkeypatch)
-    result = optimize_source(preset.link, preset.security, N_PULSES)
-    # a line search moves one class's counts and leaves the others' intervals
-    # as they were (measured: 0.45 of N_BOUND_CALLS per evaluation)
-    assert len(calls) <= 0.6 * N_BOUND_CALLS * result.evaluations
+    optimize_source(preset.link, preset.security, N_PULSES)
+    # the sweeps rank on the Wilson interval: only the two certified points,
+    # the best candidate and the start, are bounded exactly, through a memo
+    assert 0 < len(calls) <= 2 * N_BOUND_CALLS
     assert len(calls) == len(set(calls))
+
+
+def test_reported_rate_is_the_exact_objective_at_the_best(preset,
+                                                          search_result):
+    exact = objective(search_result.best, preset.link, preset.security,
+                      N_PULSES)
+    assert search_result.rate == exact   # bit for bit
+    start = _project(preset.source, "mu", preset.source.mu)
+    assert search_result.rate >= objective(start, preset.link,
+                                           preset.security, N_PULSES)
+
+
+def test_start_is_returned_where_the_search_finds_nothing_better(preset):
+    result = optimize_source(preset.link, preset.security, N_PULSES,
+                             sweeps=0)
+    start = _project(preset.source, "mu", preset.source.mu)
+    assert result.best == start
+    assert result.rate == objective(start, preset.link, preset.security,
+                                    N_PULSES)
+    assert result.evaluations == 3   # one ranked, two exact
+
+
+@pytest.mark.parametrize("n_pulses", [6e11, N_PULSES, 2.4e12, 1e14])
+def test_ranked_search_reaches_the_exact_five_sweep_search(preset,
+                                                           monkeypatch,
+                                                           n_pulses):
+    ranked = optimize_source(preset.link, preset.security, n_pulses)
+    # the search as it ranked before: every candidate on the exact bound
+    monkeypatch.setattr(optimizer, "wilson_interval",
+                        lru_cache(maxsize=None)(clopper_pearson))
+    exact = optimize_source(preset.link, preset.security, n_pulses, sweeps=5)
+    assert ranked.rate >= exact.rate > 0.0
 
 
 def test_no_interval_memo_outlives_a_search(preset, monkeypatch):
