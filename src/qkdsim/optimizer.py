@@ -100,9 +100,9 @@ def _golden_max(f, lo: float, hi: float) -> None:
 def optimize_source(link: LinkConfig, security: SecurityConfig, n_pulses: float,
                     start: SourceConfig = SourceConfig(),
                     sweeps: int = 8) -> OptimizationResult:
-    """Maximize the finite-size rate over intensities and send probabilities,
-    from `start`, in `sweeps` full passes over the coordinates ranked on the
-    Wilson interval; `rate` and `best` are the exact objective's.
+    """Maximize the finite-size rate over intensities and send probabilities
+    from `start`.  `sweeps` full passes over the coordinates rank candidates
+    on the Wilson interval; `rate` and `best` are the exact objective's, and
     `evaluations` counts every objective evaluation, ranked or exact."""
     if sweeps < 0:
         raise ValueError(f"sweeps must be >= 0, got {sweeps}")
@@ -140,9 +140,8 @@ def optimize_source(link: LinkConfig, security: SecurityConfig, n_pulses: float,
                 lo, hi = _P_FLOOR, 1.0 - base.p_mu - _P_FLOOR
             _golden_max(line, lo, hi)
 
-    searched, exact = result.best, lru_cache(maxsize=None)(
-        finite_key.clopper_pearson)
-    result.best, result.rate = start, -1.0
+    exact = lru_cache(maxsize=None)(finite_key.clopper_pearson)
+    searched, result.best, result.rate = result.best, start, -1.0
     for candidate in (start, searched):    # the start wins a tie
         evaluate(candidate, exact)
     return result
