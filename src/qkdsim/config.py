@@ -234,8 +234,8 @@ class Config:
                     if (problem := key.check(key.value(self)))]
         source, sim = self.source, self.sim
         # the rules compare numbers: a value of another kind is named above
-        if not all(isinstance(key.value(self), numbers.Real)
-                   for key in _KEYS.values()):
+        if problems and not all(isinstance(key.value(self), numbers.Real)
+                                for key in _KEYS.values()):
             raise ConfigError(problems)
         if not source.mu > source.nu1:
             problems.append("mu must exceed nu1")
