@@ -42,8 +42,8 @@ EXIT_IO = 5
 # Xeon, Python 3.11) 20 to 30 s of work, and 16,000 points to each decade of
 # the default pulse range.  A larger grid spends minutes, then all memory.
 MAX_POINTS = 10**5
-# The most sweeps of one search: a sweep of about 170 candidates takes 5 ms
-# even once the search has converged (2-vCPU Xeon), so 1,000 take 5 s.
+# The most sweeps of one search: a sweep of about 170 candidates takes 7 ms
+# even once the search has converged (2-vCPU Xeon), so 1,000 take 7 s.
 MAX_SWEEPS = 1000
 
 # Each command's own flags, declared, parsed, checked and listed by --help

@@ -10,16 +10,17 @@ is split half to privacy amplification and half equally across the
 intervals that `estimate_channel` computes, one per field of
 `ChannelEstimates` (N_BOUND_CALLS of them): the signal gain and error rate,
 the two decoy gains and the two decoy error gains.  Each is computed once
-per distillation.  An optimizer search memoizes the intervals, so a
-tally class that a line search leaves unchanged is not bounded again.
+per distillation.  An optimizer search ranks its candidates on
+`wilson_interval`, which is not conservative, and computes these intervals
+only at the two points it certifies, through a memo that ends with it.
 
 Each endpoint is found on the forward regularized incomplete beta function
 alone and leaves at most its epsilon/2 in its tail as that function
 measures it, at any count scale and on any scipy allowed by pyproject.toml
 (the upper tail needs `special.betaincc`, new in scipy 1.11).  The search
-starts from the Wilson score endpoint, brackets the crossing by
-extrapolating a near-linear transform of the tail from the points that
-failed, and narrows the bracket down to two adjacent floats by
+starts from the Wilson score endpoint (`wilson_interval`), brackets the
+crossing by extrapolating a near-linear transform of the tail from the
+points that failed, and narrows the bracket down to two adjacent floats by
 Anderson-Bjorck false position on that transform, bisecting instead where
 that stalls.  It takes about 5.5 forward evaluations per endpoint at the
 counts the program uses.  It moves between a float and its bit pattern
