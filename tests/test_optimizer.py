@@ -141,7 +141,7 @@ def test_reported_rate_is_the_exact_objective_at_the_best(preset,
                                            preset.security, N_PULSES)
 
 
-def test_start_is_returned_where_the_search_finds_nothing_better(preset):
+def test_a_search_of_no_sweeps_returns_the_start_at_its_exact_rate(preset):
     result = optimize_source(preset.link, preset.security, N_PULSES,
                              sweeps=0)
     start = _project(preset.source, "mu", preset.source.mu)
