@@ -318,10 +318,8 @@ def _run(config: Config, n_steps: int,
             last_count_rate = sifted / dt
             gate_counts += sifted
 
-            rows.append((
-                i * dt, *seen,  # qber_*, then trans_*
-                ctrl.stretcher_setting, *ctrl.epc_settings, ctrl.gate_delay,
-                ctrl.attenuator_setting, *drift))  # hidden_*: DriftState order
+            rows.append((i * dt, *seen, *ctrl.settings,  # TelemetryRow order
+                         ctrl.attenuator_setting, *drift))
 
             window.append(tally)
             closes = (i + 1) % window_steps == 0

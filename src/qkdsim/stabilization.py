@@ -1,15 +1,17 @@
 """Environmental drift evolution and the four feedback loops.
 
-All loops are dither-based hill climbers: each update moves exactly one
-actuator by one step, keeping the direction while the feedback improves and
-reversing when it worsens.  The intensity loop is the exception - it applies
+The stretcher, EPC and gate-delay loops share one dither hill climb, `_move`:
+an update moves one actuator one step, first reversing its direction if its
+reading fell below the one at its previous move.  Their actuators form one
+vector in telemetry.csv's column order: stretcher (rad-equivalent), EPC 1-4,
+gate delay (ps).  The stretcher reads -QBER, so `last[0]` holds -QBER.  The EPC
+and gate loops read a count rate and hold while the channel is dark: no counts
+now, and none or zero at the previous move.  The intensity loop instead applies
 a proportional attenuator correction computed from the monitored flux.
 
 The four EPC channels act on a shared effective rotation with decreasing
 lever arms (channel 1 dominant); this reproduces four-trace actuator
 telemetry without a full polarization-state simulation.
-
-Each loop updates one `ControllerState` in place and returns it.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from .channel import DriftState, _new
 from .config import ControlConfig, LinkConfig, SourceConfig
 
 __all__ = [
-    "EPC_WEIGHTS",
+    "EPC_WEIGHTS", "STRETCHER", "EPC", "GATE",
     "ControllerState",
     "step_drift",
     "stretcher_feedback",
@@ -34,28 +36,24 @@ __all__ = [
 # Lever arm of each EPC channel on the net compensation angle.
 EPC_WEIGHTS = (1.0, 0.25, 0.1, 0.04)
 
+# The vector's entries, as TelemetryRow's columns; EPC channel ch is EPC + ch.
+STRETCHER, EPC, GATE = 0, 1, 5
+
 
 @dataclass(slots=True)
 class ControllerState:
-    """Actuator settings plus the per-loop dither memory.  The loops update
-    it in place, one list entry per EPC channel."""
+    """Each dithered actuator's setting, direction and reading at its previous
+    move, and the attenuator.  Each loop updates it in place and returns it."""
 
     control: ControlConfig = ControlConfig()
-    stretcher_setting: float = 0.0        # rad-equivalent
-    epc_settings: list[float] = field(default_factory=lambda: [0.0] * 4)
-    gate_delay: float = 0.0               # ps
-    attenuator_setting: float = 0.0       # dB relative to nominal
-    stretcher_dir: int = 1
-    epc_dirs: list[int] = field(default_factory=lambda: [1] * 4)
-    gate_dir: int = 1
+    settings: list[float] = field(default_factory=lambda: [0.0] * 6)
+    dirs: list[int] = field(default_factory=lambda: [1] * 6)
+    last: list[float | None] = field(default_factory=lambda: [None] * 6)
     epc_cycle: int = 0                    # next EPC channel to dither
-    last_qber: float | None = None        # reading at the previous stretcher move
-    last_counts_epc: list[float | None] = field(
-        default_factory=lambda: [None] * 4)
-    last_count_gate: float | None = None
+    attenuator_setting: float = 0.0       # dB relative to nominal
 
     def net_epc_angle(self) -> float:
-        (w1, w2, w3, w4), (s1, s2, s3, s4) = EPC_WEIGHTS, self.epc_settings
+        (w1, w2, w3, w4), (_, s1, s2, s3, s4, _) = EPC_WEIGHTS, self.settings
         return w1 * s1 + w2 * s2 + w3 * s3 + w4 * s4
 
 
@@ -74,15 +72,22 @@ def step_drift(drift: DriftState, link: LinkConfig, dt: float,
     ))
 
 
+def _move(state: ControllerState, k: int, reading: float,
+          step: float) -> None:
+    """Move actuator k one step, first reversing its direction if `reading`
+    fell below its reading at its previous move."""
+    last = state.last[k]
+    if last is not None and reading < last:
+        state.dirs[k] = -state.dirs[k]
+    state.settings[k] += state.dirs[k] * step
+    state.last[k] = reading
+
+
 def stretcher_feedback(qber_estimate: float | None,
                        state: ControllerState) -> ControllerState:
     """Dither-and-descend on the observed signal QBER."""
-    if qber_estimate is None:
-        return state
-    if state.last_qber is not None and qber_estimate > state.last_qber:
-        state.stretcher_dir = -state.stretcher_dir
-    state.stretcher_setting += state.stretcher_dir * state.control.stretcher_step
-    state.last_qber = qber_estimate
+    if qber_estimate is not None:
+        _move(state, STRETCHER, -qber_estimate, state.control.stretcher_step)
     return state
 
 
@@ -92,16 +97,10 @@ def polarization_feedback(count_rate: float | None,
     four EPC channels one dither comparison per update."""
     if count_rate is None:
         return state
-    ch = state.epc_cycle
-    last = state.last_counts_epc[ch]
-    state.epc_cycle = (ch + 1) % 4
-    if count_rate == 0.0 and (last is None or last == 0.0):
-        # channel dark: no gradient signal, hold everything
-        return state
-    if last is not None and count_rate < last:
-        state.epc_dirs[ch] = -state.epc_dirs[ch]
-    state.epc_settings[ch] += state.epc_dirs[ch] * state.control.epc_step
-    state.last_counts_epc[ch] = count_rate
+    k = EPC + state.epc_cycle
+    state.epc_cycle = (state.epc_cycle + 1) % 4
+    if count_rate != 0.0 or state.last[k]:  # else dark: hold
+        _move(state, k, count_rate, state.control.epc_step)
     return state
 
 
@@ -110,15 +109,8 @@ def gate_delay_feedback(count_rate: float | None,
     """Dither climb on count rate, tracking arrival time with the gate delay.
 
     A session passes the mean rate since the loop's previous update."""
-    if count_rate is None:
-        return state
-    last = state.last_count_gate
-    if count_rate == 0.0 and (last is None or last == 0.0):
-        return state
-    if last is not None and count_rate < last:
-        state.gate_dir = -state.gate_dir
-    state.gate_delay += state.gate_dir * state.control.gate_step
-    state.last_count_gate = count_rate
+    if count_rate is not None and (count_rate != 0.0 or state.last[GATE]):
+        _move(state, GATE, count_rate, state.control.gate_step)
     return state
 
 
@@ -138,8 +130,8 @@ def apply_controls(drift: DriftState, state: ControllerState) -> DriftState:
     """Residual drift seen by the optics after the actuators act."""
     phase, pol, timing, power = drift
     return _new(DriftState, (
-        phase + state.stretcher_setting,
+        phase + state.settings[STRETCHER],
         pol + state.net_epc_angle(),
-        timing - state.gate_delay,
+        timing - state.settings[GATE],
         power * 10.0 ** (-state.attenuator_setting / 10.0),
     ))

@@ -7,10 +7,10 @@ import pytest
 
 from qkdsim.channel import DriftState
 from qkdsim.config import ControlConfig, LinkConfig
-from qkdsim.stabilization import (ControllerState, apply_controls,
-                                  gate_delay_feedback, intensity_feedback,
-                                  polarization_feedback, step_drift,
-                                  stretcher_feedback)
+from qkdsim.stabilization import (EPC, GATE, STRETCHER, ControllerState,
+                                  apply_controls, gate_delay_feedback,
+                                  intensity_feedback, polarization_feedback,
+                                  step_drift, stretcher_feedback)
 from qkdsim.config import SourceConfig
 
 FROZEN = LinkConfig(phase_diffusion=0, polarization_diffusion=0,
@@ -78,8 +78,8 @@ def _run_stretcher(phase_drift: float, updates: int,
                    step: float) -> ControllerState:
     ctrl = ControllerState(control=ControlConfig(stretcher_step=step))
     for _ in range(updates):
-        ctrl = stretcher_feedback(_qber_at(phase_drift + ctrl.stretcher_setting),
-                                  ctrl)
+        ctrl = stretcher_feedback(
+            _qber_at(phase_drift + ctrl.settings[STRETCHER]), ctrl)
     return ctrl
 
 
@@ -87,7 +87,7 @@ def test_stretcher_descends_initial_offset():
     step = 0.05
     budget = math.ceil(0.5 / step) + 5
     ctrl = _run_stretcher(0.5, budget, step)
-    assert abs(0.5 + ctrl.stretcher_setting) <= 2 * step
+    assert abs(0.5 + ctrl.settings[STRETCHER]) <= 2 * step
 
 
 def test_stretcher_converged_dither_stays_within_one_step():
@@ -95,17 +95,17 @@ def test_stretcher_converged_dither_stays_within_one_step():
     ctrl = ControllerState(control=ControlConfig(stretcher_step=step))
     seen = []
     for _ in range(50):
-        ctrl = stretcher_feedback(_qber_at(ctrl.stretcher_setting), ctrl)
-        seen.append(ctrl.stretcher_setting)
+        ctrl = stretcher_feedback(_qber_at(ctrl.settings[STRETCHER]), ctrl)
+        seen.append(ctrl.settings[STRETCHER])
     assert max(abs(s) for s in seen[4:]) <= step + 1e-12
 
 
 def test_stretcher_reverses_after_worse_reading():
     ctrl = ControllerState(control=ControlConfig())
     ctrl = stretcher_feedback(0.04, ctrl)
-    direction = ctrl.stretcher_dir
+    direction = ctrl.dirs[STRETCHER]
     ctrl = stretcher_feedback(0.05, ctrl)  # worse
-    assert ctrl.stretcher_dir == -direction
+    assert ctrl.dirs[STRETCHER] == -direction
 
 
 def test_stretcher_holds_on_absent_feedback():
@@ -145,13 +145,14 @@ def test_epc_dark_channel_holds_settings():
     state = copy.deepcopy(ctrl)
     for _ in range(8):
         state = polarization_feedback(0.0, state)
-    assert state.epc_settings == ctrl.epc_settings
+    assert state.settings[EPC:GATE] == ctrl.settings[EPC:GATE]
 
 
 def test_epc_single_update_moves_one_channel_one_step():
     ctrl = ControllerState(control=ControlConfig(epc_step=0.02))
     after = polarization_feedback(1000.0, copy.deepcopy(ctrl))
-    moved = [abs(b - a) for a, b in zip(ctrl.epc_settings, after.epc_settings)]
+    moved = [abs(b - a) for a, b in zip(ctrl.settings[EPC:GATE],
+                                        after.settings[EPC:GATE])]
     assert sorted(moved) == [0.0, 0.0, 0.0, pytest.approx(0.02)]
 
 
@@ -165,11 +166,13 @@ def _gate_counts(offset: float, delay: float, sigma: float = 100.0) -> float:
 
 def test_gate_holds_at_optimum():
     step = 1.0
-    ctrl = ControllerState(control=ControlConfig(gate_step=step), gate_delay=50.0)
+    ctrl = ControllerState(control=ControlConfig(gate_step=step),
+                           settings=[0.0] * GATE + [50.0])
     seen = []
     for _ in range(40):
-        ctrl = gate_delay_feedback(_gate_counts(50.0, ctrl.gate_delay), ctrl)
-        seen.append(ctrl.gate_delay)
+        ctrl = gate_delay_feedback(_gate_counts(50.0, ctrl.settings[GATE]),
+                                   ctrl)
+        seen.append(ctrl.settings[GATE])
     assert max(abs(d - 50.0) for d in seen[4:]) <= step + 1e-12
 
 
@@ -180,7 +183,7 @@ def test_gate_dark_channel_holds_delay():
     for _ in range(4):
         state = gate_delay_feedback(0.0, state)
     assert state == ctrl
-    state.last_count_gate = 0.0
+    state.last[GATE] = 0.0
     assert gate_delay_feedback(0.0, copy.deepcopy(state)) == state
 
 
@@ -193,10 +196,10 @@ def test_gate_tracks_constant_drift():
     for t in range(1, 1201):
         offset += rate
         if t % int(tau) == 0:
-            ctrl = gate_delay_feedback(_gate_counts(offset, ctrl.gate_delay),
-                                       ctrl)
+            ctrl = gate_delay_feedback(
+                _gate_counts(offset, ctrl.settings[GATE]), ctrl)
         if t > 400:
-            lags.append(abs(offset - ctrl.gate_delay))
+            lags.append(abs(offset - ctrl.settings[GATE]))
     assert max(lags) <= step + rate * tau + 1e-9
 
 
@@ -208,12 +211,12 @@ def test_gate_loses_lock_when_drift_outruns_actuation():
     for t in range(1, 2001):
         offset += rate
         if t % int(tau) == 0:
-            ctrl = gate_delay_feedback(_gate_counts(offset, ctrl.gate_delay),
-                                       ctrl)
+            ctrl = gate_delay_feedback(
+                _gate_counts(offset, ctrl.settings[GATE]), ctrl)
         if t == 500:
-            lag_early = abs(offset - ctrl.gate_delay)
+            lag_early = abs(offset - ctrl.settings[GATE])
         if t == 2000:
-            lag_late = abs(offset - ctrl.gate_delay)
+            lag_late = abs(offset - ctrl.settings[GATE])
     assert lag_late > lag_early + 100
 
 
@@ -262,8 +265,8 @@ def test_intensity_cancels_power_drift_through_apply_controls():
 # ---------------------------------------------------------------------------
 
 def _actuators(state: ControllerState):
-    return (state.stretcher_setting, state.epc_settings, state.gate_delay,
-            state.attenuator_setting)
+    return (state.settings[STRETCHER], state.settings[EPC:GATE],
+            state.settings[GATE], state.attenuator_setting)
 
 
 @pytest.mark.parametrize("update,feedback", [
@@ -278,22 +281,39 @@ def test_each_update_touches_exactly_one_actuator(update, feedback):
     assert changed == 1
 
 
+def test_only_a_count_loop_holds_on_a_zero_reading():
+    # A QBER of 0.0 is a perfect reading: the stretcher moves on it, also
+    # after another 0.0.
+    state = stretcher_feedback(0.0, stretcher_feedback(0.0, ControllerState()))
+    assert state.settings[STRETCHER] == 2 * state.control.stretcher_step
+    # A count rate of 0.0 after no reading or another 0.0 is a dark channel,
+    # and the EPC and gate loops hold; after counts it is a fall, and the
+    # loop reverses.
+    control = ControlConfig()
+    for update, k, step in [(polarization_feedback, EPC, control.epc_step),
+                            (gate_delay_feedback, GATE, control.gate_step)]:
+        for previous, moved in [(None, 0.0), (0.0, 0.0), (1000.0, -step)]:
+            state = ControllerState(control=control)
+            state.last[k] = previous
+            update(0.0, state)
+            assert state.settings == [0.0] * k + [moved] + [0.0] * (5 - k)
+
+
 def test_states_share_no_list():
     # the loops update the per-channel lists in place: a list shared through
     # a default would carry one session's settings into the next
     a, b = ControllerState(), ControllerState()
     lists = [f.name for f in fields(a) if isinstance(getattr(a, f.name), list)]
-    assert lists == ["epc_settings", "epc_dirs", "last_counts_epc"]
+    assert lists == ["settings", "dirs", "last"]
     for name in lists:
         assert getattr(a, name) is not getattr(b, name)
     polarization_feedback(1000.0, a)
-    assert (b.epc_settings, b.epc_dirs, b.last_counts_epc) == (
-        [0.0] * 4, [1] * 4, [None] * 4)
+    assert (b.settings, b.dirs, b.last) == ([0.0] * 6, [1] * 6, [None] * 6)
 
 
 def test_apply_controls_composition():
-    ctrl = ControllerState(control=ControlConfig(), stretcher_setting=0.1,
-                           epc_settings=(0.2, 0.0, 0.0, 0.0), gate_delay=4.0,
+    ctrl = ControllerState(control=ControlConfig(),
+                           settings=[0.1, 0.2, 0.0, 0.0, 0.0, 4.0],
                            attenuator_setting=1.0)
     drift = DriftState(phase_error=-0.1, polarization_angle=-0.2,
                        timing_offset=4.0, power_factor=10 ** 0.1)
