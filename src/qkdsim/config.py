@@ -233,8 +233,8 @@ class Config:
         problems = [problem for key in _KEYS.values()
                     if (problem := key.check(key.value(self)))]
         source, sim = self.source, self.sim
-        # the rules compare numbers: a value of another kind is named above
-        if problems and not all(isinstance(key.value(self), numbers.Real)
+        # the rules compare numbers: a value of another type is named above
+        if problems and not all(key.is_typed(key.value(self))
                                 for key in _KEYS.values()):
             raise ConfigError(problems)
         if not source.mu > source.nu1:
@@ -303,12 +303,17 @@ class ConfigKey(NamedTuple):
     def value(self, config: Config) -> Any:
         return getattr(getattr(config, self.section), self.name)
 
+    def is_typed(self, value: Any) -> bool:
+        """Whether `value` is of the declared type: a bool for a boolean key
+        alone, any other real for a float key."""
+        return (isinstance(value, numbers.Real if self.type is float
+                           else numbers.Integral)
+                and isinstance(value, bool) == (self.type is bool))
+
     def check(self, value: Any) -> str | None:
-        """The message that rejects `value` of another type than declared (no
-        bool for an int key; any real for a float key) or out of range."""
-        if not (isinstance(value, numbers.Real) if self.type is float
-                else isinstance(value, numbers.Integral)
-                and isinstance(value, bool) == (self.type is bool)):
+        """The message that rejects `value` of another type than declared
+        (`is_typed`) or out of range."""
+        if not self.is_typed(value):
             kind = {bool: "a boolean", int: "an integer",
                     Count: "a whole number"}.get(self.type, "a number")
             return f"{self.name} must be {kind}, got {value!r}"

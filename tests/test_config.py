@@ -178,6 +178,7 @@ def test_any_valid_config_round_trips_through_its_file(config):
     ("rng_seed", 1.5, "an integer"), ("rng_seed", True, "an integer"),
     ("stabilization_enabled", 0.5, "a boolean"),
     ("stabilization_enabled", 1, "a boolean"),
+    ("fiber_length", True, "a number"), ("mu", False, "a number"),
 ])
 def test_validation_refuses_a_value_of_another_type(name, value, kind):
     # every int and bool key is among them
