@@ -439,7 +439,8 @@ def _key_terms(tally: PulseTally, bounds: DecoyBounds,
     if n_sift == 0 or bounds.q_mu_upper <= 0.0:
         return 0.0, 0.0, 0.0
     p1 = source.mu * math.exp(-source.mu)
-    n1_lower = n_sift * p1 * bounds.y1_lower / bounds.q_mu_upper
+    # no more single-photon bits than sifted bits, whatever the classes say
+    n1_lower = min(n_sift, n_sift * p1 * bounds.y1_lower / bounds.q_mu_upper)
     single = n1_lower * (1.0 - binary_entropy(bounds.e1_upper))
     leakage = security.ec_efficiency * n_sift * binary_entropy(
         min(0.5, bounds.e_mu_upper))

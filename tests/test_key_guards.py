@@ -85,3 +85,14 @@ def test_gains_scaled_back_from_sifted_counts_are_capped_at_one(preset,
         assert 0.0 <= bound.lower <= bound.upper <= 1.0, name
     assert estimates.q_mu.lower == estimates.q_nu1.lower == 1.0
     assert 0 <= key.secure_bits <= tally.sifted_mu
+
+
+def test_single_photon_count_is_capped_at_the_sifted_count(preset, expected):
+    # a signal class that sifts 1e6 of its 1.2e12 pulses, beside a decoy
+    # class that sifts every pulse: the decoy bounds credit the signal class
+    # with about 1.8e11 single-photon bits, far more than it sifted
+    tally = expected._replace(sifted_mu=1_000_000, errors_mu=0,
+                              sent_nu1=1_000_000, sifted_nu1=1_000_000,
+                              errors_nu1=0)
+    _, key = distill(tally, preset.source, preset.security)
+    assert 0 < key.secure_bits <= tally.sifted_mu
