@@ -12,7 +12,7 @@ intervals that `estimate_channel` computes, one per field of
 the two decoy gains and the two decoy error gains.  Each is computed once
 per distillation.  An optimizer search ranks its candidates on
 `wilson_interval`, which is not conservative, and computes these intervals
-only at the two points it certifies, through a memo that ends with it.
+only at the two points it certifies.
 
 Each endpoint is found on the forward regularized incomplete beta function
 alone and leaves at most its epsilon/2 in its tail as that function
@@ -343,9 +343,8 @@ def estimate_channel(tally: PulseTally, security: SecurityConfig,
     share of the epsilon budget.  A field without trials, such as e_mu
     without sifted signal bits, bounds nothing: it is the whole of [0, 1].
 
-    `interval` computes each interval in place of `clopper_pearson`; a
-    search passes a memo of it, so that tallies it has seen are not bounded
-    twice."""
+    `interval` computes each interval in place of `clopper_pearson`, as the
+    optimizer's ranking does with `wilson_interval`."""
     cp = interval or clopper_pearson
 
     def bound(k: int, n: int, eps: float) -> BinomialBound:

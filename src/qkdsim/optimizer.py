@@ -10,17 +10,15 @@ The sweeps rank candidates on `finite_key.wilson_interval`, which is
 smooth, cheap and not conservative, through the `interval` hook of
 `objective`.  Only the ranking uses it: the search then evaluates its best
 candidate and the projected start once each on the exact
-`finite_key.clopper_pearson`, through a memo that ends with the search, and
-returns the one with the higher exact rate (the start, on a tie).  So the
-reported point and rate are always an exact key's.
+`finite_key.clopper_pearson` and returns the one with the higher exact rate
+(the start, on a tie).  So the reported point and rate are always an exact
+key's.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-from . import finite_key
 from .config import LinkConfig, SecurityConfig, SourceConfig
 from .finite_key import distill, expectation_tally, wilson_interval
 # Not called here: perfbench/tracing.BOUNDARIES looks them up in this module.
@@ -140,8 +138,7 @@ def optimize_source(link: LinkConfig, security: SecurityConfig, n_pulses: float,
                 lo, hi = _P_FLOOR, 1.0 - base.p_mu - _P_FLOOR
             _golden_max(line, lo, hi)
 
-    exact = lru_cache(maxsize=None)(finite_key.clopper_pearson)
     searched, result.best, result.rate = result.best, start, -1.0
     for candidate in (start, searched):    # the start wins a tie
-        evaluate(candidate, exact)
+        evaluate(candidate, None)          # None: exact Clopper-Pearson
     return result

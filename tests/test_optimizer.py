@@ -126,7 +126,8 @@ def test_search_bounds_each_distinct_interval_once(preset, monkeypatch):
     calls = _count_intervals(monkeypatch)
     optimize_source(preset.link, preset.security, N_PULSES)
     # the sweeps rank on the Wilson interval: only the two certified points,
-    # the best candidate and the start, are bounded exactly, through a memo
+    # the best candidate and the start, are bounded exactly, and they share
+    # no interval
     assert 0 < len(calls) <= 2 * N_BOUND_CALLS
     assert len(calls) == len(set(calls))
 
