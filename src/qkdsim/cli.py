@@ -140,7 +140,8 @@ def parse_command(argv: list[str]) -> argparse.Namespace:
 
 def _load_config(req: argparse.Namespace) -> Config:
     """Parse and check the request's command flags in place and return its
-    validated configuration; one ConfigError names every bad flag and key."""
+    validated configuration; one ConfigError names every bad flag, and every
+    bad line and key of the config file and of the command line."""
     flags = {key.name[2:].replace("-", "_"): key   # argparse's dest
              for key in COMMAND_FLAGS[req.subcommand]}
     problems: list[str] = []
@@ -148,13 +149,21 @@ def _load_config(req: argparse.Namespace) -> Config:
         vars(req).update(config_mod.read_values(
             {dest: getattr(req, dest) for dest in flags}, flags))
     except ConfigError as exc:
-        problems = exc.problems
+        problems += exc.problems
+    flag_problems = len(problems)
+    cfg = Config()
     try:
-        cfg = (Config() if req.config is None
-               else config_mod.load_config_file(req.config))
-        cfg = config_mod.apply_overrides(cfg, req.overrides).validated()
+        if req.config is not None:
+            cfg = config_mod.load_config_file(req.config)
     except OSError as exc:
         raise _UnreadableInputError(f"cannot read config: {exc}") from exc
+    except ConfigError as exc:
+        problems += exc.problems
+    try:
+        cfg = config_mod.apply_overrides(cfg, req.overrides)
+        # the rules that join keys would compare a refused key's default
+        if len(problems) == flag_problems:
+            cfg = cfg.validated()
     except ConfigError as exc:
         problems += exc.problems
     if problems:
@@ -178,14 +187,20 @@ class _UnreadableInputError(Exception):
 
 
 def _read_tally_file(path: str) -> channel.PulseTally:
+    problems: list[str] = []
     try:
-        raw = config_mod.read_key_values(path, TALLY_KEYS)
+        raw = config_mod.read_key_values(path, TALLY_KEYS, problems)
     except OSError as exc:
         raise _UnreadableInputError(f"cannot read tally file: {exc}") from exc
-    counts = config_mod.read_values(raw, TALLY_KEYS, f"{path}: ")
-    missing = [name for name in TALLY_KEYS if name not in counts]
+    try:
+        counts = config_mod.read_values(raw, TALLY_KEYS, f"{path}: ")
+    except ConfigError as exc:
+        problems += exc.problems
+    missing = [name for name in TALLY_KEYS if name not in raw]
     if missing:
-        raise ValueError(f"{path}: missing tally keys: {', '.join(missing)}")
+        problems.append(f"{path}: missing tally keys: {', '.join(missing)}")
+    if problems:
+        raise ConfigError(problems)
     tally = channel.PulseTally(**counts)
     tally.check(f"{path}: ")
     return tally

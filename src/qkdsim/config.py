@@ -371,25 +371,27 @@ def read_values(texts: Mapping[str, Any], keys: Mapping[str, ConfigKey],
     return values
 
 
-def apply_overrides(config: Config, overrides: Mapping[str, Any]) -> Config:
+def apply_overrides(config: Config, overrides: Mapping[str, Any],
+                    where: str = "") -> Config:
     """Layer key -> value-text overrides onto a Config, parsed by
-    `read_values` as a config file's values are."""
-    for name, value in read_values(overrides, _KEYS).items():
+    `read_values` (its problems named after `where`)."""
+    for name, value in read_values(overrides, _KEYS, where).items():
         section = _KEYS[name].section
         config = replace(config, **{section: replace(getattr(config, section),
                                                      **{name: value})})
     return config
 
 
-def parse_key_values(text: str, path: str,
-                     keys: Container[str]) -> dict[str, str]:
+def parse_key_values(text: str, path: str, keys: Container[str],
+                     problems: list[str] | None = None) -> dict[str, str]:
     """Parse the flat key = value format of config and tally files: `#`
     starts a comment, blank lines are skipped, and every other line is
-    `key = value` with a key from `keys`.  Returns key -> value text; raises
-    ConfigError naming, as path:line, every line without `=`, unknown key
-    and repeated key."""
+    `key = value` with a key from `keys`.  Returns key -> value text of the
+    good lines.  Every line without `=`, unknown key and repeated key is
+    named as path:line: in `problems`, if given, so that a caller can name
+    them beside its other problems; else in one ConfigError."""
     values: dict[str, str] = {}
-    problems: list[str] = []
+    found: list[str] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -398,35 +400,51 @@ def parse_key_values(text: str, path: str,
         key = key.strip()
         where = f"{path}:{lineno}"
         if not equals:
-            problems.append(f"{where}: expected key = value, got {stripped!r}")
+            found.append(f"{where}: expected key = value, got {stripped!r}")
         elif key not in keys:
-            problems.append(f"{where}: unknown key {key!r}")
+            found.append(f"{where}: unknown key {key!r}")
         elif key in values:
-            problems.append(f"{where}: repeated key {key!r}")
+            found.append(f"{where}: repeated key {key!r}")
         else:
             values[key] = raw.strip()
-    if problems:
-        raise ConfigError(problems)
+    if problems is not None:
+        problems += found
+    elif found:
+        raise ConfigError(found)
     return values
 
 
-def read_key_values(path: str | Path, keys: Container[str]) -> dict[str, str]:
-    """`parse_key_values` of a file of UTF-8 text, which may begin with a
-    byte-order mark; OSError if it cannot be read or is not UTF-8 text."""
+def _read_utf8(path: str | Path) -> str:
+    """A file's UTF-8 text, which may begin with a byte-order mark; OSError
+    if it cannot be read or is not UTF-8 text."""
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise OSError(f"{path} is not UTF-8 text: {exc}") from None
-    return parse_key_values(text, str(path), keys)
+
+
+def read_key_values(path: str | Path, keys: Container[str],
+                    problems: list[str] | None = None) -> dict[str, str]:
+    """`parse_key_values` of a file of UTF-8 text (`_read_utf8`)."""
+    return parse_key_values(_read_utf8(path), str(path), keys, problems)
 
 
 def parse_config_text(text: str, path: str = "<config>") -> Config:
-    """Parse a flat key=value file body. All keys optional; unknown keys error."""
-    return apply_overrides(Config(), parse_key_values(text, path, _KEYS))
+    """Parse a flat key=value file body. All keys optional.  One ConfigError
+    names its bad lines and, after its path, its bad values."""
+    problems: list[str] = []
+    values = parse_key_values(text, path, _KEYS, problems)
+    try:
+        config = apply_overrides(Config(), values, f"{path}: ")
+    except ConfigError as exc:
+        problems += exc.problems
+    if problems:
+        raise ConfigError(problems)
+    return config
 
 
 def load_config_file(path: str | Path) -> Config:
-    return apply_overrides(Config(), read_key_values(path, _KEYS))
+    return parse_config_text(_read_utf8(path), str(path))
 
 
 def config_to_text(config: Config) -> str:

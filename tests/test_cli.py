@@ -682,6 +682,33 @@ def test_every_bad_value_is_named_at_once(tmp_path, capsys, preset, argv,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv,text,messages", [
+    (["keyrate", "--config", "{file}", "--nu2", "z"], "mu = x\nnu1 = y\n",
+     ["{file}: mu must be a number, got 'x'",
+      "{file}: nu1 must be a number, got 'y'",
+      "nu2 must be a number, got 'z'"]),
+    (["keyrate", "--config", "{file}"], "mu = x\nbogus = 1\n",
+     ["{file}:2: unknown key 'bogus'", "{file}: mu must be a number, got 'x'"]),
+    (["keyrate", "--tally-file", "{file}"], "sent_mu = x\n",
+     ["{file}: sent_mu must be a whole number, got 'x'",
+      "{file}: missing tally keys: sifted_mu, errors_mu, sent_nu1, "
+      "sifted_nu1, errors_nu1, sent_nu2, sifted_nu2, errors_nu2"]),
+], ids=["config-file-and-key-flag", "line-and-value", "value-and-missing"])
+def test_every_problem_of_files_and_flags_is_named_at_once(
+        tmp_path, capsys, argv, text, messages):
+    # a file's values beside the command line's, its lines beside its
+    # values, and a tally file's values beside the keys it lacks
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    argv = [arg.replace("{file}", str(path)) for arg in argv]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    for message in messages:
+        assert message.replace("{file}", str(path)) in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_files_may_begin_with_a_byte_order_mark(tmp_path, capsys, preset):
     bom = b"\xef\xbb\xbf"
     config = tmp_path / "bom.cfg"
