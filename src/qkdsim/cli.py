@@ -141,7 +141,8 @@ def parse_command(argv: list[str]) -> argparse.Namespace:
 def _load_config(req: argparse.Namespace) -> Config:
     """Parse and check the request's command flags in place and return its
     validated configuration; one ConfigError names every bad flag, and every
-    bad line and key of the config file and of the command line."""
+    bad line and malformed value of the config file and the key flags, or,
+    once those are well formed, every key out of range and broken rule."""
     flags = {key.name[2:].replace("-", "_"): key   # argparse's dest
              for key in COMMAND_FLAGS[req.subcommand]}
     problems: list[str] = []
@@ -161,7 +162,7 @@ def _load_config(req: argparse.Namespace) -> Config:
         problems += exc.problems
     try:
         cfg = config_mod.apply_overrides(cfg, req.overrides)
-        # the rules that join keys would compare a refused key's default
+        # the ranges and rules would check a refused key's default
         if len(problems) == flag_problems:
             cfg = cfg.validated()
     except ConfigError as exc:

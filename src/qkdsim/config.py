@@ -383,15 +383,14 @@ def apply_overrides(config: Config, overrides: Mapping[str, Any],
 
 
 def parse_key_values(text: str, path: str, keys: Container[str],
-                     problems: list[str] | None = None) -> dict[str, str]:
+                     problems: list[str]) -> dict[str, str]:
     """Parse the flat key = value format of config and tally files: `#`
     starts a comment, blank lines are skipped, and every other line is
     `key = value` with a key from `keys`.  Returns key -> value text of the
-    good lines.  Every line without `=`, unknown key and repeated key is
-    named as path:line: in `problems`, if given, so that a caller can name
-    them beside its other problems; else in one ConfigError."""
+    good lines, and appends to `problems` every line without `=`, unknown
+    key and repeated key, named as path:line:, so that a caller can name
+    them beside its other problems."""
     values: dict[str, str] = {}
-    found: list[str] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -400,17 +399,13 @@ def parse_key_values(text: str, path: str, keys: Container[str],
         key = key.strip()
         where = f"{path}:{lineno}"
         if not equals:
-            found.append(f"{where}: expected key = value, got {stripped!r}")
+            problems.append(f"{where}: expected key = value, got {stripped!r}")
         elif key not in keys:
-            found.append(f"{where}: unknown key {key!r}")
+            problems.append(f"{where}: unknown key {key!r}")
         elif key in values:
-            found.append(f"{where}: repeated key {key!r}")
+            problems.append(f"{where}: repeated key {key!r}")
         else:
             values[key] = raw.strip()
-    if problems is not None:
-        problems += found
-    elif found:
-        raise ConfigError(found)
     return values
 
 
@@ -424,7 +419,7 @@ def _read_utf8(path: str | Path) -> str:
 
 
 def read_key_values(path: str | Path, keys: Container[str],
-                    problems: list[str] | None = None) -> dict[str, str]:
+                    problems: list[str]) -> dict[str, str]:
     """`parse_key_values` of a file of UTF-8 text (`_read_utf8`)."""
     return parse_key_values(_read_utf8(path), str(path), keys, problems)
 

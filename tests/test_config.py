@@ -234,17 +234,19 @@ def test_unknown_key_is_error():
 
 def test_reader_names_every_bad_line_at_once():
     text = "mu = 0.6\nfibre_len = 10\njust words\n\nmu = 0.7 # again\n"
-    with pytest.raises(ConfigError) as exc:
-        parse_key_values(text, "link.cfg", {"mu"})
-    assert exc.value.problems == [
+    problems: list[str] = []
+    assert parse_key_values(text, "link.cfg", {"mu"}, problems) == {"mu": "0.6"}
+    assert problems == [
         "link.cfg:2: unknown key 'fibre_len'",
         "link.cfg:3: expected key = value, got 'just words'",
         "link.cfg:5: repeated key 'mu'"]
 
 
 def test_reader_returns_stripped_value_text():
+    problems: list[str] = []
     assert parse_key_values(" a =  1 \n# b = 2\nb=x # y\n", "f",
-                            {"a", "b"}) == {"a": "1", "b": "x"}
+                            {"a", "b"}, problems) == {"a": "1", "b": "x"}
+    assert problems == []
 
 
 def test_malformed_value_is_error():
