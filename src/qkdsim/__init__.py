@@ -8,7 +8,7 @@ from .channel import (SIFTING, DriftState, PulseTally, calibrate_misalignment,
 from .finite_key import (BinomialBound, DecoyBounds, KeyResult, asymptotic_rate,
                          binary_entropy, clopper_pearson, decoy_bounds, distill,
                          efficiency_curve, estimate_channel, expectation_tally,
-                         key_efficiency, secure_key_length)
+                         secure_key_length)
 from .optimizer import OptimizationResult, objective, optimize_source
 from .session import (SecureKeyRecord, SessionResult, SessionSummary,
                       TelemetryRow, distill_window, run_session)

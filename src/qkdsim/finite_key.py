@@ -73,7 +73,6 @@ __all__ = [
     "asymptotic_rate",
     "expectation_tally",
     "efficiency_curve",
-    "key_efficiency",
 ]
 
 def binary_entropy(x: float) -> float:
@@ -426,7 +425,7 @@ class KeyResult:
     def efficiency(self) -> float:
         """Ratio of `secure_bits` to `_infinite_key` of the same tally,
         computed on first read and kept: a caller that reads only the key
-        length (the optimizer's objective, `key_efficiency`) never pays."""
+        length (the optimizer's objective) never pays."""
         reference = _infinite_key(self.tally, self.source, self.security)
         return min(1.0, self.secure_bits / reference) if reference > 0 else 0.0
 
@@ -541,9 +540,3 @@ def efficiency_curve(budgets: Iterable[float], source: SourceConfig,
                          security)
         return min(1.0, key.secure_bits / (n_pulses * rate))
     return [efficiency(n) if n * rate > 0 else 0.0 for n in budgets]
-
-
-def key_efficiency(n_pulses: float, source: SourceConfig, link: LinkConfig,
-                   security: SecurityConfig) -> float:
-    """`efficiency_curve` at one pulse budget."""
-    return efficiency_curve((n_pulses,), source, link, security)[0]

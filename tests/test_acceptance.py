@@ -16,8 +16,8 @@ from scipy import special
 from qkdsim.channel import DriftState, class_rates, expected_rates, sample_tally
 from qkdsim.config import SimConfig, SourceConfig
 from qkdsim.finite_key import (BinomialBound, ChannelEstimates, asymptotic_rate,
-                               clopper_pearson, decoy_bounds, estimate_channel,
-                               key_efficiency)
+                               clopper_pearson, decoy_bounds, efficiency_curve,
+                               estimate_channel)
 from qkdsim.optimizer import objective, optimize_source
 from qkdsim.session import run_session
 
@@ -47,14 +47,15 @@ def test_criterion_01_secure_rate_and_volume_over_36_hours(full_run):
 
 def test_criterion_02_key_efficiency_curve(preset):
     start = time.perf_counter()
-    eff = {n: key_efficiency(n, preset.source, preset.link, preset.security)
-           for n in (7.5e11, 1.2e12, 1e10, 1e11)}
+    budgets = (7.5e11, 1.2e12, 1e10, 1e11)
+    eff = dict(zip(budgets, efficiency_curve(budgets, preset.source,
+                                             preset.link, preset.security)))
     assert eff[7.5e11] == pytest.approx(0.95, abs=0.03)
     assert eff[1.2e12] == pytest.approx(0.96, abs=0.03)
     assert eff[1e10] <= eff[1e11] - 0.05
     grid = np.logspace(9, 15, 20)
-    curve = [key_efficiency(float(n), preset.source, preset.link,
-                            preset.security) for n in grid]
+    curve = efficiency_curve(grid.tolist(), preset.source, preset.link,
+                             preset.security)
     assert all(b >= a for a, b in zip(curve, curve[1:]))
     assert time.perf_counter() - start <= 10.0
 
@@ -206,7 +207,8 @@ def test_criterion_07_decoy_bound_soundness(preset):
 
 
 def test_criterion_08_finite_key_converges_to_asymptotic_rate(preset):
-    ratio = key_efficiency(1e15, preset.source, preset.link, preset.security)
+    [ratio] = efficiency_curve((1e15,), preset.source, preset.link,
+                               preset.security)
     assert ratio == pytest.approx(1.0, abs=0.01)
     assert asymptotic_rate(preset.source, preset.link, preset.security) > 0
 

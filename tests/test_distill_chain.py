@@ -21,8 +21,8 @@ def _objective(preset, tmp_path):
 
 
 def _key_efficiency(preset, tmp_path):
-    finite_key.key_efficiency(N_PULSES, preset.source, preset.link,
-                              preset.security)
+    finite_key.efficiency_curve((N_PULSES,), preset.source, preset.link,
+                                preset.security)
 
 
 def _keyrate(preset, tmp_path):

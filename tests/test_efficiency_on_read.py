@@ -1,5 +1,5 @@
 """`KeyResult.efficiency` is computed on first read: the optimizer's
-objective and `key_efficiency`, which read only the key length, never build
+objective and a bare `distill`, which read only the key length, never build
 the infinite-statistics reference behind it, and every reader gets the value
 the eager formula gave."""
 import pytest
@@ -53,8 +53,9 @@ def test_key_length_readers_never_build_the_reference(preset, monkeypatch):
     _, key = distill(_tally("positive", preset), preset.source,
                      preset.security)
     assert built == []
-    assert 0 < finite_key.key_efficiency(N_PULSES, preset.source, preset.link,
-                                         preset.security) <= 1
+    [efficiency] = finite_key.efficiency_curve((N_PULSES,), preset.source,
+                                               preset.link, preset.security)
+    assert 0 < efficiency <= 1
     assert built == [one_pulse]
     built.clear()
     assert len(finite_key.efficiency_curve((1e10, N_PULSES), preset.source,

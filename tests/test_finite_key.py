@@ -10,8 +10,8 @@ from qkdsim.channel import DriftState, PulseTally, class_rates, expected_rates
 from qkdsim.config import LinkConfig, SecurityConfig, SourceConfig
 from qkdsim.finite_key import (N_BOUND_CALLS, BinomialBound, ChannelEstimates,
                                asymptotic_rate, binary_entropy, clopper_pearson,
-                               decoy_bounds, estimate_channel,
-                               expectation_tally, key_efficiency,
+                               decoy_bounds, efficiency_curve,
+                               estimate_channel, expectation_tally,
                                point_estimates, secure_key_length)
 
 
@@ -469,12 +469,12 @@ def test_expectation_tally_matches_channel_model(preset):
 
 def test_key_efficiency_monotone_in_pulse_budget(preset):
     security = SecurityConfig()
-    effs = [key_efficiency(n, preset.source, preset.link, security)
-            for n in (1e10, 1e11, 1e12, 1e13)]
+    effs = efficiency_curve((1e10, 1e11, 1e12, 1e13), preset.source,
+                            preset.link, security)
     assert all(b > a for a, b in zip(effs, effs[1:]))
     assert all(0 < e <= 1 for e in effs)
 
 
 def test_key_efficiency_rejects_empty_budget(preset):
     with pytest.raises(ValueError):
-        key_efficiency(0, preset.source, preset.link, SecurityConfig())
+        efficiency_curve((0,), preset.source, preset.link, SecurityConfig())
