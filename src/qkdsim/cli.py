@@ -38,8 +38,8 @@ EXIT_CONFIG_FILE = 3
 EXIT_VALIDATION = 4
 EXIT_IO = 5
 
-# The most points of one efficiency curve: at 0.22-0.30 ms a point (2-vCPU
-# Xeon, Python 3.11) 20 to 30 s of work, and 16,000 points to each decade of
+# The most points of one efficiency curve: at 0.18-0.28 ms a point (2-vCPU
+# Xeon, Python 3.11) 18 to 28 s of work, and 16,000 points to each decade of
 # the default pulse range.  A larger grid spends minutes, then all memory.
 MAX_POINTS = 10**5
 # The most sweeps of one search: a sweep of about 170 candidates takes 7 ms

@@ -37,10 +37,12 @@ tests/test_forward_identity.py pins them to the ufuncs bit for bit, so an
 endpoint judged by the ufuncs gets the same verdict.
 
 One table of which counts bound which estimate (`_estimates`) and one key
-formula (`_key_terms`) serve the finite key and both of its references:
-`_infinite_key` of the same tally, which a `KeyResult` divides by in its
-`efficiency` on first read, and `asymptotic_rate`, the same key of one
-pulse's exact expected counts on the drift-free channel.
+formula (`_key_terms`) serve the finite key, its reference `_infinite_key`
+of the same tally, which a `KeyResult` divides by in its `efficiency` on
+first read, and `asymptotic_rate`, the same key of one pulse's exact
+expected counts on the drift-free channel.  That `efficiency` is the one
+key-extraction efficiency: `efficiency_curve` reports it for each budget's
+expectation tally, and no efficiency divides by `asymptotic_rate`.
 """
 from __future__ import annotations
 
@@ -423,9 +425,9 @@ class KeyResult:
 
     @cached_property
     def efficiency(self) -> float:
-        """Ratio of `secure_bits` to `_infinite_key` of the same tally,
-        computed on first read and kept: a caller that reads only the key
-        length (the optimizer's objective) never pays."""
+        """Ratio of `secure_bits` to `_infinite_key` of the same tally, 0.0
+        where that is 0, computed on first read and kept: a caller that reads
+        only the key length (the optimizer's objective) never pays."""
         reference = _infinite_key(self.tally, self.source, self.security)
         return min(1.0, self.secure_bits / reference) if reference > 0 else 0.0
 
@@ -526,17 +528,10 @@ def expectation_tally(n_pulses: float, source: SourceConfig,
 
 def efficiency_curve(budgets: Iterable[float], source: SourceConfig,
                      link: LinkConfig, security: SecurityConfig) -> list[float]:
-    """For each pulse budget, the finite-size key from its expectation tally
-    over the infinite-session key for the same channel and budget.  The
-    infinite-session rate does not depend on the budget, so it is computed
-    once for the whole grid."""
+    """For each pulse budget, the `KeyResult.efficiency` of the key
+    distilled from its expectation tally."""
     budgets = list(budgets)
     if any(n <= 0 for n in budgets):
         raise ValueError("n_pulses must be > 0")
-    rate = asymptotic_rate(source, link, security)
-
-    def efficiency(n_pulses: float) -> float:
-        _, key = distill(expectation_tally(n_pulses, source, link), source,
-                         security)
-        return min(1.0, key.secure_bits / (n_pulses * rate))
-    return [efficiency(n) if n * rate > 0 else 0.0 for n in budgets]
+    return [distill(expectation_tally(n, source, link), source,
+                    security)[1].efficiency for n in budgets]

@@ -36,9 +36,8 @@ TALLIES = ["positive", "no-key", "no-sifted-signal"]
 
 
 def test_key_length_readers_never_build_the_reference(preset, monkeypatch):
-    # the infinite-statistics key is built once per efficiency grid, for
-    # one pulse's expected counts, and for a key's own tally only when its
-    # efficiency is read
+    # the infinite-statistics key is built only where an efficiency is
+    # read: for a key's own tally, and for each budget's tally of a curve
     built = []
     infinite_key = finite_key._infinite_key
 
@@ -46,21 +45,17 @@ def test_key_length_readers_never_build_the_reference(preset, monkeypatch):
         built.append(tally)
         return infinite_key(tally, *args)
     monkeypatch.setattr(finite_key, "_infinite_key", counted)
-    one_pulse = finite_key._expected_counts(1.0, preset.source, preset.link,
-                                            float)
     assert optimizer.objective(preset.source, preset.link, preset.security,
                                N_PULSES) > 0
     _, key = distill(_tally("positive", preset), preset.source,
                      preset.security)
     assert built == []
-    [efficiency] = finite_key.efficiency_curve((N_PULSES,), preset.source,
-                                               preset.link, preset.security)
-    assert 0 < efficiency <= 1
-    assert built == [one_pulse]
-    built.clear()
-    assert len(finite_key.efficiency_curve((1e10, N_PULSES), preset.source,
-                                           preset.link, preset.security)) == 2
-    assert built == [one_pulse]
+    budgets = (1e10, N_PULSES)
+    effs = finite_key.efficiency_curve(budgets, preset.source, preset.link,
+                                       preset.security)
+    assert all(0 < eff <= 1 for eff in effs)
+    assert built == [expectation_tally(n, preset.source, preset.link)
+                     for n in budgets]
     built.clear()
     assert key.efficiency == key.efficiency
     assert built == [key.tally]

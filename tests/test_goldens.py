@@ -66,7 +66,7 @@ GOLDENS = {
     },
     ("efficiency-curve", "--points", "25"): {
         "efficiency_curve.csv":
-            "5377eccafd5aab0d67fda0bdf5467d8507361144bfaf566ad98c45f63da1b71b",
+            "b63f8b879a91c340d6ec65caeb4c1ebaa1d553e7068a285868933438744e61d3",
     },
     ("optimize", "--sweeps", "1"): {
         "optimize.txt":

@@ -1,17 +1,20 @@
 """The finite key, its infinite-statistics reference (`KeyResult.efficiency`)
 and the infinite-session rate (`asymptotic_rate`) share one table of which
 counts bound which estimate and one key formula, `_key_terms`, so a change
-to either reaches all three at once."""
+to either reaches all three at once.  Every reported efficiency, the
+efficiency curve's too, is `KeyResult.efficiency`."""
 import math
 import random
 
 import pytest
 
 from qkdsim import finite_key
+from qkdsim.cli import EXIT_OK, main
 from qkdsim.channel import SIFTING, DriftState, PulseTally, class_rates
 from qkdsim.config import LinkConfig, SecurityConfig, SourceConfig
 from qkdsim.finite_key import (BinomialBound, ChannelEstimates, asymptotic_rate,
-                               binary_entropy, decoy_bounds, estimate_channel,
+                               binary_entropy, decoy_bounds, distill,
+                               efficiency_curve, estimate_channel,
                                expectation_tally, point_estimates,
                                secure_key_length)
 
@@ -131,3 +134,22 @@ def test_a_field_without_trials_bounds_nothing(preset):
     bounds = decoy_bounds(est, preset.source)
     key = secure_key_length(tally, bounds, preset.security, preset.source)
     assert key.secure_bits == 0 and key.efficiency == 0.0
+
+
+def test_the_curve_reports_each_budgets_key_efficiency(preset, tmp_path,
+                                                       capsys):
+    source, security = preset.source, preset.security
+    budgets = (1e9, 1e10, 1.2e12, 1e15)
+    for link in (preset.link, LinkConfig(fiber_length=400.0)):   # no key
+        expected = [distill(expectation_tally(n, source, link), source,
+                            security)[1].efficiency for n in budgets]
+        assert efficiency_curve(budgets, source, link, security) == expected
+    assert expected == [0.0] * len(budgets)
+    for n in ("1e9", "1.2e12"):
+        capsys.readouterr()
+        assert main(["efficiency-curve", "--min-pulses", n, "--max-pulses", n,
+                     "--points", "1", "--out", str(tmp_path)]) == EXIT_OK
+        curve = capsys.readouterr().out.splitlines()[1].split(",")[1]
+        assert main(["keyrate", "--n-pulses", n, "--out",
+                     str(tmp_path)]) == EXIT_OK
+        assert f"\nefficiency: {curve}\n" in capsys.readouterr().out
