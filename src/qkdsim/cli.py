@@ -237,6 +237,8 @@ def _run_efficiency_curve(req: argparse.Namespace, cfg: Config) -> None:
     _check_pulses("--max-pulses", req.max_pulses, cfg.source)
     if req.min_pulses > req.max_pulses:
         raise ValueError("--min-pulses must not exceed --max-pulses")
+    if req.points == 1 and req.min_pulses != req.max_pulses:
+        raise ValueError("--points 1 needs --min-pulses equal to --max-pulses")
     grid = np.logspace(np.log10(req.min_pulses), np.log10(req.max_pulses),
                        req.points).tolist()
     with session.write_outputs(req.out, ("efficiency_curve.csv",)) as files:

@@ -488,6 +488,15 @@ def test_efficiency_curve_rejects_reversed_range(tmp_path, capsys):
                      "--min-pulses must not exceed --max-pulses")
 
 
+def test_efficiency_curve_rejects_one_point_over_a_range(tmp_path, capsys):
+    # one grid point cannot span two budgets
+    _assert_rejected(["efficiency-curve", "--out", str(tmp_path),
+                      "--points", "1", "--min-pulses", "1e9",
+                      "--max-pulses", "1e15"], capsys,
+                     "--points 1 needs --min-pulses equal to --max-pulses")
+    assert not (tmp_path / "efficiency_curve.csv").exists()
+
+
 @pytest.mark.parametrize("flag,value", [("--min-pulses", "0"),
                                         ("--min-pulses", "-1e9"),
                                         ("--max-pulses", "inf")])
