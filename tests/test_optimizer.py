@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from qkdsim import finite_key, optimizer
+from qkdsim.channel import SIFTING
 from qkdsim.config import Config, LinkConfig, SourceConfig
 from qkdsim.finite_key import (N_BOUND_CALLS, clopper_pearson,
-                               estimate_channel, expectation_tally)
+                               estimate_channel, expectation_tally,
+                               wilson_interval)
 from qkdsim.optimizer import MU_BOUNDS, _project, objective, optimize_source
 
 N_PULSES = 1.2e12  # one 20-min window at the GHz clock
@@ -164,24 +166,37 @@ def test_ranked_search_reaches_the_exact_five_sweep_search(preset,
     assert ranked.rate >= exact.rate > 0.0
 
 
-def test_no_interval_memo_outlives_a_search(preset, monkeypatch):
+def test_equal_searches_compute_the_same_intervals(preset, monkeypatch):
     calls = _count_intervals(monkeypatch)
     first = optimize_source(preset.link, preset.security, N_PULSES, sweeps=1)
     n_first = len(calls)
     second = optimize_source(preset.link, preset.security, N_PULSES, sweeps=1)
     assert n_first > 0
-    assert len(calls) == 2 * n_first
+    assert calls[n_first:] == calls[:n_first]
     assert (second.best, second.rate, second.evaluations) == \
         (first.best, first.rate, first.evaluations)
 
 
-def test_estimate_channel_same_with_interval_memo(preset):
+def test_estimate_channel_bounds_through_its_interval_hook(preset):
+    # the hook the search ranks by: one call for each field, in the table's
+    # order, at the field's share of epsilon/2, the gains scaled back to Q
     tally = expectation_tally(N_PULSES, preset.source, preset.link)
-    memo = lru_cache(maxsize=None)(clopper_pearson)
-    direct = estimate_channel(tally, preset.security)
-    assert estimate_channel(tally, preset.security, memo) == direct
-    assert estimate_channel(tally, preset.security, memo) == direct
-    assert memo.cache_info().hits == N_BOUND_CALLS
+    calls = []
+
+    def wilson(k, n, eps):
+        calls.append((k, n, eps))
+        return wilson_interval(k, n, eps)
+    estimates = estimate_channel(tally, preset.security, wilson)
+    share = preset.security.epsilon / 2.0 / N_BOUND_CALLS
+    t = tally
+    assert calls == [(k, n, share) for k, n in (
+        (t.sifted_mu, t.sent_mu), (t.errors_mu, t.sifted_mu),
+        (t.sifted_nu1, t.sent_nu1), (t.sifted_nu2, t.sent_nu2),
+        (t.errors_nu1, t.sent_nu1), (t.errors_nu2, t.sent_nu2))]
+    for name, bound, args in zip(estimates._fields, estimates, calls):
+        scale = 1.0 if name == "e_mu" else 1.0 / SIFTING
+        assert bound == tuple(min(1.0, end * scale)
+                              for end in wilson_interval(*args)), name
 
 
 def test_a_candidate_keeps_every_field_that_is_not_searched():
