@@ -140,33 +140,23 @@ def parse_command(argv: list[str]) -> argparse.Namespace:
 
 def _load_config(req: argparse.Namespace) -> Config:
     """Parse and check the request's command flags in place and return its
-    validated configuration; one ConfigError names every bad flag, and every
-    bad line and malformed value of the config file and the key flags, or,
-    once those are well formed, every key out of range and broken rule."""
+    validated configuration; one ConfigError names every bad flag, every bad
+    line and value of the config file, each after its path, every bad value
+    of the key flags and, once every value is of its key's type, every
+    broken rule that joins keys."""
     flags = {key.name[2:].replace("-", "_"): key   # argparse's dest
              for key in COMMAND_FLAGS[req.subcommand]}
     problems: list[str] = []
-    try:
-        vars(req).update(config_mod.read_values(
-            {dest: getattr(req, dest) for dest in flags}, flags))
-    except ConfigError as exc:
-        problems += exc.problems
-    flag_problems = len(problems)
+    vars(req).update(config_mod.read_values(
+        {dest: getattr(req, dest) for dest in flags}, flags, problems))
     cfg = Config()
     try:
         if req.config is not None:
-            cfg = config_mod.load_config_file(req.config)
+            cfg = config_mod.load_config_file(req.config, problems)
     except OSError as exc:
         raise _UnreadableInputError(f"cannot read config: {exc}") from exc
-    except ConfigError as exc:
-        problems += exc.problems
-    try:
-        cfg = config_mod.apply_overrides(cfg, req.overrides)
-        # the ranges and rules would check a refused key's default
-        if len(problems) == flag_problems:
-            cfg = cfg.validated()
-    except ConfigError as exc:
-        problems += exc.problems
+    cfg = config_mod.apply_overrides(cfg, req.overrides, problems)
+    problems += cfg.rule_problems(problems)
     if problems:
         raise ConfigError(problems)
     return cfg
@@ -193,10 +183,7 @@ def _read_tally_file(path: str) -> channel.PulseTally:
         raw = config_mod.read_key_values(path, TALLY_KEYS, problems)
     except OSError as exc:
         raise _UnreadableInputError(f"cannot read tally file: {exc}") from exc
-    try:
-        counts = config_mod.read_values(raw, TALLY_KEYS, f"{path}: ")
-    except ConfigError as exc:
-        problems += exc.problems
+    counts = config_mod.read_values(raw, TALLY_KEYS, problems, f"{path}: ")
     missing = [name for name in TALLY_KEYS if name not in raw]
     if missing:
         problems.append(f"{path}: missing tally keys: {', '.join(missing)}")

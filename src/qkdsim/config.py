@@ -228,26 +228,35 @@ class Config:
 
     def validated(self) -> "Config":
         """Check every key's type and range (`ConfigKey.check`) and the rules
-        that join keys; return self unchanged or raise ConfigError naming
-        every violation.  A session's counts are checked by `session_steps`."""
+        that join keys (`rule_problems`); return self unchanged or raise
+        ConfigError naming every violation.  A session's counts are checked
+        by `session_steps`."""
         problems = [problem for key in _KEYS.values()
                     if (problem := key.check(key.value(self)))]
-        source, sim = self.source, self.sim
-        # the rules compare numbers: a value of another type is named above
-        if problems and not all(key.is_typed(key.value(self))
-                                for key in _KEYS.values()):
-            raise ConfigError(problems)
-        if not source.mu > source.nu1:
-            problems.append("mu must exceed nu1")
-        if not source.nu1 > source.nu2:
-            problems.append("nu1 must exceed nu2")
-        if abs(source.p_mu + source.p_nu1 + source.p_nu2 - 1.0) > 1e-12:
-            problems.append("probabilities must sum to 1 (tolerance 1e-12)")
-        if 0 < sim.duration < sim.time_step:
-            problems.append("duration must be >= time_step")
+        problems += self.rule_problems(problems)
         if problems:
             raise ConfigError(problems)
         return self
+
+    def rule_problems(self, problems: list[str]) -> list[str]:
+        """Every rule that joins keys, such as `mu must exceed nu1`, that this
+        config breaks.  The rules compare numbers: after `problems`, those
+        of its values, they are checked only if every value is of its key's
+        type, which no problem shows at once."""
+        if problems and not all(key.is_typed(key.value(self))
+                                for key in _KEYS.values()):
+            return []
+        source, sim = self.source, self.sim
+        broken = []
+        if not source.mu > source.nu1:
+            broken.append("mu must exceed nu1")
+        if not source.nu1 > source.nu2:
+            broken.append("nu1 must exceed nu2")
+        if abs(source.p_mu + source.p_nu1 + source.p_nu2 - 1.0) > 1e-12:
+            broken.append("probabilities must sum to 1 (tolerance 1e-12)")
+        if 0 < sim.duration < sim.time_step:
+            broken.append("duration must be >= time_step")
+        return broken
 
     def session_steps(self) -> int:
         """The time steps of a session of this validated config: duration /
@@ -346,12 +355,12 @@ def steps_per(interval: float, dt: float) -> int:
 # ---------------------------------------------------------------------------
 
 def read_values(texts: Mapping[str, Any], keys: Mapping[str, ConfigKey],
-                where: str = "") -> dict[str, Any]:
-    """Each text's value, parsed by its key in `keys` and checked, but for the
-    range of a configuration key, which `Config.validated` checks.  One
-    ConfigError names, each after `where`, every unknown key and bad value."""
+                problems: list[str], where: str = "") -> dict[str, Any]:
+    """Each text's value, parsed by its key in `keys`; a malformed one stays
+    text, which no key takes.  Adds to `problems`, each after `where`, every
+    unknown key and every value of another type or out of range
+    (`ConfigKey.check`)."""
     values: dict[str, Any] = {}
-    problems: list[str] = []
     for name, text in texts.items():
         if name not in keys:
             problems.append(f"{where}unknown configuration key: {name}")
@@ -361,21 +370,18 @@ def read_values(texts: Mapping[str, Any], keys: Mapping[str, ConfigKey],
             value = (_BOOLEANS[text.lower()] if key.type is bool
                      else key.type(text))
         except (KeyError, ValueError):
-            value = text   # a str, which no key takes: `check` names it
-        if (not key.section or isinstance(value, str)) and (
-                problem := key.check(value)):
+            value = text
+        if problem := key.check(value):
             problems.append(where + problem)
         values[name] = value
-    if problems:
-        raise ConfigError(problems)
     return values
 
 
 def apply_overrides(config: Config, overrides: Mapping[str, Any],
-                    where: str = "") -> Config:
-    """Layer key -> value-text overrides onto a Config, parsed by
-    `read_values` (its problems named after `where`)."""
-    for name, value in read_values(overrides, _KEYS, where).items():
+                    problems: list[str], where: str = "") -> Config:
+    """Layer key -> value-text overrides onto a Config, each as `read_values`
+    reads it, which adds their problems to `problems` after `where`."""
+    for name, value in read_values(overrides, _KEYS, problems, where).items():
         section = _KEYS[name].section
         config = replace(config, **{section: replace(getattr(config, section),
                                                      **{name: value})})
@@ -424,22 +430,18 @@ def read_key_values(path: str | Path, keys: Container[str],
     return parse_key_values(_read_utf8(path), str(path), keys, problems)
 
 
-def parse_config_text(text: str, path: str = "<config>") -> Config:
-    """Parse a flat key=value file body. All keys optional.  One ConfigError
-    names its bad lines and, after its path, its bad values."""
-    problems: list[str] = []
-    values = parse_key_values(text, path, _KEYS, problems)
-    try:
-        config = apply_overrides(Config(), values, f"{path}: ")
-    except ConfigError as exc:
-        problems += exc.problems
-    if problems:
-        raise ConfigError(problems)
-    return config
+def parse_config_text(text: str, path: str, problems: list[str]) -> Config:
+    """The defaults with a flat key=value file body's values layered on; all
+    keys optional.  Adds to `problems` its bad lines and, after its path,
+    its bad values."""
+    return apply_overrides(Config(), parse_key_values(text, path, _KEYS,
+                                                      problems),
+                           problems, f"{path}: ")
 
 
-def load_config_file(path: str | Path) -> Config:
-    return parse_config_text(_read_utf8(path), str(path))
+def load_config_file(path: str | Path, problems: list[str]) -> Config:
+    """`parse_config_text` of a file of UTF-8 text (`_read_utf8`)."""
+    return parse_config_text(_read_utf8(path), str(path), problems)
 
 
 def config_to_text(config: Config) -> str:

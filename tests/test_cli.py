@@ -6,7 +6,7 @@ from qkdsim import cli, optimizer, session
 from qkdsim.cli import (COMMAND_FLAGS, EXIT_CONFIG_FILE, EXIT_IO, EXIT_OK,
                         EXIT_USAGE, EXIT_VALIDATION, MAX_POINTS, MAX_SWEEPS,
                         main, parse_command)
-from qkdsim.config import DEFAULT_MISALIGNMENT, config_keys, parse_config_text
+from qkdsim.config import DEFAULT_MISALIGNMENT, config_keys, load_config_file
 from qkdsim.finite_key import expectation_tally
 
 
@@ -115,13 +115,21 @@ def test_missing_config_file_exits_with_config_status(tmp_path, capsys):
     assert status == EXIT_CONFIG_FILE
 
 
+def _read_config(path):
+    """The configuration of a config file that has no problem."""
+    problems: list[str] = []
+    config = load_config_file(path, problems)
+    assert problems == []
+    return config
+
+
 def test_flag_overrides_beat_config_file(tmp_path, capsys):
     cfg = tmp_path / "link.cfg"
     cfg.write_text("mu = 0.6\nfiber_length = 25\n")
     status = main(["calibrate", "--config", str(cfg), "--mu", "0.7",
                    "--out", str(tmp_path)])
     assert status == EXIT_OK
-    written = parse_config_text((tmp_path / "calibrated.cfg").read_text())
+    written = _read_config(tmp_path / "calibrated.cfg")
     assert written.source.mu == 0.7
     assert written.link.fiber_length == 25.0
 
@@ -194,7 +202,7 @@ def test_optimize_writes_report_and_config(tmp_path, capsys):
     assert status == EXIT_OK
     report = (tmp_path / "optimize.txt").read_text()
     assert float(report.split("rate_bits_per_pulse: ")[1].splitlines()[0]) > 0
-    best = parse_config_text((tmp_path / "best_config.cfg").read_text())
+    best = _read_config(tmp_path / "best_config.cfg")
     best.validated()
     assert best.source.mu > best.source.nu1
 
@@ -205,7 +213,7 @@ def test_calibrate_reproduces_shipped_default(tmp_path, capsys):
     out = capsys.readouterr().out
     value = float(out.split("intrinsic_misalignment_error: ")[1])
     assert value == pytest.approx(DEFAULT_MISALIGNMENT, abs=1e-8)
-    parse_config_text((tmp_path / "calibrated.cfg").read_text()).validated()
+    _read_config(tmp_path / "calibrated.cfg").validated()
 
 
 def test_unwritable_output_exits_with_io_status(tmp_path, capsys):
@@ -702,11 +710,23 @@ def test_every_bad_value_is_named_at_once(tmp_path, capsys, preset, argv,
      ["{file}: sent_mu must be a whole number, got 'x'",
       "{file}: missing tally keys: sifted_mu, errors_mu, sent_nu1, "
       "sifted_nu1, errors_nu1, sent_nu2, sifted_nu2, errors_nu2"]),
-], ids=["config-file-and-key-flag", "line-and-value", "value-and-missing"])
+    (["keyrate", "--config", "{file}"], "mu = -1\n",
+     ["{file}: mu must be in (0, 100] (photons/pulse), got -1.0",
+      "mu must exceed nu1"]),
+    (["keyrate", "--config", "{file}", "--mu", "-1"], "nu1 = y\n",
+     ["{file}: nu1 must be a number, got 'y'",
+      "mu must be in (0, 100] (photons/pulse), got -1.0"]),
+    (["keyrate", "--config", "{file}", "--mu", "0.6"], "mu = -1\n",
+     ["{file}: mu must be in (0, 100] (photons/pulse), got -1.0"]),
+], ids=["config-file-and-key-flag", "line-and-value", "value-and-missing",
+        "range-and-rule", "malformed-file-and-range-flag",
+        "range-under-a-flag"])
 def test_every_problem_of_files_and_flags_is_named_at_once(
         tmp_path, capsys, argv, text, messages):
     # a file's values beside the command line's, its lines beside its
-    # values, and a tally file's values beside the keys it lacks
+    # values, and a tally file's values beside the keys it lacks; a file's
+    # value out of range is named after its path, beside the rules that join
+    # keys, even where a flag replaces it
     path = tmp_path / "input.txt"
     path.write_text(text)
     argv = [arg.replace("{file}", str(path)) for arg in argv]
@@ -724,8 +744,8 @@ def test_files_may_begin_with_a_byte_order_mark(tmp_path, capsys, preset):
     config.write_bytes(bom + b"fiber_length = 25\n")
     assert main(["calibrate", "--config", str(config), "--out",
                  str(tmp_path / "cal")]) == EXIT_OK
-    assert parse_config_text((tmp_path / "cal" / "calibrated.cfg")
-                             .read_text()).link.fiber_length == 25.0
+    assert _read_config(tmp_path / "cal" / "calibrated.cfg"
+                        ).link.fiber_length == 25.0
     counts = _write_tally(tmp_path / "counts.txt", preset)
     marked = tmp_path / "marked.txt"
     marked.write_bytes(bom + counts.read_bytes())

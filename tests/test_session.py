@@ -343,7 +343,9 @@ def test_streamed_outputs_equal_the_library_export(preset, tmp_path, capsys,
              for arg in ("--" + key.replace("_", "-"), value)]
     assert main(["simulate", "--out", str(tmp_path / "cli"), "--seed",
                  "13", "--duration", str(steps), *flags]) == EXIT_OK
-    cfg = apply_overrides(preset, overrides)
+    problems: list[str] = []
+    cfg = apply_overrides(preset, overrides, problems)
+    assert problems == []
     written = run_session(cfg, duration=float(steps), seed=13,
                           out=tmp_path / "lib")
     for name in SESSION_FILES:
