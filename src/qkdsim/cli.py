@@ -206,11 +206,12 @@ def _run_keyrate(req: argparse.Namespace, cfg: Config) -> None:
         _check_pulses("--n-pulses", req.n_pulses, cfg.source)
         tally = finite_key.expectation_tally(req.n_pulses, cfg.source, cfg.link)
     with session.write_outputs(req.out, ("keyrate.csv",)) as files:
-        bounds, result = finite_key.distill(tally, cfg.source, cfg.security)
+        result = finite_key.distill(tally, cfg.source, cfg.security)
         values = {name: getattr(result, name) for name in (
             "secure_bits", "single_photon_bits", "leakage_bits",
             "finite_size_bits", "efficiency", "epsilon_spent")}
-        values.update(y1_lower=bounds.y1_lower, e1_upper=bounds.e1_upper)
+        values.update(y1_lower=result.bounds.y1_lower,
+                      e1_upper=result.bounds.e1_upper)
         files["keyrate.csv"].writelines([
             ",".join(values) + "\n",
             ",".join(session._fmt(v) for v in values.values()) + "\n"])

@@ -36,13 +36,15 @@ ufunc dispatch, which took about 0.8 us of a 1.3 us scalar `betainc` call.
 tests/test_forward_identity.py pins them to the ufuncs bit for bit, so an
 endpoint judged by the ufuncs gets the same verdict.
 
-One table of which counts bound which estimate (`_estimates`) and one key
-formula (`_key_terms`) serve the finite key, its reference `_infinite_key`
-of the same tally, which a `KeyResult` divides by in its `efficiency` on
-first read, and `asymptotic_rate`, the same key of one pulse's exact
-expected counts on the drift-free channel.  That `efficiency` is the one
-key-extraction efficiency: `efficiency_curve` reports it for each budget's
-expectation tally, and no efficiency divides by `asymptotic_rate`.
+`distill` makes one record of a window, a `KeyResult`, which holds the
+`DecoyBounds` its key rests on.  One table of which counts bound which
+estimate (`_estimates`) and one key formula (`_key_terms`) serve the finite
+key, its reference `_infinite_key` of the same tally, which a `KeyResult`
+divides by in its `efficiency` on first read, and `asymptotic_rate`, the
+same key of one pulse's exact expected counts on the drift-free channel.
+That `efficiency` is the one key-extraction efficiency: `efficiency_curve`
+reports it for each budget's expectation tally, and no efficiency divides
+by `asymptotic_rate`.
 """
 from __future__ import annotations
 
@@ -411,14 +413,16 @@ def decoy_bounds(estimates: ChannelEstimates, source: SourceConfig) -> DecoyBoun
 
 @dataclass(frozen=True)
 class KeyResult:
-    """Outcome of distilling one window, with the tally, source and security
-    settings it was distilled from."""
+    """Outcome of distilling one window: its key and the decoy bounds it
+    rests on, with the tally, source and security settings it was distilled
+    from."""
 
     secure_bits: int
     single_photon_bits: float   # N1_lower * (1 - H2(e1_upper))
     leakage_bits: float         # f * n_sift * H2(E_upper)
     finite_size_bits: float     # privacy-amplification penalty
     epsilon_spent: float
+    bounds: DecoyBounds
     tally: PulseTally = field(repr=False)
     source: SourceConfig = field(repr=False)
     security: SecurityConfig = field(repr=False)
@@ -469,20 +473,15 @@ def secure_key_length(tally: PulseTally, bounds: DecoyBounds,
     single, leakage, pa = _key_terms(tally, bounds, security, source)
     return KeyResult(
         secure_bits=max(0, math.floor(single - leakage - pa)),
-        single_photon_bits=single,
-        leakage_bits=leakage,
-        finite_size_bits=pa,
-        epsilon_spent=security.epsilon,
-        tally=tally,
-        source=source,
-        security=security,
-    )
+        single_photon_bits=single, leakage_bits=leakage, finite_size_bits=pa,
+        epsilon_spent=security.epsilon, bounds=bounds, tally=tally,
+        source=source, security=security)
 
 
 def distill(tally: PulseTally, source: SourceConfig, security: SecurityConfig,
             interval: Callable[[int, int, float], BinomialBound] | None = None
-            ) -> tuple[DecoyBounds, KeyResult]:
-    """One window's decoy bounds and finite-size key: the chain
+            ) -> KeyResult:
+    """One window's finite-size key, which holds its decoy bounds: the chain
     `estimate_channel` -> `decoy_bounds` -> `secure_key_length`, written once.
 
     The key is epsilon-secure because the bounds come from the same tally as
@@ -494,7 +493,7 @@ def distill(tally: PulseTally, source: SourceConfig, security: SecurityConfig,
     `estimate_channel`.
     """
     bounds = decoy_bounds(estimate_channel(tally, security, interval), source)
-    return bounds, secure_key_length(tally, bounds, security, source)
+    return secure_key_length(tally, bounds, security, source)
 
 
 def _expected_counts(n_pulses: float, source: SourceConfig, link: LinkConfig,
@@ -534,4 +533,4 @@ def efficiency_curve(budgets: Iterable[float], source: SourceConfig,
     if any(n <= 0 for n in budgets):
         raise ValueError("n_pulses must be > 0")
     return [distill(expectation_tally(n, source, link), source,
-                    security)[1].efficiency for n in budgets]
+                    security).efficiency for n in budgets]

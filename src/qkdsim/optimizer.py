@@ -49,8 +49,7 @@ def objective(source: SourceConfig, link: LinkConfig, security: SecurityConfig,
     tally = expectation_tally(n_pulses, source, link)
     if 0 in tally[0::3]:
         return 0.0    # a class without pulses bounds nothing
-    _, result = distill(tally, source, security, interval)
-    return result.secure_bits / n_pulses
+    return distill(tally, source, security, interval).secure_bits / n_pulses
 
 
 @dataclass

@@ -3,8 +3,9 @@
 One session advances second by second (configurable step), feeding the
 controllers only quantities an operator could observe - sampled counts and
 the QBER computed from them - while the true drift state is logged as
-hidden diagnostic truth.  Completed distillation windows are turned into
-secure key records; a trailing partial window is discarded.
+hidden diagnostic truth.  Each complete distillation window becomes a
+`SecureKeyRecord` of its span, counts and the one `KeyResult` (key and
+decoy bounds) of `finite_key.distill`; a trailing partial one is dropped.
 
 The telemetry has a row per step and a column per `TelemetryRow` field.
 Given an output directory, `run_session` streams it to telemetry.csv block
@@ -13,7 +14,8 @@ writer process of their own, which formats and writes them while the
 session steps on, on another CPU where there is one.  Otherwise it returns
 the telemetry whole as one float64 array.  NaN marks an absent cell: a QBER
 or transmittance of a class that sent or sifted nothing that step.  It is
-written to telemetry.csv as an empty field.
+written to telemetry.csv as an empty field, as is a window's `qber_mu` in
+keys.csv where the window sifted no signal bit.
 """
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ import numpy as np
 from .channel import (CLASSES, DriftState, PulseTally, class_rates, observed,
                       sample_tally)
 from .config import Config, steps_per
-from .finite_key import DecoyBounds, KeyResult, distill
+from .finite_key import KeyResult, distill
 # Not called here: perfbench/tracing.BOUNDARIES looks them up in this module.
 from .finite_key import decoy_bounds, estimate_channel, secure_key_length
 from .stabilization import (ControllerState, apply_controls,
@@ -123,15 +125,13 @@ sys.stdout.flush()
 
 @dataclass(frozen=True)
 class SecureKeyRecord:
-    """One distillation window: aggregated counts, bounds, and key output."""
+    """One distillation window: its span, its counts and their key."""
 
     window_start: float
     window_end: float
     tally: PulseTally
-    qber_signal: float | None
     key: KeyResult
     secure_rate: float  # bits per second of window time
-    bounds: DecoyBounds
 
 
 @dataclass(frozen=True)
@@ -169,17 +169,9 @@ class SessionResult:
 def distill_window(tally: PulseTally, config: Config, window_start: float,
                    window_end: float) -> SecureKeyRecord:
     """Turn one complete window's tally into a secure key record."""
-    bounds, key = distill(tally, config.source, config.security)
-    return SecureKeyRecord(
-        window_start=window_start,
-        window_end=window_end,
-        tally=tally,
-        qber_signal=(tally.errors_mu / tally.sifted_mu
-                     if tally.sifted_mu > 0 else None),
-        key=key,
-        secure_rate=key.secure_bits / (window_end - window_start),
-        bounds=bounds,
-    )
+    key = distill(tally, config.source, config.security)
+    return SecureKeyRecord(window_start, window_end, tally, key,
+                           key.secure_bits / (window_end - window_start))
 
 
 def run_session(config: Config, duration: float | None = None,
@@ -353,7 +345,7 @@ def _run(config: Config, n_steps: int,
 # ---------------------------------------------------------------------------
 
 def _fmt(value: float | int | None) -> str:
-    if value is None:
+    if value is None or value != value:   # None or NaN: absent
         return ""
     if isinstance(value, int):
         return str(value)
@@ -416,7 +408,8 @@ def export_timeseries(result: SessionResult,
             rec.tally.sifted_mu, rec.tally.errors_mu,
             rec.tally.sifted_nu1, rec.tally.errors_nu1,
             rec.tally.sifted_nu2, rec.tally.errors_nu2,
-            rec.qber_signal, rec.bounds.y1_lower, rec.bounds.e1_upper,
+            observed(rec.tally)[0], rec.key.bounds.y1_lower,
+            rec.key.bounds.e1_upper,
             rec.key.secure_bits, rec.secure_rate,
             rec.key.efficiency)) + "\n" for rec in result.records])
     files["summary.txt"].write(format_summary(result.summary))

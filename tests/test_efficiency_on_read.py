@@ -47,8 +47,8 @@ def test_key_length_readers_never_build_the_reference(preset, monkeypatch):
     monkeypatch.setattr(finite_key, "_infinite_key", counted)
     assert optimizer.objective(preset.source, preset.link, preset.security,
                                N_PULSES) > 0
-    _, key = distill(_tally("positive", preset), preset.source,
-                     preset.security)
+    key = distill(_tally("positive", preset), preset.source,
+                  preset.security)
     assert built == []
     budgets = (1e10, N_PULSES)
     effs = finite_key.efficiency_curve(budgets, preset.source, preset.link,
@@ -81,7 +81,7 @@ def test_keyrate_reports_the_eager_efficiency(preset, tmp_path, capsys, kind):
                               for name, value in tally._asdict().items()))
     assert main(["keyrate", "--out", str(tmp_path), "--tally-file",
                  str(counts)]) == EXIT_OK
-    _, key = distill(tally, preset.source, preset.security)
+    key = distill(tally, preset.source, preset.security)
     expected = session._fmt(_eager_efficiency(tally, key, preset.source,
                                               preset.security))
     header, row = (tmp_path / "keyrate.csv").read_text().splitlines()

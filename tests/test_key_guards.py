@@ -38,8 +38,8 @@ def test_single_photon_yield_is_capped_at_one(preset, expected):
     tally = expected._replace(sifted_mu=expected.sent_mu // 5,
                               errors_mu=expected.sent_mu // 500,
                               sifted_nu1=expected.sent_nu1, errors_nu1=0)
-    bounds, key = distill(tally, preset.source, preset.security)
-    assert bounds.y1_lower == 1.0
+    key = distill(tally, preset.source, preset.security)
+    assert key.bounds.y1_lower == 1.0
     assert 0 < key.secure_bits <= tally.sifted_mu
 
 
@@ -49,9 +49,9 @@ def test_single_photon_error_rate_is_floored_at_zero(tmp_path, preset,
     # about -0.009, where binary_entropy is not defined
     tally = expected._replace(errors_nu1=0,
                               errors_nu2=expected.sifted_nu2 // 2)
-    bounds, key = distill(tally, preset.source, preset.security)
-    assert bounds.y1_lower > 0.0
-    assert bounds.e1_upper == 0.0
+    key = distill(tally, preset.source, preset.security)
+    assert key.bounds.y1_lower > 0.0
+    assert key.bounds.e1_upper == 0.0
     row = _keyrate(tmp_path, tally)
     assert row["e1_upper"] == 0.0
     assert row["secure_bits"] == key.secure_bits
@@ -63,8 +63,8 @@ def test_leakage_takes_a_signal_error_rate_above_half_as_half(tmp_path,
     # 80% of the sifted signal bits in error: H(0.8) = H(0.2) would leak
     # less than the whole sifted key, which is all error correction can hide
     tally = expected._replace(errors_mu=expected.sifted_mu * 4 // 5)
-    bounds, key = distill(tally, preset.source, preset.security)
-    assert bounds.e_mu_upper > 0.79
+    key = distill(tally, preset.source, preset.security)
+    assert key.bounds.e_mu_upper > 0.79
     full = preset.security.ec_efficiency * tally.sifted_mu
     assert binary_entropy(0.5) == 1.0
     assert key.leakage_bits == full
@@ -78,8 +78,8 @@ def test_gains_scaled_back_from_sifted_counts_are_capped_at_one(preset,
     # the detections, so doubling the sifted fraction gives a gain of 2
     tally = expected._replace(sifted_mu=expected.sent_mu, errors_mu=0,
                               sifted_nu1=expected.sent_nu1, errors_nu1=0)
-    bounds, key = distill(tally, preset.source, preset.security)
-    assert bounds.q_mu_upper == 1.0
+    key = distill(tally, preset.source, preset.security)
+    assert key.bounds.q_mu_upper == 1.0
     estimates = estimate_channel(tally, preset.security)
     for name, bound in estimates._asdict().items():
         assert 0.0 <= bound.lower <= bound.upper <= 1.0, name
@@ -94,5 +94,5 @@ def test_single_photon_count_is_capped_at_the_sifted_count(preset, expected):
     tally = expected._replace(sifted_mu=1_000_000, errors_mu=0,
                               sent_nu1=1_000_000, sifted_nu1=1_000_000,
                               errors_nu1=0)
-    _, key = distill(tally, preset.source, preset.security)
+    key = distill(tally, preset.source, preset.security)
     assert 0 < key.secure_bits <= tally.sifted_mu

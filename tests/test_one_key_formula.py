@@ -142,7 +142,7 @@ def test_the_curve_reports_each_budgets_key_efficiency(preset, tmp_path,
     budgets = (1e9, 1e10, 1.2e12, 1e15)
     for link in (preset.link, LinkConfig(fiber_length=400.0)):   # no key
         expected = [distill(expectation_tally(n, source, link), source,
-                            security)[1].efficiency for n in budgets]
+                            security).efficiency for n in budgets]
         assert efficiency_curve(budgets, source, link, security) == expected
     assert expected == [0.0] * len(budgets)
     for n in ("1e9", "1.2e12"):

@@ -13,9 +13,9 @@ from qkdsim import session
 from qkdsim.channel import DriftState, PulseTally
 from qkdsim.cli import EXIT_IO, EXIT_OK, main
 from qkdsim.config import (MAX_SESSION_STEPS, Config, ConfigError,
-                           SecurityConfig, SimConfig, SourceConfig,
-                           apply_overrides)
-from qkdsim.finite_key import (decoy_bounds, estimate_channel,
+                           LinkConfig, SecurityConfig, SimConfig,
+                           SourceConfig, apply_overrides)
+from qkdsim.finite_key import (decoy_bounds, distill, estimate_channel,
                                expectation_tally, secure_key_length)
 from qkdsim.session import (KEYS_HEADER, SESSION_FILES, TELEMETRY_HEADER,
                             TelemetryRow, distill_window, format_summary,
@@ -62,8 +62,8 @@ def test_every_window_produces_key(short_session):
     for rec in short_session.records:
         assert rec.key.secure_bits > 0
         assert rec.secure_rate == rec.key.secure_bits / 1200.0
-        assert 0 < rec.bounds.y1_lower <= 1
-        assert 0 <= rec.bounds.e1_upper <= 0.5
+        assert 0 < rec.key.bounds.y1_lower <= 1
+        assert 0 <= rec.key.bounds.e1_upper <= 0.5
         assert 0 < rec.key.efficiency <= 1
 
 
@@ -164,8 +164,14 @@ def test_distill_window_matches_direct_pipeline(preset):
                           preset.source)
     direct = secure_key_length(tally, bounds, preset.security, preset.source)
     assert rec.key == direct
-    assert rec.bounds == bounds
-    assert rec.qber_signal == pytest.approx(tally.errors_mu / tally.sifted_mu)
+    assert rec.key.bounds == bounds
+
+
+def test_each_record_holds_the_one_key_of_its_tally(preset, short_session):
+    for rec in short_session.records:
+        key = distill(rec.tally, preset.source, preset.security)
+        assert rec.key == key
+        assert rec.key.bounds == key.bounds
 
 
 def test_csv_export_round_trip(preset, short_session, tmp_path):
@@ -211,6 +217,23 @@ def test_absent_values_export_as_empty_cells(preset, tmp_path):
     assert any(",," in line for line in body)
     loaded = load_telemetry_csv(tmp_path / "telemetry.csv")
     assert any(r["qber_nu2"] is None for r in loaded)
+
+
+def test_windows_without_a_sifted_signal_bit_leave_qber_mu_empty(preset,
+                                                                 tmp_path):
+    # no dark counts, and 3,000 km of fiber that no photon crosses
+    cfg = dataclasses.replace(
+        preset, source=SourceConfig(clock_rate=1e3),
+        link=LinkConfig(fiber_length=3000.0, dark_count_prob=0.0),
+        security=SecurityConfig(distill_interval=10.0),
+        sim=SimConfig(stabilization_enabled=False))
+    result = run_session(cfg, duration=30.0, seed=1, out=tmp_path)
+    assert [rec.tally.sifted_mu for rec in result.records] == [0, 0, 0]
+    column = KEYS_HEADER.split(",").index("qber_mu")
+    body = (tmp_path / "keys.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[column] for line in body] == ["", "", ""]
+    assert [row["qber_mu"] for row in load_keys_csv(tmp_path / "keys.csv")
+            ] == [None, None, None]
 
 
 @pytest.mark.parametrize("name,loader", [("telemetry.csv", load_telemetry_csv),
