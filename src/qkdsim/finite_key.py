@@ -111,29 +111,16 @@ class _Bits(threading.local):
 _BITS = _Bits()
 
 
-def _tail_excess(t: float, target: float, w_target: float) -> float:
-    """sqrt(-2 ln t) - sqrt(-2 ln target), positive where the tail t passes.
-
-    For a near-normal tail this grows almost linearly with the endpoint's
-    distance from k/n.  It is formed from ln(t/target), so it keeps its
-    relative precision as t nears target.  A tail of 0 passes by any margin;
-    a NaN fails.  `_tail_endpoint` inlines this formula.
-    """
-    if not t > 0.0:
-        return math.inf if t == 0.0 else -math.inf
-    log_ratio = math.log(t / target)
-    return -2.0 * log_ratio / (
-        math.sqrt(max(0.0, w_target * w_target - 2.0 * log_ratio)) + w_target)
-
-
 @lru_cache(maxsize=64)
 def _target_constants(target: float) -> tuple[float, float, float]:
     """For a tail target epsilon/2: the normal quantile z = -ndtri(target)
-    of the Wilson guesses, w_target = sqrt(-2 ln target), and the excess of
-    the tail 1/2 taken at k/n."""
+    of the Wilson guesses, w_target = sqrt(-2 ln target), and the excess
+    (see `_tail_endpoint`) of the tail 1/2 taken at k/n."""
     w_target = math.sqrt(-2.0 * math.log(target))
-    return (float(-special.ndtri(target)), w_target,
-            _tail_excess(0.5, target, w_target))
+    log_ratio = math.log(0.5 / target)
+    return (float(-special.ndtri(target)), w_target, -2.0 * log_ratio / (
+        math.sqrt(max(0.0, w_target * w_target - 2.0 * log_ratio))
+        + w_target))
 
 
 def _tail_endpoint(forward: Callable[[float, float, float], float],
@@ -154,16 +141,20 @@ def _tail_endpoint(forward: Callable[[float, float, float], float],
     inside the bracket's patterns, so the search ends on two adjacent floats
     and returns the one that passed.
 
-    Until a point passes it probes `guess`, then the point where the
-    straight line through the last two failed points crosses zero, with
-    `_tail_excess` as the ordinate over the bit patterns; k/n, never
-    evaluated, counts as the first failed point with its tail taken as 1/2.
+    A tail t's excess, sqrt(-2 ln t) - sqrt(-2 ln target) formed from
+    ln(t/target) to keep its precision as t nears target, is positive where
+    t passes and near-linear in a near-normal tail's endpoint; it is +inf
+    for t = 0 and -inf for a NaN.  Until a point passes the search probes
+    `guess`, then the point where the straight line through the last two
+    failed points crosses zero, with the excess as the ordinate over the
+    bit patterns; k/n, never evaluated, counts as the first failed point
+    with its tail taken as 1/2.
     Where that crossing does not lie between the last failed point and
     `edge`, it probes instead points twice as far from k/n as the last such
     point, and once those leave the bracket, points a quarter, a sixteenth,
     ... of the way from the failed end to `edge`.  Then it closes the
     bracket by Anderson-Bjorck false position (Anderson & Bjorck, BIT 13,
-    253 (1973)) on `_tail_excess`, interpolated over the bit patterns, which
+    253 (1973)) on the excess, interpolated over the bit patterns, which
     are linear in the value within a binade and follow its logarithm across
     binades.  The interpolation only picks the next probe: every pass or
     fail is decided by the forward tail itself.  After four probes in a row
@@ -217,7 +208,7 @@ def _tail_endpoint(forward: Callable[[float, float, float], float],
             bits[0] = probe
             x = value[0]
         t = forward(a, b, x)
-        if t > 0.0:     # _tail_excess(t, target, w_target)
+        if t > 0.0:     # the excess of t
             log_ratio = log(t / target)
             d = w2 - 2.0 * log_ratio
             h = -2.0 * log_ratio / (sqrt(d if d > 0.0 else 0.0) + w_target)
