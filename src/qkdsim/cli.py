@@ -142,21 +142,28 @@ def _load_config(req: argparse.Namespace) -> Config:
     """Parse and check the request's command flags in place and return its
     validated configuration; one ConfigError names every bad flag, every bad
     line and value of the config file, each after its path, every bad value
-    of the key flags and, once every value is of its key's type, every
-    broken rule that joins keys."""
+    of the key flags and, once every line of the file is read (a refused
+    line's key keeps its default) and every value is of its key's type,
+    every broken rule that joins keys."""
     flags = {key.name[2:].replace("-", "_"): key   # argparse's dest
              for key in COMMAND_FLAGS[req.subcommand]}
     problems: list[str] = []
     vars(req).update(config_mod.read_values(
         {dest: getattr(req, dest) for dest in flags}, flags, problems))
-    cfg = Config()
+    cfg, refused = Config(), []     # the config file's refused lines
     try:
         if req.config is not None:
-            cfg = config_mod.load_config_file(req.config, problems)
+            texts = config_mod.read_key_values(
+                req.config, {key.name for key in config_mod.config_keys()},
+                refused)
+            problems += refused
+            cfg = config_mod.apply_overrides(cfg, texts, problems,
+                                             f"{req.config}: ")
     except OSError as exc:
         raise _UnreadableInputError(f"cannot read config: {exc}") from exc
     cfg = config_mod.apply_overrides(cfg, req.overrides, problems)
-    problems += cfg.rule_problems(problems)
+    if not refused:
+        problems += cfg.rule_problems(problems)
     if problems:
         raise ConfigError(problems)
     return cfg

@@ -718,15 +718,22 @@ def test_every_bad_value_is_named_at_once(tmp_path, capsys, preset, argv,
       "mu must be in (0, 100] (photons/pulse), got -1.0"]),
     (["keyrate", "--config", "{file}", "--mu", "0.6"], "mu = -1\n",
      ["{file}: mu must be in (0, 100] (photons/pulse), got -1.0"]),
+    (["keyrate", "--config", "{file}"], "nu1 = 0.6\nmu 0.7\n",
+     ["{file}:2: expected key = value, got 'mu 0.7'"]),
+    (["keyrate", "--config", "{file}"], "nu1 = 0.6\nmu = 0.5\nmu = 0.7\n",
+     ["{file}:3: repeated key 'mu'"]),
 ], ids=["config-file-and-key-flag", "line-and-value", "value-and-missing",
         "range-and-rule", "malformed-file-and-range-flag",
-        "range-under-a-flag"])
+        "range-under-a-flag", "malformed-line-and-rule",
+        "repeated-key-and-rule"])
 def test_every_problem_of_files_and_flags_is_named_at_once(
         tmp_path, capsys, argv, text, messages):
     # a file's values beside the command line's, its lines beside its
     # values, and a tally file's values beside the keys it lacks; a file's
     # value out of range is named after its path, beside the rules that join
-    # keys, even where a flag replaces it
+    # keys, even where a flag replaces it; while a line of the config file
+    # is refused, no rule is judged on the default or first value its key
+    # keeps
     path = tmp_path / "input.txt"
     path.write_text(text)
     argv = [arg.replace("{file}", str(path)) for arg in argv]
@@ -735,6 +742,8 @@ def test_every_problem_of_files_and_flags_is_named_at_once(
     assert err.count("\n") == 1 and "Traceback" not in err
     for message in messages:
         assert message.replace("{file}", str(path)) in err
+    # these problems and no other
+    assert err.count("; ") == len(messages) - 1
     assert not (tmp_path / "out").exists()
 
 
