@@ -21,6 +21,7 @@ Exit status: 0 success, 2 usage, 3 unreadable config or input file,
 from __future__ import annotations
 
 import argparse
+import inspect
 import re
 import sys
 from dataclasses import replace
@@ -46,6 +47,12 @@ MAX_POINTS = 10**5
 # even once the search has converged (2-vCPU Xeon), so 1,000 take 7 s.
 MAX_SWEEPS = 1000
 
+
+def _library_default(function, name: str):
+    """`function`'s default for `name`, which the flag passing it shares."""
+    return inspect.signature(function).parameters[name].default
+
+
 # Each command's own flags, declared, parsed, checked and listed by --help
 # as the configuration keys are.  A pulse budget is at most MAX_PULSES.
 _PULSES = Range(0.0, config_mod.MAX_PULSES, "(]")
@@ -57,11 +64,12 @@ COMMAND_FLAGS = {
         ConfigKey("--max-pulses", 1e15, float, "pulses", _PULSES),
         ConfigKey("--points", 20, int, "grid points",
                   Range(1, MAX_POINTS, "[]"))),
-    "optimize": (_N_PULSES, ConfigKey("--sweeps", 8, int,
-                                      "coordinate-descent passes",
-                                      Range(0, MAX_SWEEPS, "[]"))),
-    "calibrate": (ConfigKey("--target-qber", 0.0385, float, "probability",
-                            Range(0.0, 0.5, "[]")),),
+    "optimize": (_N_PULSES, ConfigKey("--sweeps", _library_default(
+        optimizer.optimize_source, "sweeps"), int,
+        "coordinate-descent passes", Range(0, MAX_SWEEPS, "[]"))),
+    "calibrate": (ConfigKey("--target-qber", _library_default(
+        channel.calibrate_misalignment, "target_qber"), float,
+        "probability", Range(0.0, 0.5, "[]")),),
 }
 # A tally file's counts; a class that sent no pulses has no key to distill.
 TALLY_KEYS = {f"{count}_{cls}": ConfigKey(
