@@ -479,6 +479,21 @@ def test_failing_telemetry_writer_exits_5_and_leaves_nothing(
     _assert_no_child_process()
 
 
+def test_telemetry_writer_that_exits_0_before_a_row_exits_5(tmp_path, capfd,
+                                                            monkeypatch):
+    # The writer stops at once, yet with status 0: the session's broken pipe
+    # on the first block, larger than a pipe holds, is the only sign.
+    monkeypatch.setattr(session, "_WRITER", "pass")
+    status = main([*CHEAP, "--duration", str(session._BLOCK + 904),
+                   "--out", str(tmp_path / "out")])
+    assert status == EXIT_IO
+    err = capfd.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "[Errno 32] Broken pipe" in err
+    assert not (tmp_path / "out").exists()
+    _assert_no_child_process()
+
+
 def test_interrupt_after_a_block_kills_the_writer_and_leaves_nothing(
         preset, tmp_path, monkeypatch):
     def interrupt():
