@@ -1,7 +1,7 @@
 """Closed-loop decoy-state BB84 link simulator with finite-size key distillation."""
 
 from .config import (Config, ConfigError, ControlConfig, LinkConfig,
-                     SecurityConfig, SimConfig, SourceConfig, load_config_file)
+                     SecurityConfig, SimConfig, SourceConfig, load_config)
 from .channel import (SIFTING, DriftState, PulseTally, calibrate_misalignment,
                       channel_transmittance, class_rates, drift_penalties,
                       expected_rates, observed, sample_tally)

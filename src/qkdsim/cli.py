@@ -7,13 +7,12 @@ Subcommands:
     optimize          search source intensities/probabilities for best rate
     calibrate         solve the intrinsic misalignment for a target QBER
 
-Every configuration key is a config-file key and an override flag, applied
-after the file, before validation.  Each command's own flags (`COMMAND_FLAGS`)
-and a tally file's counts (`TALLY_KEYS`) are declared, read and checked as the
-keys are, and one message names every bad value of a command line or file.  A
-call builds the arguments of the one subcommand it names; the others get only
-their name and help line, which `qkdsim --help` and the unknown-command error
-list.  All randomness flows from a single seed.
+`config.load_config` builds a command's configuration from its config file
+and key flags, one flag per configuration key.  Each command's own flags
+(`COMMAND_FLAGS`) and a tally file's counts (`TALLY_KEYS`) are read and
+checked as the keys are, and one message names every bad value.  A call
+builds the arguments of the one subcommand it names.  All randomness flows
+from a single seed.
 
 Exit status: 0 success, 2 usage, 3 unreadable config or input file,
 4 configuration or input validation error, 5 output I/O failure.
@@ -147,31 +146,19 @@ def parse_command(argv: list[str]) -> argparse.Namespace:
 
 
 def _load_config(req: argparse.Namespace) -> Config:
-    """Parse and check the request's command flags in place and return its
-    validated configuration; one ConfigError names every bad flag, every bad
-    line and value of the config file, each after its path, every bad value
-    of the key flags and, once every line of the file is read (a refused
-    line's key keeps its default) and every value is of its key's type,
-    every broken rule that joins keys."""
+    """Parse and check the request's command flags in place and return the
+    validated configuration of its config file and key flags
+    (`config.load_config`); one ConfigError names every bad command flag
+    beside the problems that `load_config` names."""
     flags = {key.name[2:].replace("-", "_"): key   # argparse's dest
              for key in COMMAND_FLAGS[req.subcommand]}
     problems: list[str] = []
     vars(req).update(config_mod.read_values(
         {dest: getattr(req, dest) for dest in flags}, flags, problems))
-    cfg, refused = Config(), []     # the config file's refused lines
     try:
-        if req.config is not None:
-            texts = config_mod.read_key_values(
-                req.config, {key.name for key in config_mod.config_keys()},
-                refused)
-            problems += refused
-            cfg = config_mod.apply_overrides(cfg, texts, problems,
-                                             f"{req.config}: ")
+        cfg = config_mod.load_config(req.config, req.overrides, problems)
     except OSError as exc:
         raise _UnreadableInputError(f"cannot read config: {exc}") from exc
-    cfg = config_mod.apply_overrides(cfg, req.overrides, problems)
-    if not refused:
-        problems += cfg.rule_problems(problems)
     if problems:
         raise ConfigError(problems)
     return cfg

@@ -22,8 +22,7 @@ __all__ = [
     "SimConfig",
     "ControlConfig",
     "Config",
-    "load_config_file",
-    "parse_config_text",
+    "load_config",
     "parse_key_values",
     "read_key_values",
     "read_values",
@@ -430,18 +429,24 @@ def read_key_values(path: str | Path, keys: Container[str],
     return parse_key_values(_read_utf8(path), str(path), keys, problems)
 
 
-def parse_config_text(text: str, path: str, problems: list[str]) -> Config:
-    """The defaults with a flat key=value file body's values layered on; all
-    keys optional.  Adds to `problems` its bad lines and, after its path,
-    its bad values."""
-    return apply_overrides(Config(), parse_key_values(text, path, _KEYS,
-                                                      problems),
-                           problems, f"{path}: ")
-
-
-def load_config_file(path: str | Path, problems: list[str]) -> Config:
-    """`parse_config_text` of a file of UTF-8 text (`_read_utf8`)."""
-    return parse_config_text(_read_utf8(path), str(path), problems)
+def load_config(path: str | Path | None, overrides: Mapping[str, Any],
+                problems: list[str]) -> Config:
+    """The defaults, then a config file's values if `path` is given, then
+    key -> value-text `overrides` (the key flags); all keys optional.  Adds
+    to `problems` every bad line of the file, every bad value, a file's
+    after its path, and, once every line of the file is read (a refused
+    line's key keeps its earlier value) and every value is of its key's
+    type, every broken rule that joins keys.  OSError if the file cannot be
+    read or is not UTF-8 text (`_read_utf8`)."""
+    config, refused = Config(), []   # the file's refused lines
+    if path is not None:
+        texts = read_key_values(path, _KEYS, refused)
+        problems += refused
+        config = apply_overrides(config, texts, problems, f"{path}: ")
+    config = apply_overrides(config, overrides, problems)
+    if not refused:
+        problems += config.rule_problems(problems)
+    return config
 
 
 def config_to_text(config: Config) -> str:

@@ -326,15 +326,15 @@ def _run(config: Config, n_steps: int,
 
     total_bits = sum(r.key.secure_bits for r in records)
     window_time = len(records) * window_steps * dt
-    total = sum([r.tally for r in records] + window, PulseTally())
+    mean_qber = observed(sum([r.tally for r in records] + window,
+                             PulseTally()))[0]
     summary = SessionSummary(
         duration=n_steps * dt,
         n_steps=n_steps,
         n_windows=len(records),
         total_secure_bits=total_bits,
         mean_secure_rate_bps=total_bits / window_time if window_time > 0 else 0.0,
-        mean_qber_signal=(total.errors_mu / total.sifted_mu
-                          if total.sifted_mu > 0 else None),
+        mean_qber_signal=mean_qber if mean_qber == mean_qber else None,
         max_qber_signal=max_qber if max_qber > -math.inf else None,
     )
     return SessionResult(telemetry=None, records=records, summary=summary)

@@ -6,7 +6,7 @@ from qkdsim import cli, optimizer, session
 from qkdsim.cli import (COMMAND_FLAGS, EXIT_CONFIG_FILE, EXIT_IO, EXIT_OK,
                         EXIT_USAGE, EXIT_VALIDATION, MAX_POINTS, MAX_SWEEPS,
                         main, parse_command)
-from qkdsim.config import DEFAULT_MISALIGNMENT, config_keys, load_config_file
+from qkdsim.config import DEFAULT_MISALIGNMENT, config_keys, load_config
 from qkdsim.finite_key import expectation_tally
 
 
@@ -118,7 +118,7 @@ def test_missing_config_file_exits_with_config_status(tmp_path, capsys):
 def _read_config(path):
     """The configuration of a config file that has no problem."""
     problems: list[str] = []
-    config = load_config_file(path, problems)
+    config = load_config(path, {}, problems)
     assert problems == []
     return config
 
@@ -699,7 +699,8 @@ def test_every_bad_value_is_named_at_once(tmp_path, capsys, preset, argv,
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("argv,text,messages", [
+# Command lines with one input file's text, and every problem they name.
+FILE_AND_FLAG_PROBLEMS = [
     (["keyrate", "--config", "{file}", "--nu2", "z"], "mu = x\nnu1 = y\n",
      ["{file}: mu must be a number, got 'x'",
       "{file}: nu1 must be a number, got 'y'",
@@ -722,10 +723,15 @@ def test_every_bad_value_is_named_at_once(tmp_path, capsys, preset, argv,
      ["{file}:2: expected key = value, got 'mu 0.7'"]),
     (["keyrate", "--config", "{file}"], "nu1 = 0.6\nmu = 0.5\nmu = 0.7\n",
      ["{file}:3: repeated key 'mu'"]),
-], ids=["config-file-and-key-flag", "line-and-value", "value-and-missing",
-        "range-and-rule", "malformed-file-and-range-flag",
-        "range-under-a-flag", "malformed-line-and-rule",
-        "repeated-key-and-rule"])
+]
+FILE_AND_FLAG_IDS = [
+    "config-file-and-key-flag", "line-and-value", "value-and-missing",
+    "range-and-rule", "malformed-file-and-range-flag", "range-under-a-flag",
+    "malformed-line-and-rule", "repeated-key-and-rule"]
+
+
+@pytest.mark.parametrize("argv,text,messages", FILE_AND_FLAG_PROBLEMS,
+                         ids=FILE_AND_FLAG_IDS)
 def test_every_problem_of_files_and_flags_is_named_at_once(
         tmp_path, capsys, argv, text, messages):
     # a file's values beside the command line's, its lines beside its
@@ -745,6 +751,27 @@ def test_every_problem_of_files_and_flags_is_named_at_once(
     # these problems and no other
     assert err.count("; ") == len(messages) - 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,text,messages", [
+    *(pytest.param(*case, id=name)
+      for name, case in zip(FILE_AND_FLAG_IDS, FILE_AND_FLAG_PROBLEMS)
+      if "--tally-file" not in case[0]),
+    pytest.param(["keyrate", "--config", "{file}"], "mu = 0.05\n",
+                 ["mu must exceed nu1"], id="rule-alone")])
+def test_library_names_the_problems_that_the_command_names(
+        tmp_path, capsys, argv, text, messages):
+    # a config file and key flags give `load_config` the problems, in the
+    # order, that the command line names
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    argv = [arg.replace("{file}", str(path)) for arg in argv]
+    req = parse_command(argv)
+    problems: list[str] = []
+    load_config(req.config, req.overrides, problems)
+    assert problems == [m.replace("{file}", str(path)) for m in messages]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"qkdsim: {'; '.join(problems)}\n"
 
 
 def test_files_may_begin_with_a_byte_order_mark(tmp_path, capsys, preset):

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import assume, given, strategies as st
 from qkdsim.config import (MAX_PULSES, MAX_SESSION_STEPS, Config, ConfigError,
                            ControlConfig, LinkConfig, Range, SecurityConfig,
                            SimConfig, SourceConfig, apply_overrides,
-                           config_keys, config_to_text, parse_config_text,
+                           config_keys, config_to_text, load_config,
                            parse_key_values)
 from qkdsim.optimizer import MU_BOUNDS
 from qkdsim.session import run_session
@@ -117,10 +119,19 @@ def test_derived_constants_follow_the_configuration():
     assert config_to_text(Config(source=source)) == config_to_text(Config())
 
 
+def _loaded(text: str, problems: list[str]) -> tuple[str, Config]:
+    """The path of a config file of `text`, written in a temporary directory
+    that a Hypothesis example may share, and `load_config` of it."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = str(Path(folder) / "link.cfg")
+        Path(path).write_text(text, encoding="utf-8")
+        return path, load_config(path, {}, problems)
+
+
 def _parsed(text):
-    """`parse_config_text` of a file body that has no problem."""
+    """`load_config` of a config file of `text` that has no problem."""
     problems: list[str] = []
-    config = parse_config_text(text, "<config>", problems)
+    config = _loaded(text, problems)[1]
     assert problems == []
     return config
 
@@ -235,8 +246,8 @@ def test_config_file_defaults_and_overrides():
 
 def test_unknown_key_is_error():
     problems: list[str] = []
-    parse_config_text("fibre_len = 10\n", "<config>", problems)
-    assert problems == ["<config>:1: unknown key 'fibre_len'"]
+    path, _ = _loaded("fibre_len = 10\n", problems)
+    assert problems == [f"{path}:1: unknown key 'fibre_len'"]
     problems.clear()
     apply_overrides(Config(), {"not_a_key": "1"}, problems)
     assert problems == ["unknown configuration key: not_a_key"]
@@ -262,12 +273,12 @@ def test_reader_returns_stripped_value_text():
 def test_malformed_value_is_error():
     for text, message in (
             ("fiber_length = fifty\n",
-             "<config>: fiber_length must be a number, got 'fifty'"),
+             "fiber_length must be a number, got 'fifty'"),
             ("stabilization_enabled = maybe\n",
-             "<config>: stabilization_enabled must be a boolean, got 'maybe'")):
+             "stabilization_enabled must be a boolean, got 'maybe'")):
         problems: list[str] = []
-        parse_config_text(text, "<config>", problems)
-        assert problems == [message]
+        path, _ = _loaded(text, problems)
+        assert problems == [f"{path}: {message}"]
 
 
 def test_comments_and_blank_lines_ignored():

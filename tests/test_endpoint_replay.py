@@ -57,7 +57,10 @@ def _reference_tail_endpoint(forward, a, b, estimate, guess, edge, target):
         if x is None:
             x = unpack_d(pack_q(probe))[0]
         t = forward(a, b, x)
-        if t > 0.0:     # _tail_excess(t, target, w_target)
+        # t's excess sqrt(-2 ln t) - sqrt(-2 ln target), formed from
+        # ln(t / target) as _tail_endpoint computes it: +inf at t = 0, -inf
+        # for a NaN
+        if t > 0.0:
             log_ratio = log(t / target)
             d = w2 - 2.0 * log_ratio
             h = -2.0 * log_ratio / (sqrt(d if d > 0.0 else 0.0) + w_target)

@@ -234,6 +234,11 @@ def test_windows_without_a_sifted_signal_bit_leave_qber_mu_empty(preset,
     assert [line.split(",")[column] for line in body] == ["", "", ""]
     assert [row["qber_mu"] for row in load_keys_csv(tmp_path / "keys.csv")
             ] == [None, None, None]
+    # nor has the session summary a signal QBER
+    assert result.summary.mean_qber_signal is None
+    assert result.summary.max_qber_signal is None
+    summary = (tmp_path / "summary.txt").read_text().splitlines()
+    assert {"mean_qber_signal: ", "max_qber_signal: "} <= set(summary)
 
 
 @pytest.mark.parametrize("name,loader", [("telemetry.csv", load_telemetry_csv),
