@@ -119,12 +119,13 @@ def test_derived_constants_follow_the_configuration():
     assert config_to_text(Config(source=source)) == config_to_text(Config())
 
 
-def _loaded(text: str, problems: list[str]) -> tuple[str, Config]:
+def _loaded(text: str, problems: list[str]) -> tuple[Path, Config]:
     """The path of a config file of `text`, written in a temporary directory
-    that a Hypothesis example may share, and `load_config` of it."""
+    of its own (a Hypothesis test runs many examples in one function
+    scope), and `load_config` of it."""
     with tempfile.TemporaryDirectory() as folder:
-        path = str(Path(folder) / "link.cfg")
-        Path(path).write_text(text, encoding="utf-8")
+        path = Path(folder) / "link.cfg"
+        path.write_text(text, encoding="utf-8")
         return path, load_config(path, {}, problems)
 
 
