@@ -58,7 +58,7 @@ from typing import NamedTuple
 
 from scipy.special import cython_special as special
 
-from .channel import SIFTING, DriftState, PulseTally, class_rates
+from .channel import SIFTING, DriftState, PulseTally, _new, class_rates
 from .config import LinkConfig, SecurityConfig, SourceConfig
 
 __all__ = [
@@ -256,21 +256,29 @@ def clopper_pearson(successes: int, trials: int,
     half = confidence_epsilon / 2.0
     k, n = successes, trials
     estimate = k / n
-    _, w_target, h_half = _target_constants(half)
-    guess = wilson_interval(k, n, confidence_epsilon)
+    z, w_target, h_half = _target_constants(half)
+    guess_lower, guess_upper = _wilson(k, n, z)
     if k == 0:
         lower = 0.0
     else:
         lower = _tail_endpoint(special.betainc, float(k), float(n - k + 1),
-                               estimate, guess.lower, 0.0, half,
+                               estimate, guess_lower, 0.0, half,
                                w_target, h_half)
     if k == n:
         upper = 1.0
     else:
         upper = _tail_endpoint(special.betaincc, float(k + 1), float(n - k),
-                               estimate, guess.upper, 1.0, half,
+                               estimate, guess_upper, 1.0, half,
                                w_target, h_half)
-    return BinomialBound(lower, upper)
+    return _new(BinomialBound, (lower, upper))
+
+
+def _wilson(k: int, n: int, z: float) -> tuple[float, float]:
+    # The Wilson score endpoints of k of n trials at the normal quantile z.
+    z2 = z * z
+    center = (k + z2 / 2.0) / (n + z2)
+    width = z * math.sqrt(k * (n - k) / n + z2 / 4.0) / (n + z2)
+    return center - width, center + width
 
 
 def wilson_interval(successes: int, trials: int,
@@ -283,12 +291,8 @@ def wilson_interval(successes: int, trials: int,
     searches from it, and the optimizer ranks candidates by it; no reported
     key length rests on it.
     """
-    z = _target_constants(confidence_epsilon / 2.0)[0]
-    z2 = z * z
-    k, n = successes, trials
-    center = (k + z2 / 2.0) / (n + z2)
-    width = z * math.sqrt(k * (n - k) / n + z2 / 4.0) / (n + z2)
-    return BinomialBound(center - width, center + width)
+    return _new(BinomialBound, _wilson(
+        successes, trials, _target_constants(confidence_epsilon / 2.0)[0]))
 
 
 class ChannelEstimates(NamedTuple):
@@ -310,9 +314,11 @@ N_BOUND_CALLS = len(ChannelEstimates._fields)
 
 
 def _doubled(b: BinomialBound) -> BinomialBound:
-    # Sifted counts are binomial in Q * SIFTING per sent pulse; scale back to Q.
-    return BinomialBound(min(1.0, b.lower / SIFTING),
-                         min(1.0, b.upper / SIFTING))
+    # Sifted counts are binomial in Q * SIFTING per sent pulse; scale back to
+    # Q, at most 1.
+    lower, upper = b[0] / SIFTING, b[1] / SIFTING
+    return _new(BinomialBound, (lower if lower < 1.0 else 1.0,
+                                upper if upper < 1.0 else 1.0))
 
 
 def _estimates(tally: PulseTally,
@@ -320,14 +326,14 @@ def _estimates(tally: PulseTally,
                eps: float) -> ChannelEstimates:
     """Which counts bound which estimate: `interval(k, n, eps)` on each
     field's k of n, the gains scaled back from sifted counts to Q."""
-    return ChannelEstimates(
+    return _new(ChannelEstimates, (
         _doubled(interval(tally.sifted_mu, tally.sent_mu, eps)),      # q_mu
         interval(tally.errors_mu, tally.sifted_mu, eps),              # e_mu
         _doubled(interval(tally.sifted_nu1, tally.sent_nu1, eps)),    # q_nu1
         _doubled(interval(tally.sifted_nu2, tally.sent_nu2, eps)),    # q_nu2
         _doubled(interval(tally.errors_nu1, tally.sent_nu1, eps)),    # eq_nu1
         _doubled(interval(tally.errors_nu2, tally.sent_nu2, eps)),    # eq_nu2
-    )
+    ))
 
 
 def estimate_channel(tally: PulseTally, security: SecurityConfig,
@@ -398,8 +404,8 @@ def decoy_bounds(estimates: ChannelEstimates, source: SourceConfig) -> DecoyBoun
             e1 = (estimates.eq_nu1.upper * e_nu1
                   - estimates.eq_nu2.lower * e_nu2) / ((nu1 - nu2) * y1_lower)
             e1_upper = min(0.5, max(0.0, e1))
-    return DecoyBounds(y1_lower, e1_upper, y0_lower, estimates.q_mu.upper,
-                       estimates.e_mu.upper)
+    return _new(DecoyBounds, (y1_lower, e1_upper, y0_lower,
+                              estimates.q_mu.upper, estimates.e_mu.upper))
 
 
 @dataclass(frozen=True)
@@ -487,17 +493,20 @@ def distill(tally: PulseTally, source: SourceConfig, security: SecurityConfig,
     return secure_key_length(tally, bounds, security, source)
 
 
+_NO_DRIFT = DriftState()
+
+
 def _expected_counts(n_pulses: float, source: SourceConfig, link: LinkConfig,
                      whole: Callable[[float], float]) -> PulseTally:
     """Expected counts for n_pulses emitted on the drift-free channel, each
     passed through `whole` before the next is derived from it."""
     counts = []
     for p_cls, (q, e) in zip((source.p_mu, source.p_nu1, source.p_nu2),
-                             class_rates(DriftState(), source, link)):
+                             class_rates(_NO_DRIFT, source, link)):
         sent = whole(n_pulses * p_cls)
         sifted = whole(sent * q * SIFTING)
         counts.extend((sent, sifted, whole(sifted * e)))
-    return PulseTally(*counts)
+    return _new(PulseTally, counts)
 
 
 def asymptotic_rate(source: SourceConfig, link: LinkConfig,
