@@ -38,12 +38,12 @@ EXIT_CONFIG_FILE = 3
 EXIT_VALIDATION = 4
 EXIT_IO = 5
 
-# The most points of one efficiency curve: at 0.18-0.28 ms a point (2-vCPU
-# Xeon, Python 3.11) 18 to 28 s of work, and 16,000 points to each decade of
+# The most points of one efficiency curve: at 0.16-0.19 ms a point (2-vCPU
+# Xeon, Python 3.11) 16 to 19 s of work, and 16,000 points to each decade of
 # the default pulse range.  A larger grid spends minutes, then all memory.
 MAX_POINTS = 10**5
-# The most sweeps of one search: a sweep of about 170 candidates takes 7 ms
-# even once the search has converged (2-vCPU Xeon), so 1,000 take 7 s.
+# The most sweeps of one search: a sweep of about 170 candidates takes 3.7 to
+# 7 ms even once the search has converged (2-vCPU Xeon), so 1,000 take 4-7 s.
 MAX_SWEEPS = 1000
 
 

@@ -107,20 +107,26 @@ class _Recorder:
         return cython_special.betaincc(a, b, x)
 
 
+def _reference_guesses(k, n, eps):
+    """The Wilson score endpoints that the reference search starts from."""
+    z = _target_constants(eps / 2.0)[0]
+    z2 = z * z
+    center = (k + z2 / 2.0) / (n + z2)
+    width = z * math.sqrt(k * (n - k) / n + z2 / 4.0) / (n + z2)
+    return center - width, center + width
+
+
 def _reference_interval(k, n, eps, special):
     """The endpoints that `clopper_pearson` searches for, from the same
     Wilson first guesses, by the reference search."""
     half = eps / 2.0
     estimate = k / n
-    z = _target_constants(half)[0]
-    z2 = z * z
-    center = (k + z2 / 2.0) / (n + z2)
-    width = z * math.sqrt(k * (n - k) / n + z2 / 4.0) / (n + z2)
+    guess_lower, guess_upper = _reference_guesses(k, n, eps)
     lower = 0.0 if k == 0 else _reference_tail_endpoint(
-        special.betainc, float(k), float(n - k + 1), estimate, center - width,
+        special.betainc, float(k), float(n - k + 1), estimate, guess_lower,
         0.0, half)
     upper = 1.0 if k == n else _reference_tail_endpoint(
-        special.betaincc, float(k + 1), float(n - k), estimate, center + width,
+        special.betaincc, float(k + 1), float(n - k), estimate, guess_upper,
         1.0, half)
     return lower, upper
 
@@ -159,3 +165,7 @@ def test_endpoint_search_replays_the_reference_probes(inputs):
     assert recorder.calls == reference.calls
     assert (bound.lower.hex(), bound.upper.hex()) == tuple(
         x.hex() for x in expected)
+    # the optimizer ranks on the interval that the search starts from
+    guesses = finite_key.wilson_interval(k, n, eps)
+    assert (guesses.lower.hex(), guesses.upper.hex()) == tuple(
+        x.hex() for x in _reference_guesses(k, n, eps))

@@ -475,6 +475,16 @@ def test_key_efficiency_monotone_in_pulse_budget(preset):
     assert all(0 < e <= 1 for e in effs)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "expectation_tally rounds each count to a whole number, so the key and "
+    "its reference step unevenly below about 1e10 pulses: this grid falls "
+    "between neighbouring budgets 270 times, by up to 5.3e-3"))
+def test_key_efficiency_never_falls_on_a_dense_grid(preset):
+    effs = efficiency_curve(np.logspace(8, 10, 3000), preset.source,
+                            preset.link, preset.security)
+    assert all(b >= a for a, b in zip(effs, effs[1:]))
+
+
 def test_key_efficiency_rejects_empty_budget(preset):
     with pytest.raises(ValueError):
         efficiency_curve((0,), preset.source, preset.link, SecurityConfig())

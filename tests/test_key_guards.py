@@ -8,9 +8,10 @@ estimate leaves its range: the key is no longer conservative, or `keyrate`
 fails.
 """
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qkdsim.channel import PulseTally
-from qkdsim.cli import EXIT_OK, main
+from qkdsim.channel import CLASSES, PulseTally
+from qkdsim.cli import EXIT_OK, TALLY_KEYS, main
 from qkdsim.finite_key import (binary_entropy, distill, estimate_channel,
                                expectation_tally)
 
@@ -96,3 +97,55 @@ def test_single_photon_count_is_capped_at_the_sifted_count(preset, expected):
                               errors_nu1=0)
     key = distill(tally, preset.source, preset.security)
     assert 0 < key.secure_bits <= tally.sifted_mu
+
+
+def _count(key: str, at_most: int | None = None) -> st.SearchStrategy[int]:
+    """A count of the tally file's `key`, in its declared range (below
+    `at_most` if given): log-uniform over the range, or one of its ends."""
+    lo, hi = TALLY_KEYS[key].range[:2]
+    hi = int(hi) if at_most is None else min(int(hi), at_most)
+    if hi < lo:     # only an invalid count fits below `at_most`
+        return st.just(int(lo))
+    scaled = st.floats(0.0, 1.0).map(
+        lambda u: min(hi, int(lo + (hi - lo + 1) ** u - 1)))
+    return st.one_of(st.sampled_from(sorted({int(lo), hi})), scaled)
+
+
+@st.composite
+def _tallies(draw) -> PulseTally:
+    """A tally whose every count lies in its declared range, up to 1e15.
+    Each class sifts all it sent, none of it or a drawn share, and its
+    errors are all, none or a drawn share of the sifted bits; a drawn count
+    may exceed the one it must not, which makes the tally invalid."""
+    counts = []
+    for cls in CLASSES:
+        sent = draw(_count(f"sent_{cls}"))
+        sifted = draw(st.one_of(st.just(sent), _count(f"sifted_{cls}", sent),
+                                _count(f"sifted_{cls}")))
+        errors = draw(st.one_of(st.just(sifted),
+                                _count(f"errors_{cls}", sifted),
+                                _count(f"errors_{cls}")))
+        counts += (sent, sifted, errors)
+    return PulseTally(*counts)
+
+
+@given(tally=_tallies())
+@settings(max_examples=200, deadline=None)
+def test_every_tally_in_range_gives_a_bounded_key_or_is_refused(preset,
+                                                                tally):
+    # the caps above at every count scale that `keyrate --tally-file` takes:
+    # a tally that passes its check distills to bounds and a key in range,
+    # and one that fails it is refused by the check alone
+    try:
+        tally.check()
+    except ValueError as error:
+        assert "tally invariant violated" in str(error)
+        assert not all(0 <= e <= d <= s for s, d, e in zip(
+            tally[0::3], tally[1::3], tally[2::3]))
+        return
+    key = distill(tally, preset.source, preset.security)
+    assert 0.0 <= key.bounds.y1_lower <= 1.0
+    assert 0.0 <= key.bounds.e1_upper <= 0.5
+    assert 0.0 <= key.bounds.q_mu_upper <= 1.0
+    assert 0 <= key.secure_bits <= tally.sifted_mu
+    assert 0.0 <= key.efficiency <= 1.0
