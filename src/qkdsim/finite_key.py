@@ -314,8 +314,7 @@ N_BOUND_CALLS = len(ChannelEstimates._fields)
 
 
 def _doubled(b: BinomialBound) -> BinomialBound:
-    # Sifted counts are binomial in Q * SIFTING per sent pulse; scale back to
-    # Q, at most 1.
+    # Sifted counts are binomial in Q * SIFTING per sent pulse; scale back to Q.
     lower, upper = b[0] / SIFTING, b[1] / SIFTING
     return _new(BinomialBound, (lower if lower < 1.0 else 1.0,
                                 upper if upper < 1.0 else 1.0))

@@ -100,12 +100,10 @@ def test_single_photon_count_is_capped_at_the_sifted_count(preset, expected):
 
 
 def _count(key: str, at_most: int | None = None) -> st.SearchStrategy[int]:
-    """A count of the tally file's `key`, in its declared range (below
-    `at_most` if given): log-uniform over the range, or one of its ends."""
+    """A count of the tally file's `key` in its declared range, and at most
+    `at_most` if given: log-uniform over that range, or one of its ends."""
     lo, hi = TALLY_KEYS[key].range[:2]
     hi = int(hi) if at_most is None else min(int(hi), at_most)
-    if hi < lo:     # only an invalid count fits below `at_most`
-        return st.just(int(lo))
     scaled = st.floats(0.0, 1.0).map(
         lambda u: min(hi, int(lo + (hi - lo + 1) ** u - 1)))
     return st.one_of(st.sampled_from(sorted({int(lo), hi})), scaled)
