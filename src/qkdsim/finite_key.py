@@ -467,11 +467,9 @@ def secure_key_length(tally: PulseTally, bounds: DecoyBounds,
     Its key is epsilon-secure only when called as `distill` calls it.
     """
     single, leakage, pa = _key_terms(tally, bounds, security, source)
-    return KeyResult(
-        secure_bits=max(0, math.floor(single - leakage - pa)),
-        single_photon_bits=single, leakage_bits=leakage, finite_size_bits=pa,
-        epsilon_spent=security.epsilon, bounds=bounds, tally=tally,
-        source=source, security=security)
+    return KeyResult(max(0, math.floor(single - leakage - pa)), single,
+                     leakage, pa, security.epsilon, bounds, tally, source,
+                     security)
 
 
 def distill(tally: PulseTally, source: SourceConfig, security: SecurityConfig,

@@ -8,8 +8,8 @@ objective are never needed.
 
 The sweeps rank candidates on `finite_key.wilson_interval`, which is
 smooth, cheap and not conservative, through the `interval` hook of
-`objective`.  Only the ranking uses it: the search then evaluates its best
-candidate and the projected start once each on the exact
+`objective`.  Only the ranking uses it: the search then evaluates the
+projected start and its best candidate once each on the exact
 `finite_key.clopper_pearson` and returns the one with the higher exact rate
 (the start, on a tie).  So the reported point and rate are always an exact
 key's.
@@ -52,7 +52,7 @@ def objective(source: SourceConfig, link: LinkConfig, security: SecurityConfig,
     return distill(tally, source, security, interval).secure_bits / n_pulses
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizationResult:
     best: SourceConfig
     rate: float                # bits per pulse at the optimum
@@ -61,7 +61,7 @@ class OptimizationResult:
 
 def _project(base: SourceConfig, coord: str, x: float) -> SourceConfig:
     """`base` with its `coord` set to x, projected back inside the source
-    invariants: one `SourceConfig` call, which names every field."""
+    invariants: one positional `SourceConfig` call, in field order."""
     mu = min(max(x if coord == "mu" else base.mu, MU_BOUNDS[0]), MU_BOUNDS[1])
     nu1 = min(max(x if coord == "nu1" else base.nu1, _MARGIN),
               mu * (1.0 - _MARGIN))
@@ -70,9 +70,8 @@ def _project(base: SourceConfig, coord: str, x: float) -> SourceConfig:
                1.0 - 2.0 * _P_FLOOR)
     p_nu1 = min(max(x if coord == "p_nu1" else base.p_nu1, _P_FLOOR),
                 1.0 - p_mu - _P_FLOOR)
-    p_nu2 = 1.0 - p_mu - p_nu1
-    return SourceConfig(mu=mu, nu1=nu1, nu2=nu2, p_mu=p_mu, p_nu1=p_nu1,
-                        p_nu2=p_nu2, clock_rate=base.clock_rate)
+    return SourceConfig(mu, nu1, nu2, p_mu, p_nu1, 1.0 - p_mu - p_nu1,
+                        base.clock_rate)
 
 
 def _golden_max(f, lo: float, hi: float) -> None:
@@ -105,22 +104,22 @@ def optimize_source(link: LinkConfig, security: SecurityConfig, n_pulses: float,
         raise ValueError(f"sweeps must be >= 0, got {sweeps}")
 
     start = _project(start, "mu", start.mu)
-    result = OptimizationResult(best=start, rate=-1.0)
+    best, ranked, evaluations = start, -1.0, 0
 
-    def evaluate(candidate: SourceConfig, interval=wilson_interval) -> float:
-        result.evaluations += 1
-        rate = objective(candidate, link, security, n_pulses, interval)
-        if rate > result.rate:
-            result.rate = rate
-            result.best = candidate
+    def evaluate(candidate: SourceConfig) -> float:
+        nonlocal best, ranked, evaluations
+        evaluations += 1
+        rate = objective(candidate, link, security, n_pulses, wilson_interval)
+        if rate > ranked:
+            best, ranked = candidate, rate
         return rate
 
-    evaluate(result.best)
+    evaluate(start)
 
     coordinates = ("mu", "nu1", "nu2", "p_mu", "p_nu1")
     for _ in range(sweeps):
         for coord in coordinates:
-            base = result.best
+            base = best
 
             def line(x: float, coord=coord, base=base) -> float:
                 return evaluate(_project(base, coord, x))
@@ -137,7 +136,8 @@ def optimize_source(link: LinkConfig, security: SecurityConfig, n_pulses: float,
                 lo, hi = _P_FLOOR, 1.0 - base.p_mu - _P_FLOOR
             _golden_max(line, lo, hi)
 
-    searched, result.best, result.rate = result.best, start, -1.0
-    for candidate in (start, searched):    # the start wins a tie
-        evaluate(candidate, None)          # None: exact Clopper-Pearson
-    return result
+    rate = objective(start, link, security, n_pulses)    # exact bound
+    searched = objective(best, link, security, n_pulses)
+    if searched > rate:    # the start wins a tie
+        start, rate = best, searched
+    return OptimizationResult(start, rate, evaluations + 2)
