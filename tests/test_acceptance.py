@@ -2,8 +2,9 @@
 
 Each test below checks one headline claim of the simulator at its stated
 tolerance, so the -v report reads as one pass/fail line per claim.  The
-36-hour stabilized session and the 6-hour unstabilized session are shared
-module fixtures; everything else is recomputed deterministically.
+36-hour stabilized session (`full_run`, from conftest.py) and the 6-hour
+unstabilized session are shared fixtures; everything else is recomputed
+deterministically.
 """
 import dataclasses
 import math
@@ -20,14 +21,6 @@ from qkdsim.finite_key import (BinomialBound, ChannelEstimates, asymptotic_rate,
                                estimate_channel)
 from qkdsim.optimizer import objective, optimize_source
 from qkdsim.session import run_session
-
-
-@pytest.fixture(scope="module")
-def full_run(preset):
-    """The 36-hour stabilized session at the default preset, with wall time."""
-    start = time.perf_counter()
-    result = run_session(preset, duration=129600.0, seed=1)
-    return result, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")

@@ -6,14 +6,20 @@ pulse it sends, a decoy error count no error rate in [0, 1/2] explains, or a
 signal class with most of its sifted bits in error.  Without its clamp, an
 estimate leaves its range: the key is no longer conservative, or `keyrate`
 fails.
+
+Three guards sit where a looser comparison divides by zero or lets a ratio
+pass 1: decoy intensities that sum to the signal's, which `keyrate` takes,
+and decoy bounds that no tally's intervals give, a signal gain of 0 or a
+key far above its infinite-statistics reference.
 """
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qkdsim.channel import CLASSES, PulseTally
 from qkdsim.cli import EXIT_OK, TALLY_KEYS, main
-from qkdsim.finite_key import (binary_entropy, distill, estimate_channel,
-                               expectation_tally)
+from qkdsim.finite_key import (DecoyBounds, _infinite_key, binary_entropy,
+                               distill, estimate_channel, expectation_tally,
+                               secure_key_length)
 
 
 @pytest.fixture(scope="module")
@@ -22,15 +28,19 @@ def expected(preset) -> PulseTally:
     return expectation_tally(1.2e12, preset.source, preset.link)
 
 
-def _keyrate(tmp_path, tally: PulseTally) -> dict[str, float]:
-    """`keyrate --tally-file` of `tally`: its keyrate.csv row, by column."""
+def _keyrate(tmp_path, *flags: str) -> dict[str, float]:
+    """`keyrate` with `flags`: its keyrate.csv row, by column."""
+    assert main(["keyrate", *flags, "--out", str(tmp_path)]) == EXIT_OK
+    header, row = (tmp_path / "keyrate.csv").read_text().splitlines()
+    return dict(zip(header.split(","), map(float, row.split(","))))
+
+
+def _tally_file(tmp_path, tally: PulseTally) -> tuple[str, str]:
+    """The flags of `keyrate --tally-file` with `tally` written to it."""
     counts = tmp_path / "counts.txt"
     counts.write_text("".join(f"{name} = {value}\n"
                               for name, value in tally._asdict().items()))
-    assert main(["keyrate", "--tally-file", str(counts),
-                 "--out", str(tmp_path)]) == EXIT_OK
-    header, row = (tmp_path / "keyrate.csv").read_text().splitlines()
-    return dict(zip(header.split(","), map(float, row.split(","))))
+    return "--tally-file", str(counts)
 
 
 def test_single_photon_yield_is_capped_at_one(preset, expected):
@@ -53,7 +63,7 @@ def test_single_photon_error_rate_is_floored_at_zero(tmp_path, preset,
     key = distill(tally, preset.source, preset.security)
     assert key.bounds.y1_lower > 0.0
     assert key.bounds.e1_upper == 0.0
-    row = _keyrate(tmp_path, tally)
+    row = _keyrate(tmp_path, *_tally_file(tmp_path, tally))
     assert row["e1_upper"] == 0.0
     assert row["secure_bits"] == key.secure_bits
 
@@ -69,8 +79,8 @@ def test_leakage_takes_a_signal_error_rate_above_half_as_half(tmp_path,
     full = preset.security.ec_efficiency * tally.sifted_mu
     assert binary_entropy(0.5) == 1.0
     assert key.leakage_bits == full
-    assert _keyrate(tmp_path, tally)["leakage_bits"] == pytest.approx(
-        full, rel=1e-8)
+    row = _keyrate(tmp_path, *_tally_file(tmp_path, tally))
+    assert row["leakage_bits"] == pytest.approx(full, rel=1e-8)
 
 
 def test_gains_scaled_back_from_sifted_counts_are_capped_at_one(preset,
@@ -97,6 +107,36 @@ def test_single_photon_count_is_capped_at_the_sifted_count(preset, expected):
                               errors_nu1=0)
     key = distill(tally, preset.source, preset.security)
     assert 0 < key.secure_bits <= tally.sifted_mu
+
+
+def test_decoys_summing_to_the_signal_bound_no_single_photon(tmp_path):
+    # nu1 + nu2 == mu exactly, so the decoy bound's denominator
+    # mu (nu1 - nu2) - nu1^2 + nu2^2 is 0: no y1, no e1 and no key
+    assert 0.3 + 0.2 == 0.5
+    row = _keyrate(tmp_path, "--mu", "0.5", "--nu1", "0.3", "--nu2", "0.2")
+    assert row["y1_lower"] == 0.0
+    assert row["e1_upper"] == 0.5
+    assert row["secure_bits"] == 0
+
+
+def test_no_key_from_bounds_without_a_signal_gain(preset, expected):
+    # the single-photon count divides by the signal gain's upper bound
+    bounds = DecoyBounds(0.5, 0.1, 0.0, 0.0, 0.05)
+    key = secure_key_length(expected, bounds, preset.security, preset.source)
+    assert key.secure_bits == 0
+    assert key.single_photon_bits == key.leakage_bits == 0.0
+
+
+def test_efficiency_above_one_is_capped_at_one(preset, expected):
+    # every signal click from one photon, none in error: the key is the
+    # sifted key less privacy amplification, about 6 times its reference
+    q_mu_upper = distill(expected, preset.source,
+                         preset.security).bounds.q_mu_upper
+    bounds = DecoyBounds(1.0, 0.0, 0.0, q_mu_upper, 0.0)
+    key = secure_key_length(expected, bounds, preset.security, preset.source)
+    reference = _infinite_key(expected, preset.source, preset.security)
+    assert key.secure_bits > 5 * reference
+    assert key.efficiency == 1.0
 
 
 def _count(key: str, at_most: int | None = None) -> st.SearchStrategy[int]:
