@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 from functools import lru_cache
 
 import numpy as np
@@ -221,3 +222,40 @@ def test_a_candidate_keeps_every_field_that_is_not_searched():
             assert getattr(candidate, name) == (
                 x if name == coord else getattr(base, name)), name
         assert candidate.p_nu2 == 1.0 - candidate.p_mu - candidate.p_nu1
+
+
+def _search_path_digest(preset, monkeypatch, n_pulses) -> tuple[int, str]:
+    """The number of objective evaluations a default search makes, and the
+    SHA-256 of each one's candidate fields, interval hook and rate, in
+    order, as hex floats."""
+    path = hashlib.sha256()
+    calls = [0]
+    inner = optimizer.objective
+
+    def recorded(source, link, security, n, interval=None):
+        rate = inner(source, link, security, n, interval)
+        calls[0] += 1
+        fields = dataclasses.astuple(source)
+        path.update(" ".join([*(float(v).hex() for v in fields),
+                              "ranked" if interval else "exact",
+                              rate.hex()]).encode() + b"\n")
+        return rate
+    monkeypatch.setattr(optimizer, "objective", recorded)
+    result = optimize_source(preset.link, preset.security, n_pulses)
+    assert result.evaluations == calls[0]
+    return calls[0], path.hexdigest()
+
+
+@pytest.mark.parametrize("n_pulses, digest", [
+    (0.6e12,
+     "9b77a351c2dacbe4d9b776e06b09cf9ead93648d7c350c25521750292c828363"),
+    (1.2e12,
+     "280a30ed6c766dc344005e022135ebc8ef10c820029c18b6031d0938e92b55fc"),
+    (2.4e12,
+     "a7902aec3e5c4ab0d81a833ece5b7de916b91c6070319427f461471e1744e7ba"),
+], ids=["0.6e12", "1.2e12", "2.4e12"])
+def test_the_search_makes_the_same_evaluations_in_the_same_order(
+        preset, monkeypatch, n_pulses, digest):
+    # the golden pins only the search's result; this pins every candidate it
+    # evaluates and every rate it ranks them by, to the last bit
+    assert _search_path_digest(preset, monkeypatch, n_pulses) == (1363, digest)
