@@ -518,7 +518,10 @@ def asymptotic_rate(source: SourceConfig, link: LinkConfig,
 def expectation_tally(n_pulses: float, source: SourceConfig,
                       link: LinkConfig) -> PulseTally:
     """Deterministic expected counts for n_pulses emitted on the drift-free
-    channel (no sampling), each rounded to a whole count."""
+    channel (no sampling), each rounded to a whole count; n_pulses must be
+    finite and > 0."""
+    if not 0.0 < n_pulses < math.inf:
+        raise ValueError(f"n_pulses must be finite and > 0, got {n_pulses}")
     return _expected_counts(n_pulses, source, link, round)
 
 
@@ -526,8 +529,5 @@ def efficiency_curve(budgets: Iterable[float], source: SourceConfig,
                      link: LinkConfig, security: SecurityConfig) -> list[float]:
     """For each pulse budget, the `KeyResult.efficiency` of the key
     distilled from its expectation tally."""
-    budgets = list(budgets)
-    if any(n <= 0 for n in budgets):
-        raise ValueError("n_pulses must be > 0")
     return [distill(expectation_tally(n, source, link), source,
                     security).efficiency for n in budgets]

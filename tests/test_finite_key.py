@@ -13,6 +13,7 @@ from qkdsim.finite_key import (N_BOUND_CALLS, BinomialBound, ChannelEstimates,
                                decoy_bounds, efficiency_curve,
                                estimate_channel, expectation_tally,
                                point_estimates, secure_key_length)
+from qkdsim.optimizer import optimize_source
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +335,35 @@ def test_expectation_tally_bounds_spend_their_epsilon_share(preset, n_pulses):
         assert 0 < k < n
         for tail in _forward_tails(k, n, clopper_pearson(k, n, eps)):
             assert (1 - 1e-6) * eps / 2 <= tail <= eps / 2, (k, n)
+
+
+_BAD_BUDGETS = [-1.0, 0.0, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("n_pulses", _BAD_BUDGETS)
+def test_expectation_tally_refuses_a_budget_that_is_not_positive(preset,
+                                                                  n_pulses):
+    # -1 once gave negative counts and a key of 4,679,106,967 bits from a
+    # negative leakage; inf an OverflowError; NaN a ValueError that named no
+    # budget
+    with pytest.raises(ValueError, match="n_pulses must be finite and > 0"):
+        expectation_tally(n_pulses, preset.source, preset.link)
+
+
+@pytest.mark.parametrize("n_pulses", _BAD_BUDGETS)
+def test_efficiency_curve_refuses_a_budget_that_is_not_positive(preset,
+                                                                n_pulses):
+    with pytest.raises(ValueError, match="n_pulses must be finite and > 0"):
+        efficiency_curve([1.2e12, n_pulses], preset.source, preset.link,
+                         preset.security)
+
+
+@pytest.mark.parametrize("n_pulses", _BAD_BUDGETS)
+def test_optimize_source_refuses_a_budget_that_is_not_positive(preset,
+                                                               n_pulses):
+    # -1 once searched 173 candidates and reported a rate of 0.0
+    with pytest.raises(ValueError, match="n_pulses must be finite and > 0"):
+        optimize_source(preset.link, preset.security, n_pulses, sweeps=1)
 
 
 def test_one_distillation_computes_each_interval_once(preset, monkeypatch):
