@@ -81,11 +81,11 @@ __all__ = [
 
 def binary_entropy(x: float) -> float:
     """Shannon entropy of a bit with bias x, in bits."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"binary_entropy argument must lie in [0, 1], got {x}")
+    if 0.0 < x < 1.0:
+        return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
     if x == 0.0 or x == 1.0:
         return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    raise ValueError(f"binary_entropy argument must lie in [0, 1], got {x}")
 
 
 class BinomialBound(NamedTuple):
@@ -237,6 +237,15 @@ def _tail_endpoint(forward: Callable[[float, float, float], float],
     return value[0]
 
 
+# scipy's cython_special entry points are Cython fused functions, which pick
+# their specialization by the arguments' types at each call.  The searches
+# pass Python floats, so they call the double specialization that the fused
+# function would pick.  A stand-in for `special`, such as a recorder, is
+# called as it is.
+_DOUBLE = {f: getattr(f, "__signatures__", {}).get("double", f)
+           for f in (special.betainc, special.betaincc)}
+
+
 def clopper_pearson(successes: int, trials: int,
                     confidence_epsilon: float) -> BinomialBound:
     """Clopper-Pearson interval at total failure probability
@@ -261,13 +270,17 @@ def clopper_pearson(successes: int, trials: int,
     if k == 0:
         lower = 0.0
     else:
-        lower = _tail_endpoint(special.betainc, float(k), float(n - k + 1),
+        forward = special.betainc
+        lower = _tail_endpoint(_DOUBLE.get(forward, forward),
+                               float(k), float(n - k + 1),
                                estimate, guess_lower, 0.0, half,
                                w_target, h_half)
     if k == n:
         upper = 1.0
     else:
-        upper = _tail_endpoint(special.betaincc, float(k + 1), float(n - k),
+        forward = special.betaincc
+        upper = _tail_endpoint(_DOUBLE.get(forward, forward),
+                               float(k + 1), float(n - k),
                                estimate, guess_upper, 1.0, half,
                                w_target, h_half)
     return _new(BinomialBound, (lower, upper))
@@ -291,8 +304,18 @@ def wilson_interval(successes: int, trials: int,
     searches from it, and the optimizer ranks candidates by it; no reported
     key length rests on it.
     """
-    return _new(BinomialBound, _wilson(
-        successes, trials, _target_constants(confidence_epsilon / 2.0)[0]))
+    global _wilson_z
+    eps, z = _wilson_z
+    if eps != confidence_epsilon:
+        z = _target_constants(confidence_epsilon / 2.0)[0]
+        _wilson_z = confidence_epsilon, z
+    return _new(BinomialBound, _wilson(successes, trials, z))
+
+
+# The last confidence_epsilon that wilson_interval was called with, and its
+# normal quantile: a search calls it six times a candidate with one epsilon,
+# and comparing one float costs less than a call of the cache.
+_wilson_z = (math.nan, math.nan)
 
 
 class ChannelEstimates(NamedTuple):
@@ -315,7 +338,9 @@ N_BOUND_CALLS = len(ChannelEstimates._fields)
 
 def _doubled(b: BinomialBound) -> BinomialBound:
     # Sifted counts are binomial in Q * SIFTING per sent pulse; scale back to Q.
-    lower, upper = b[0] / SIFTING, b[1] / SIFTING
+    lower, upper = b
+    lower /= SIFTING
+    upper /= SIFTING
     return _new(BinomialBound, (lower if lower < 1.0 else 1.0,
                                 upper if upper < 1.0 else 1.0))
 
@@ -325,13 +350,15 @@ def _estimates(tally: PulseTally,
                eps: float) -> ChannelEstimates:
     """Which counts bound which estimate: `interval(k, n, eps)` on each
     field's k of n, the gains scaled back from sifted counts to Q."""
+    sent_mu, sifted_mu, errors_mu, sent_nu1, sifted_nu1, errors_nu1, \
+        sent_nu2, sifted_nu2, errors_nu2 = tally
     return _new(ChannelEstimates, (
-        _doubled(interval(tally.sifted_mu, tally.sent_mu, eps)),      # q_mu
-        interval(tally.errors_mu, tally.sifted_mu, eps),              # e_mu
-        _doubled(interval(tally.sifted_nu1, tally.sent_nu1, eps)),    # q_nu1
-        _doubled(interval(tally.sifted_nu2, tally.sent_nu2, eps)),    # q_nu2
-        _doubled(interval(tally.errors_nu1, tally.sent_nu1, eps)),    # eq_nu1
-        _doubled(interval(tally.errors_nu2, tally.sent_nu2, eps)),    # eq_nu2
+        _doubled(interval(sifted_mu, sent_mu, eps)),      # q_mu
+        interval(errors_mu, sifted_mu, eps),              # e_mu
+        _doubled(interval(sifted_nu1, sent_nu1, eps)),    # q_nu1
+        _doubled(interval(sifted_nu2, sent_nu2, eps)),    # q_nu2
+        _doubled(interval(errors_nu1, sent_nu1, eps)),    # eq_nu1
+        _doubled(interval(errors_nu2, sent_nu2, eps)),    # eq_nu2
     ))
 
 
@@ -345,11 +372,14 @@ def estimate_channel(tally: PulseTally, security: SecurityConfig,
     `interval` computes each interval in place of `clopper_pearson`, as the
     optimizer's ranking does with `wilson_interval`."""
     cp = interval or clopper_pearson
+    eps = security.epsilon / 2.0 / N_BOUND_CALLS
+    if tally[0] > 0 and tally[1] > 0 and tally[3] > 0 and tally[6] > 0:
+        return _estimates(tally, cp, eps)    # every field has trials
 
     def bound(k: int, n: int, eps: float) -> BinomialBound:
         return cp(k, n, eps) if n > 0 else BinomialBound(0.0, 1.0)
 
-    return _estimates(tally, bound, security.epsilon / 2.0 / N_BOUND_CALLS)
+    return _estimates(tally, bound, eps)
 
 
 def _point(k: float, n: float, eps: float) -> BinomialBound:
@@ -383,8 +413,12 @@ def decoy_bounds(estimates: ChannelEstimates, source: SourceConfig) -> DecoyBoun
     """
     mu, nu1, nu2 = source.mu, source.nu1, source.nu2
     e_nu1, e_nu2 = math.exp(nu1), math.exp(nu2)
+    # each a (lower, upper) pair; max(0.0, v) is `v if v > 0.0 else 0.0` and
+    # min(c, v) is `v if v < c else c`, the same floats without the calls
+    q_mu, e_mu, q_nu1, q_nu2, eq_nu1, eq_nu2 = estimates
 
-    y0_lower = max(0.0, 2.0 * (estimates.eq_nu2.lower * e_nu2 - (e_nu2 - 1.0)))
+    y0_lower = 2.0 * (eq_nu2[0] * e_nu2 - (e_nu2 - 1.0))
+    y0_lower = y0_lower if y0_lower > 0.0 else 0.0
 
     # The vacuum+weak inference is only sound for nu1 + nu2 < mu (the
     # multi-photon comparison between classes flips sign otherwise); outside
@@ -393,18 +427,19 @@ def decoy_bounds(estimates: ChannelEstimates, source: SourceConfig) -> DecoyBoun
     if nu1 + nu2 < mu:
         denom = mu * (nu1 - nu2) - nu1 ** 2 + nu2 ** 2
         y1 = (mu / denom) * (
-            estimates.q_nu1.lower * e_nu1
-            - estimates.q_nu2.upper * e_nu2
+            q_nu1[0] * e_nu1
+            - q_nu2[1] * e_nu2
             - ((nu1 ** 2 - nu2 ** 2) / mu ** 2)
-            * (estimates.q_mu.upper * math.exp(mu) - y0_lower)
+            * (q_mu[1] * math.exp(mu) - y0_lower)
         )
-        y1_lower = min(1.0, max(0.0, y1))
+        y1 = y1 if y1 > 0.0 else 0.0
+        y1_lower = y1 if y1 < 1.0 else 1.0
         if y1_lower > 0.0:
-            e1 = (estimates.eq_nu1.upper * e_nu1
-                  - estimates.eq_nu2.lower * e_nu2) / ((nu1 - nu2) * y1_lower)
-            e1_upper = min(0.5, max(0.0, e1))
-    return _new(DecoyBounds, (y1_lower, e1_upper, y0_lower,
-                              estimates.q_mu.upper, estimates.e_mu.upper))
+            e1 = (eq_nu1[1] * e_nu1 - eq_nu2[0] * e_nu2) / (
+                (nu1 - nu2) * y1_lower)
+            e1 = e1 if e1 > 0.0 else 0.0
+            e1_upper = e1 if e1 < 0.5 else 0.5
+    return _new(DecoyBounds, (y1_lower, e1_upper, y0_lower, q_mu[1], e_mu[1]))
 
 
 @dataclass(frozen=True)
@@ -440,10 +475,12 @@ def _key_terms(tally: PulseTally, bounds: DecoyBounds,
         return 0.0, 0.0, 0.0
     p1 = source.mu * math.exp(-source.mu)
     # no more single-photon bits than sifted bits, whatever the classes say
-    n1_lower = min(n_sift, n_sift * p1 * bounds.y1_lower / bounds.q_mu_upper)
+    n1_lower = n_sift * p1 * bounds.y1_lower / bounds.q_mu_upper
+    n1_lower = n1_lower if n1_lower < n_sift else n_sift    # min(n_sift, .)
+    e_mu_upper = bounds.e_mu_upper
+    e_mu_upper = e_mu_upper if e_mu_upper < 0.5 else 0.5    # min(0.5, .)
     single = n1_lower * (1.0 - binary_entropy(bounds.e1_upper))
-    leakage = security.ec_efficiency * n_sift * binary_entropy(
-        min(0.5, bounds.e_mu_upper))
+    leakage = security.ec_efficiency * n_sift * binary_entropy(e_mu_upper)
     pa = math.log2(2.0 / (security.epsilon / 2.0))
     return single, leakage, pa
 
@@ -497,13 +534,18 @@ def _expected_counts(n_pulses: float, source: SourceConfig, link: LinkConfig,
                      whole: Callable[[float], float]) -> PulseTally:
     """Expected counts for n_pulses emitted on the drift-free channel, each
     passed through `whole` before the next is derived from it."""
-    counts = []
-    for p_cls, (q, e) in zip((source.p_mu, source.p_nu1, source.p_nu2),
-                             class_rates(_NO_DRIFT, source, link)):
-        sent = whole(n_pulses * p_cls)
-        sifted = whole(sent * q * SIFTING)
-        counts.extend((sent, sifted, whole(sifted * e)))
-    return _new(PulseTally, counts)
+    (q_mu, e_mu), (q_nu1, e_nu1), (q_nu2, e_nu2) = class_rates(
+        _NO_DRIFT, source, link)
+    sent_mu = whole(n_pulses * source.p_mu)
+    sifted_mu = whole(sent_mu * q_mu * SIFTING)
+    sent_nu1 = whole(n_pulses * source.p_nu1)
+    sifted_nu1 = whole(sent_nu1 * q_nu1 * SIFTING)
+    sent_nu2 = whole(n_pulses * source.p_nu2)
+    sifted_nu2 = whole(sent_nu2 * q_nu2 * SIFTING)
+    return _new(PulseTally, (
+        sent_mu, sifted_mu, whole(sifted_mu * e_mu),
+        sent_nu1, sifted_nu1, whole(sifted_nu1 * e_nu1),
+        sent_nu2, sifted_nu2, whole(sifted_nu2 * e_nu2)))
 
 
 def asymptotic_rate(source: SourceConfig, link: LinkConfig,

@@ -47,7 +47,7 @@ def objective(source: SourceConfig, link: LinkConfig, security: SecurityConfig,
             and source.nu1 + source.nu2 < source.mu):
         return 0.0
     tally = expectation_tally(n_pulses, source, link)
-    if 0 in tally[0::3]:
+    if not (tally[0] and tally[3] and tally[6]):    # the sent counts
         return 0.0    # a class without pulses bounds nothing
     return distill(tally, source, security, interval).secure_bits / n_pulses
 
@@ -59,17 +59,24 @@ class OptimizationResult:
     evaluations: int = 0
 
 
+def _clip(v: float, lo: float, hi: float) -> float:
+    """min(max(v, lo), hi), the same float without the two calls: max(v, lo)
+    is `lo if lo > v else v` and min(m, hi) is `hi if hi < m else m`."""
+    v = lo if lo > v else v
+    return hi if hi < v else v
+
+
 def _project(base: SourceConfig, coord: str, x: float) -> SourceConfig:
     """`base` with its `coord` set to x, projected back inside the source
     invariants: one positional `SourceConfig` call, in field order."""
-    mu = min(max(x if coord == "mu" else base.mu, MU_BOUNDS[0]), MU_BOUNDS[1])
-    nu1 = min(max(x if coord == "nu1" else base.nu1, _MARGIN),
-              mu * (1.0 - _MARGIN))
-    nu2 = min(max(x if coord == "nu2" else base.nu2, 0.0), nu1 * (1.0 - _MARGIN))
-    p_mu = min(max(x if coord == "p_mu" else base.p_mu, _P_FLOOR),
-               1.0 - 2.0 * _P_FLOOR)
-    p_nu1 = min(max(x if coord == "p_nu1" else base.p_nu1, _P_FLOOR),
-                1.0 - p_mu - _P_FLOOR)
+    mu = _clip(x if coord == "mu" else base.mu, MU_BOUNDS[0], MU_BOUNDS[1])
+    nu1 = _clip(x if coord == "nu1" else base.nu1, _MARGIN,
+                mu * (1.0 - _MARGIN))
+    nu2 = _clip(x if coord == "nu2" else base.nu2, 0.0, nu1 * (1.0 - _MARGIN))
+    p_mu = _clip(x if coord == "p_mu" else base.p_mu, _P_FLOOR,
+                 1.0 - 2.0 * _P_FLOOR)
+    p_nu1 = _clip(x if coord == "p_nu1" else base.p_nu1, _P_FLOOR,
+                  1.0 - p_mu - _P_FLOOR)
     return SourceConfig(mu, nu1, nu2, p_mu, p_nu1, 1.0 - p_mu - p_nu1,
                         base.clock_rate)
 
