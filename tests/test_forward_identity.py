@@ -64,6 +64,26 @@ def test_entry_points_match_ufuncs_on_the_program_evaluations(tmp_path,
         _assert_bitwise_equal(name, points)
 
 
+def test_searches_call_the_specialization_the_entry_point_picks(tmp_path,
+                                                               monkeypatch):
+    # the searches skip the fused entry point's dispatch on argument types;
+    # the double specialization they call gives the entry point's bits
+    recorder = _Recorder(finite_key.special)
+    monkeypatch.setattr(finite_key, "special", recorder)
+    assert main(["efficiency-curve", "--points", "20",
+                 "--out", str(tmp_path)]) == 0
+    monkeypatch.undo()
+    for name in ("betainc", "betaincc"):
+        entry = getattr(finite_key.special, name)
+        double = finite_key._DOUBLE[entry]
+        assert double is entry.__signatures__["double"]
+        points = recorder.calls[name]
+        assert len(points) > 100
+        fast = np.array([double(*args) for args in points])
+        picked = np.array([entry(*args) for args in points])
+        assert (fast.view(np.int64) == picked.view(np.int64)).all(), name
+
+
 @st.composite
 def _interval_inputs(draw):
     """(k, n, epsilon): n log-uniform in [1, 1e16], k in [0, n], epsilon
