@@ -2,9 +2,13 @@
 compared with README's text at the precision README prints it, so a change
 that moves one fails until README says the new value.
 
+The `finite-key-design` wall times that README cites from `BENCH_33.json`
+are compared with that file's medians.
+
 Not checked here: the GLLP bound, which no function in `src/` computes,
-and the times README cites from the `BENCH_*.json` files.
+and the times README cites from the other `BENCH_*.json` files.
 """
+import json
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +18,8 @@ from qkdsim.channel import DriftState, class_rates
 from qkdsim.cli import EXIT_OK, main
 from qkdsim.finite_key import asymptotic_rate
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
 N_PULSES = 1.2e12   # one 20-minute window at the GHz clock
 
 
@@ -70,3 +75,10 @@ def test_session_numbers(preset, full_run):
     _says(f"a little above the {zero_drift_qber:.2%} that the default "
           "misalignment gives with no drift")
 
+
+def test_design_loop_wall_times():
+    bench = json.loads((ROOT / "BENCH_33.json").read_text())
+    wall = bench["workloads"]["finite-key-design"]["metrics"]["wall_s"]
+    _says(f"takes a median of {wall['change']['median']:.3f} s of wall time "
+          f"per round over {len(wall['change_runs'])} runs (`BENCH_33.json`), "
+          f"against {wall['parent']['median']:.3f} s in the same pairs")
