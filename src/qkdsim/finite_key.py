@@ -114,6 +114,13 @@ class _Bits(threading.local):
 _BITS = _Bits()
 
 
+# The double specialization of each fused tail function, which the searches
+# call in its place; a stand-in for `special`, such as a recorder, is called
+# as it is.
+_DOUBLE = {f: getattr(f, "__signatures__", {}).get("double", f)
+           for f in (special.betainc, special.betaincc)}
+
+
 @lru_cache(maxsize=64)
 def _target_constants(target: float) -> tuple[float, float, float]:
     """For a tail target epsilon/2: the normal quantile z = -ndtri(target)
@@ -171,6 +178,7 @@ def _tail_endpoint(forward: Callable[[float, float, float], float],
     meets the same contract.
     """
     log, sqrt, inf = math.log, math.sqrt, math.inf
+    forward = _DOUBLE.get(forward, forward)
     value, bits = _BITS.value, _BITS.bits
     w2 = w_target * w_target
     value[0] = edge
@@ -240,13 +248,6 @@ def _tail_endpoint(forward: Callable[[float, float, float], float],
     return value[0]
 
 
-# The double specialization of each fused tail function, which the searches
-# call in its place; a stand-in for `special`, such as a recorder, is called
-# as it is.
-_DOUBLE = {f: getattr(f, "__signatures__", {}).get("double", f)
-           for f in (special.betainc, special.betaincc)}
-
-
 def clopper_pearson(successes: int, trials: int,
                     confidence_epsilon: float) -> BinomialBound:
     """Clopper-Pearson interval at total failure probability
@@ -271,17 +272,13 @@ def clopper_pearson(successes: int, trials: int,
     if k == 0:
         lower = 0.0
     else:
-        forward = special.betainc
-        lower = _tail_endpoint(_DOUBLE.get(forward, forward),
-                               float(k), float(n - k + 1),
+        lower = _tail_endpoint(special.betainc, float(k), float(n - k + 1),
                                estimate, guess_lower, 0.0, half,
                                w_target, h_half)
     if k == n:
         upper = 1.0
     else:
-        forward = special.betaincc
-        upper = _tail_endpoint(_DOUBLE.get(forward, forward),
-                               float(k + 1), float(n - k),
+        upper = _tail_endpoint(special.betaincc, float(k + 1), float(n - k),
                                estimate, guess_upper, 1.0, half,
                                w_target, h_half)
     return _new(BinomialBound, (lower, upper))
@@ -293,6 +290,12 @@ def _wilson(k: int, n: int, z: float) -> tuple[float, float]:
     center = (k + z2 / 2.0) / (n + z2)
     width = z * math.sqrt(k * (n - k) / n + z2 / 4.0) / (n + z2)
     return center - width, center + width
+
+
+# The last confidence_epsilon that wilson_interval was called with, and its
+# normal quantile: a search calls it six times a candidate with one epsilon,
+# and comparing one float costs less than a call of the cache.
+_wilson_z = (math.nan, math.nan)
 
 
 def wilson_interval(successes: int, trials: int,
@@ -312,11 +315,6 @@ def wilson_interval(successes: int, trials: int,
         _wilson_z = confidence_epsilon, z
     return _new(BinomialBound, _wilson(successes, trials, z))
 
-
-# The last confidence_epsilon that wilson_interval was called with, and its
-# normal quantile: a search calls it six times a candidate with one epsilon,
-# and comparing one float costs less than a call of the cache.
-_wilson_z = (math.nan, math.nan)
 
 
 class ChannelEstimates(NamedTuple):

@@ -337,6 +337,32 @@ def test_expectation_tally_bounds_spend_their_epsilon_share(preset, n_pulses):
             assert (1 - 1e-6) * eps / 2 <= tail <= eps / 2, (k, n)
 
 
+def _reference_expected_counts(n_pulses, source, link, whole):
+    """_expected_counts as written with a loop over the classes."""
+    counts = []
+    for p_cls, (q, e) in zip((source.p_mu, source.p_nu1, source.p_nu2),
+                             class_rates(DriftState(), source, link)):
+        sent = whole(n_pulses * p_cls)
+        sifted = whole(sent * q * 0.5)
+        counts.extend((sent, sifted, whole(sifted * e)))
+    return PulseTally(*counts)
+
+
+@given(st.floats(1.0, 1e15), st.floats(0.01, 1.5), st.floats(0.0, 1.0),
+       st.floats(0.0, 1.0), st.floats(0.0, 150.0),
+       st.sampled_from([round, float]))
+@settings(max_examples=200, deadline=None)
+def test_expected_counts_are_the_loops_counts(n_pulses, mu, p_mu, p_nu1,
+                                              fiber_length, whole):
+    source = SourceConfig(mu=mu, nu1=mu / 4, nu2=mu / 100, p_mu=p_mu,
+                          p_nu1=p_nu1, p_nu2=1.0 - p_mu - p_nu1)
+    link = LinkConfig(fiber_length=fiber_length)
+    got = finite_key._expected_counts(n_pulses, source, link, whole)
+    expected = _reference_expected_counts(n_pulses, source, link, whole)
+    assert [float(v).hex() for v in got] == [
+        float(v).hex() for v in expected]
+
+
 _BAD_BUDGETS = [-1.0, 0.0, math.inf, math.nan]
 
 

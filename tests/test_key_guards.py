@@ -12,14 +12,18 @@ pass 1: decoy intensities that sum to the signal's, which `keyrate` takes,
 and decoy bounds that no tally's intervals give, a signal gain of 0 or a
 key far above its infinite-statistics reference.
 """
+import math
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qkdsim.channel import CLASSES, PulseTally
 from qkdsim.cli import EXIT_OK, TALLY_KEYS, main
-from qkdsim.finite_key import (DecoyBounds, _infinite_key, binary_entropy,
-                               distill, estimate_channel, expectation_tally,
-                               secure_key_length)
+from qkdsim.config import SecurityConfig, SourceConfig
+from qkdsim.finite_key import (BinomialBound, ChannelEstimates, DecoyBounds,
+                               _infinite_key, _key_terms, binary_entropy,
+                               decoy_bounds, distill, estimate_channel,
+                               expectation_tally, secure_key_length)
 
 
 @pytest.fixture(scope="module")
@@ -187,3 +191,85 @@ def test_every_tally_in_range_gives_a_bounded_key_or_is_refused(preset,
     assert 0.0 <= key.bounds.q_mu_upper <= 1.0
     assert 0 <= key.secure_bits <= tally.sifted_mu
     assert 0.0 <= key.efficiency <= 1.0
+
+
+def _reference_decoy_bounds(estimates, source):
+    """decoy_bounds as written with min and max."""
+    mu, nu1, nu2 = source.mu, source.nu1, source.nu2
+    e_nu1, e_nu2 = math.exp(nu1), math.exp(nu2)
+    y0_lower = max(0.0, 2.0 * (estimates.eq_nu2.lower * e_nu2 - (e_nu2 - 1.0)))
+    y1_lower, e1_upper = 0.0, 0.5
+    if nu1 + nu2 < mu:
+        denom = mu * (nu1 - nu2) - nu1 ** 2 + nu2 ** 2
+        y1 = (mu / denom) * (
+            estimates.q_nu1.lower * e_nu1
+            - estimates.q_nu2.upper * e_nu2
+            - ((nu1 ** 2 - nu2 ** 2) / mu ** 2)
+            * (estimates.q_mu.upper * math.exp(mu) - y0_lower))
+        y1_lower = min(1.0, max(0.0, y1))
+        if y1_lower > 0.0:
+            e1 = (estimates.eq_nu1.upper * e_nu1
+                  - estimates.eq_nu2.lower * e_nu2) / ((nu1 - nu2) * y1_lower)
+            e1_upper = min(0.5, max(0.0, e1))
+    return (y1_lower, e1_upper, y0_lower, estimates.q_mu.upper,
+            estimates.e_mu.upper)
+
+
+def _reference_key_terms(tally, bounds, security, source):
+    """_key_terms as written with min."""
+    n_sift = tally.sifted_mu
+    if n_sift == 0 or bounds.q_mu_upper <= 0.0:
+        return 0.0, 0.0, 0.0
+    p1 = source.mu * math.exp(-source.mu)
+    n1_lower = min(n_sift, n_sift * p1 * bounds.y1_lower / bounds.q_mu_upper)
+    single = n1_lower * (1.0 - binary_entropy(bounds.e1_upper))
+    leakage = security.ec_efficiency * n_sift * binary_entropy(
+        min(0.5, bounds.e_mu_upper))
+    return single, leakage, math.log2(2.0 / (security.epsilon / 2.0))
+
+
+def _outcome(f, *args):
+    """f's result as hex floats, or the type of what it raised."""
+    try:
+        return [float(v).hex() for v in f(*args)]
+    except (ValueError, ZeroDivisionError, OverflowError) as error:
+        return type(error)
+
+
+# an endpoint: mostly in [0, 1], else a value where a clamp's argument
+# order shows, NaN and both zeros, or one out of range
+_END = st.floats(0.0, 1.0) | st.sampled_from(
+    [0.0, -0.0, 0.5, 1.0, math.nan, math.inf, -math.inf, -1.0, 2.0])
+_INTENSITY = st.floats(0.0, 2.0) | st.sampled_from([0.0, -0.0, math.nan])
+
+
+@given(st.lists(_END, min_size=12, max_size=12),
+       st.tuples(_INTENSITY, _INTENSITY, _INTENSITY))
+@settings(max_examples=300, deadline=None)
+# a NaN single-photon yield, then a raw e1 of -0.0, then a raw y0 of -0.0
+@example([0.5] * 4 + [math.nan] + [0.5] * 7, (0.5, 0.1, 0.0))
+@example([0.5] * 6 + [0.0] * 3 + [-0.0, 0.0, 0.0], (0.5, 0.1, 0.0))
+@example([0.5] * 6 + [0.0] * 4 + [-0.0, 0.0], (0.5, 0.1, 0.0))
+def test_decoy_bounds_clamps_as_min_and_max_do(ends, intensities):
+    # the conditional expressions give the builtins' floats, signed zeros
+    # and NaN included, or the same error
+    estimates = ChannelEstimates(*(BinomialBound(*ends[i:i + 2])
+                                   for i in range(0, 12, 2)))
+    mu, nu1, nu2 = intensities
+    source = SourceConfig(mu=mu, nu1=nu1, nu2=nu2)
+    assert _outcome(decoy_bounds, estimates, source) == _outcome(
+        _reference_decoy_bounds, estimates, source)
+
+
+@given(st.integers(0, 10**15), st.lists(_END, min_size=5, max_size=5),
+       _INTENSITY)
+@settings(max_examples=300, deadline=None)
+# a NaN signal error rate, then a NaN single-photon yield
+@example(1000, [0.5, 0.1, 0.0, 0.5, math.nan], 0.5)
+@example(1000, [math.nan, 0.1, 0.0, 0.5, 0.1], 0.5)
+def test_key_terms_caps_as_min_does(sifted, ends, mu):
+    tally = PulseTally(sifted_mu=sifted)
+    bounds = DecoyBounds(*ends)
+    source, security = SourceConfig(mu=mu), SecurityConfig()
+    assert _outcome(_key_terms, tally, bounds, security, source) == _outcome(
+        _reference_key_terms, tally, bounds, security, source)

@@ -1,9 +1,11 @@
 import dataclasses
 import hashlib
+import math
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qkdsim import finite_key, optimizer
 from qkdsim.channel import SIFTING
@@ -11,7 +13,8 @@ from qkdsim.config import Config, LinkConfig, SourceConfig
 from qkdsim.finite_key import (N_BOUND_CALLS, clopper_pearson,
                                estimate_channel, expectation_tally,
                                wilson_interval)
-from qkdsim.optimizer import MU_BOUNDS, _project, objective, optimize_source
+from qkdsim.optimizer import (_MARGIN, _P_FLOOR, MU_BOUNDS, _project,
+                               objective, optimize_source)
 
 N_PULSES = 1.2e12  # one 20-min window at the GHz clock
 
@@ -259,3 +262,36 @@ def test_the_search_makes_the_same_evaluations_in_the_same_order(
     # the golden pins only the search's result; this pins every candidate it
     # evaluates and every rate it ranks them by, to the last bit
     assert _search_path_digest(preset, monkeypatch, n_pulses) == (1363, digest)
+
+
+def _reference_project(base, coord, x):
+    """_project as written with min and max."""
+    mu = min(max(x if coord == "mu" else base.mu, MU_BOUNDS[0]), MU_BOUNDS[1])
+    nu1 = min(max(x if coord == "nu1" else base.nu1, _MARGIN),
+              mu * (1.0 - _MARGIN))
+    nu2 = min(max(x if coord == "nu2" else base.nu2, 0.0),
+              nu1 * (1.0 - _MARGIN))
+    p_mu = min(max(x if coord == "p_mu" else base.p_mu, _P_FLOOR),
+               1.0 - 2.0 * _P_FLOOR)
+    p_nu1 = min(max(x if coord == "p_nu1" else base.p_nu1, _P_FLOOR),
+                1.0 - p_mu - _P_FLOOR)
+    return (mu, nu1, nu2, p_mu, p_nu1, 1.0 - p_mu - p_nu1, base.clock_rate)
+
+
+# a coordinate: mostly in [0, 2], else NaN, a signed zero, a bound, or a
+# value far out of range
+_COORDINATE = st.floats(0.0, 2.0) | st.sampled_from(
+    [math.nan, 0.0, -0.0, MU_BOUNDS[1], 1.0 - 2.0 * _P_FLOOR, -1.0, 1e300])
+
+
+@given(st.sampled_from(["mu", "nu1", "nu2", "p_mu", "p_nu1"]), _COORDINATE,
+       st.lists(_COORDINATE, min_size=5, max_size=5))
+@settings(max_examples=300, deadline=None)
+# a NaN coordinate, and a signal probability whose p_nu1 range is empty
+@example("nu1", math.nan, [0.5, 0.1, 0.0007, 0.9883, 0.0078])
+@example("p_nu1", 0.5, [0.5, 0.1, 0.0007, 0.9998, 0.0078])
+def test_project_clips_as_min_and_max_do(coord, x, fields):
+    base = SourceConfig(*fields)
+    got = dataclasses.astuple(_project(base, coord, x))
+    assert [float(v).hex() for v in got] == [
+        float(v).hex() for v in _reference_project(base, coord, x)]
