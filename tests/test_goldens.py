@@ -21,9 +21,22 @@ LOOPS_OFF = ("simulate", "--seed", "13", "--duration", "600",
 LONG_LOOPS_OFF = ("simulate", "--seed", "13", "--duration", "9000",
                   "--distill-interval", "600", "--stabilization-enabled",
                   "false")
+# A time step other than one second scales every drift increment and the
+# timing ramp; at 150 km the counts are sparse.
+QUARTER_STEP = ("simulate", "--seed", "13", "--duration", "600", "--time-step",
+                "0.25", "--fiber-length", "150", "--distill-interval", "150")
+# Phase drift this fast drives the misalignment error to its cap of 0.5.
+PHASE_CAP = ("simulate", "--seed", "13", "--duration", "600",
+             "--phase-diffusion", "0.5", "--stabilization-enabled", "false",
+             "--distill-interval", "120")
+# With no dark counts, a decoy class of zero intensity has zero gain.
+ZERO_GAIN = ("simulate", "--seed", "13", "--duration", "600",
+             "--dark-count-prob", "0", "--nu2", "0", "--distill-interval", "120")
 # test ids: the subcommand, or a name for a further run of one
 NAMES = {SPARSE: "simulate-sparse", LOOPS_OFF: "simulate-loops-off",
-         LONG_LOOPS_OFF: "simulate-loops-off-9000"}
+         LONG_LOOPS_OFF: "simulate-loops-off-9000",
+         QUARTER_STEP: "simulate-quarter-step-150km",
+         PHASE_CAP: "simulate-phase-cap", ZERO_GAIN: "simulate-zero-gain-decoy"}
 
 GOLDENS = {
     ("simulate", "--seed", "13", "--duration", "3600"): {
@@ -59,6 +72,30 @@ GOLDENS = {
             "6f6da889ab54bbc91854c542df07a6d97238d2a0583a7a6c6b64853e800f4047",
         "summary.txt":
             "5c44d67f88987e96cedfc69367fa1634d144e8c5b28d748f03437b25c01e3186",
+    },
+    QUARTER_STEP: {
+        "telemetry.csv":
+            "0831ae637209f0eb27267e39d96556d8f858c3e56457fb93ec880724665297d4",
+        "keys.csv":
+            "1d5e87b2d49d99d1dcb6eabfad69ef573a373fb083d0b4c2419e2134145dc014",
+        "summary.txt":
+            "78e93ce8441db16b1681b8547fc94c92acebd448468b25696e51d72dc46843e8",
+    },
+    PHASE_CAP: {
+        "telemetry.csv":
+            "a820610dfa1372e14425e0dbef3430f1b3be0f5c11f2c977da76ea6438f6bffa",
+        "keys.csv":
+            "1b623780a0cdcb67ea149346cab3425f4f09d4a11ab5ac6594cd924939b02d93",
+        "summary.txt":
+            "01405430ecbd451da17a2dc1adc7263d68ed5e6f07cfd621218f15a3e72ac302",
+    },
+    ZERO_GAIN: {
+        "telemetry.csv":
+            "0441ce49164bca412f967b2258f510d21846685f5746c80b5b241eb00f310b5d",
+        "keys.csv":
+            "92705c5b48cb17707826b2b99fc859e83ee4cd15363f0b6e8dc7df6113eade99",
+        "summary.txt":
+            "0567fd8c799a10cb90a9850f94e1840d60fcd73904c424277d27e9473ef39d00",
     },
     ("keyrate",): {
         "keyrate.csv":
