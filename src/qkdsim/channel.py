@@ -125,15 +125,35 @@ def expected_rates(mean_photons: float, eta_total: float,
 def class_rates(drift: DriftState, source: SourceConfig,
                 link: LinkConfig) -> tuple[tuple[float, float], ...]:
     """Instantaneous (gain, QBER) of each intensity class, in CLASSES order,
-    under the given drift."""
-    eta_factor, phase_error_prob = drift_penalties(drift, link)
+    under the given drift: `drift_penalties`, then `expected_rates` of each
+    class, bit for bit.  Unrolled: the session calls it every step."""
+    phase, pol, timing, power = drift
     eta, y0 = link.zero_drift_detection
-    eta_total = eta * eta_factor
-    e_mis = min(link.intrinsic_misalignment_error + phase_error_prob, 0.5)
-    power = drift.power_factor
-    return (expected_rates(source.mu * power, eta_total, y0, e_mis),
-            expected_rates(source.nu1 * power, eta_total, y0, e_mis),
-            expected_rates(source.nu2 * power, eta_total, y0, e_mis))
+    eta_total = eta * (math.cos(pol) ** 2 * math.exp(
+        -timing ** 2 / (2.0 * link.gate_sigma ** 2)))
+    e_mis = link.intrinsic_misalignment_error + (1.0 - math.cos(phase)) / 2.0
+    e_mis = 0.5 if 0.5 < e_mis else e_mis  # min(e_mis, 0.5), NaN kept
+    no_dark = 1.0 - y0
+    # each class as in expected_rates, which it calls where the gain is <= 0
+    no_photon = math.exp(-(source.mu * power) * eta_total)
+    if (q := 1.0 - no_dark * no_photon) <= 0.0:
+        mu = expected_rates(source.mu * power, eta_total, y0, e_mis)
+    else:
+        e = (0.5 * (y0 * (1.0 - (s := 1.0 - no_photon))) + e_mis * s) / q
+        mu = q, e if e < 0.5 else 0.5
+    no_photon = math.exp(-(source.nu1 * power) * eta_total)
+    if (q := 1.0 - no_dark * no_photon) <= 0.0:
+        nu1 = expected_rates(source.nu1 * power, eta_total, y0, e_mis)
+    else:
+        e = (0.5 * (y0 * (1.0 - (s := 1.0 - no_photon))) + e_mis * s) / q
+        nu1 = q, e if e < 0.5 else 0.5
+    no_photon = math.exp(-(source.nu2 * power) * eta_total)
+    if (q := 1.0 - no_dark * no_photon) <= 0.0:
+        nu2 = expected_rates(source.nu2 * power, eta_total, y0, e_mis)
+    else:
+        e = (0.5 * (y0 * (1.0 - (s := 1.0 - no_photon))) + e_mis * s) / q
+        nu2 = q, e if e < 0.5 else 0.5
+    return mu, nu1, nu2
 
 
 def observed(tally: PulseTally) -> tuple[float, ...]:

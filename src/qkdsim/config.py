@@ -146,7 +146,7 @@ class LinkConfig:
                                                "probability", "[0, 1]")
     # gate window width: drift_penalties divides by its square
     gate_sigma: float = _key(100.0, "ps", "[0.001, 1e6]")
-    # Environmental drift.  step_drift scales each rate by the time step.  In
+    # Environmental drift.  A session scales each rate by its time step.  In
     # the longest session, MAX_SESSION_STEPS steps of 60 s, these bounds keep
     # every drift finite, the squared timing offset too, and keep the power
     # factor, the exp of a random walk, nine standard deviations inside the
@@ -193,7 +193,7 @@ class SimConfig:
     """Discrete-time session settings."""
 
     duration: float = _key(129600.0, "s", "[0, inf)")    # 36 h
-    # the per-step statistics cadence, which step_drift scales the drift by
+    # the per-step statistics cadence, by which a session scales the drift
     time_step: float = _key(1.0, "s", "(0, 60]")
     rng_seed: int = _key(1, "integer", "[0, inf)")
     stabilization_enabled: bool = _key(True, "boolean", "[0, 1]")

@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .channel import DriftState, _new
-from .config import ControlConfig, LinkConfig, SourceConfig
+from .config import ControlConfig, SourceConfig
 
 __all__ = [
     "EPC_WEIGHTS", "STRETCHER", "EPC", "GATE",
@@ -57,19 +57,17 @@ class ControllerState:
         return w1 * s1 + w2 * s2 + w3 * s3 + w4 * s4
 
 
-def step_drift(drift: DriftState, link: LinkConfig, dt: float,
-               normals: Sequence[float]) -> DriftState:
-    """Advance the environment by dt seconds (diffusions plus timing ramp),
-    given four standard normal draws: phase, polarization, timing, power."""
-    g_phase, g_pol, g_timing, g_power = normals
+def step_drift(drift: DriftState, ramp: float,
+               increments: Sequence[float]) -> DriftState:
+    """Advance the environment one time step dt, given the timing ramp
+    timing_drift_rate * dt and four random increments: phase, polarization,
+    timing and log power, each a standard normal draw times
+    math.sqrt(diffusion * dt) for its diffusion in LinkConfig."""
+    d_phase, d_pol, d_timing, d_power = increments
     phase, pol, timing, power = drift
-    return _new(DriftState, (
-        phase + math.sqrt(link.phase_diffusion * dt) * g_phase,
-        pol + math.sqrt(link.polarization_diffusion * dt) * g_pol,
-        timing + link.timing_drift_rate * dt
-        + math.sqrt(link.timing_diffusion * dt) * g_timing,
-        power * math.exp(math.sqrt(link.laser_power_diffusion * dt) * g_power),
-    ))
+    return _new(DriftState, (phase + d_phase, pol + d_pol,
+                             timing + ramp + d_timing,
+                             power * math.exp(d_power)))
 
 
 def _move(state: ControllerState, k: int, reading: float,
@@ -129,9 +127,11 @@ def intensity_feedback(measured_flux: float, source: SourceConfig,
 def apply_controls(drift: DriftState, state: ControllerState) -> DriftState:
     """Residual drift seen by the optics after the actuators act."""
     phase, pol, timing, power = drift
+    (w1, w2, w3, w4), (stretcher, s1, s2, s3, s4, gate) = (EPC_WEIGHTS,
+                                                           state.settings)
     return _new(DriftState, (
-        phase + state.settings[STRETCHER],
-        pol + state.net_epc_angle(),
-        timing - state.settings[GATE],
+        phase + stretcher,
+        pol + (w1 * s1 + w2 * s2 + w3 * s3 + w4 * s4),  # net_epc_angle()
+        timing - gate,
         power * 10.0 ** (-state.attenuator_setting / 10.0),
     ))

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import math
 import os
 import signal
 import subprocess
@@ -132,10 +133,14 @@ def test_hidden_columns_match_one_draw_per_step():
     config = Config(sim=SimConfig(duration=steps, stabilization_enabled=False))
     result = run_session(config, seed=seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
+    link, dt = config.link, config.sim.time_step
+    rates = (link.phase_diffusion, link.polarization_diffusion,
+             link.timing_diffusion, link.laser_power_diffusion)
     drift, expected = DriftState(), []
     for _ in range(steps):
-        drift = step_drift(drift, config.link, config.sim.time_step,
-                           rng.standard_normal(4))
+        drift = step_drift(drift, link.timing_drift_rate * dt, [
+            math.sqrt(r * dt) * g
+            for r, g in zip(rates, rng.standard_normal(4).tolist())])
         expected.append(drift)
     hidden = TelemetryRow._fields.index("hidden_phase_rad")
     np.testing.assert_array_equal(result.telemetry[:, hidden:],

@@ -22,11 +22,20 @@ FROZEN = LinkConfig(phase_diffusion=0, polarization_diffusion=0,
 # drift process
 # ---------------------------------------------------------------------------
 
+def _step(drift, link, dt, normals):
+    """`step_drift` given four standard normals, each scaled by its
+    diffusion's math.sqrt(rate * dt) as a session scales them."""
+    rates = (link.phase_diffusion, link.polarization_diffusion,
+             link.timing_diffusion, link.laser_power_diffusion)
+    return step_drift(drift, link.timing_drift_rate * dt,
+                      [math.sqrt(r * dt) * g for r, g in zip(rates, normals)])
+
+
 def test_step_drift_frozen_environment():
     rng = np.random.default_rng(0)
     drift = DriftState(phase_error=0.2, polarization_angle=-0.1,
                        timing_offset=3.0, power_factor=1.05)
-    assert step_drift(drift, FROZEN, 1.0, rng.standard_normal(4)) == drift
+    assert _step(drift, FROZEN, 1.0, rng.standard_normal(4)) == drift
 
 
 def test_step_drift_random_walk_variance():
@@ -38,7 +47,7 @@ def test_step_drift_random_walk_variance():
     for _ in range(trials):
         d = DriftState()
         for _ in range(steps):
-            d = step_drift(d, link, 1.0, rng.standard_normal(4))
+            d = _step(d, link, 1.0, rng.standard_normal(4))
         finals.append(d.phase_error)
     expected = 1e-4 * steps * 1.0
     observed = np.var(finals)
@@ -53,15 +62,15 @@ def test_step_drift_deterministic_timing_ramp():
     rng = np.random.default_rng(0)
     d = DriftState()
     for _ in range(100):
-        d = step_drift(d, link, 1.0, rng.standard_normal(4))
+        d = _step(d, link, 1.0, rng.standard_normal(4))
     assert d.timing_offset == pytest.approx(0.05 * 100, rel=1e-12)
 
 
 def test_step_drift_reproducible():
     link = LinkConfig()
-    a = step_drift(DriftState(), link, 1.0,
+    a = _step(DriftState(), link, 1.0,
                    np.random.default_rng(3).standard_normal(4))
-    b = step_drift(DriftState(), link, 1.0,
+    b = _step(DriftState(), link, 1.0,
                    np.random.default_rng(3).standard_normal(4))
     assert a == b
 
