@@ -2,8 +2,9 @@
 compared with README's text at the precision README prints it, so a change
 that moves one fails until README says the new value.
 
-The `finite-key-design` wall times that README cites from `BENCH_33.json`
-are compared with that file's medians.
+The `finite-key-design` wall times that README cites from `BENCH_33.json`,
+and the `session-36h` and `ensemble-sweep` ones from `BENCH_34.json`, are
+compared with those files' medians.
 
 Not checked here: the GLLP bound, which no function in `src/` computes,
 and the times README cites from the other `BENCH_*.json` files.
@@ -82,3 +83,16 @@ def test_design_loop_wall_times():
     _says(f"takes a median of {wall['change']['median']:.3f} s of wall time "
           f"per round over {len(wall['change_runs'])} runs (`BENCH_33.json`), "
           f"against {wall['parent']['median']:.3f} s in the same pairs")
+
+
+def test_step_wall_times():
+    bench = json.loads((ROOT / "BENCH_34.json").read_text())["workloads"]
+    session = bench["session-36h"]["metrics"]["wall_s"]
+    _says(f"In the pairs of `BENCH_34.json` it read a median of "
+          f"{session['change']['median']:.3f} s over "
+          f"{len(session['change_runs'])} runs, against "
+          f"{session['parent']['median']:.3f} s before")
+    wall = bench["ensemble-sweep"]["metrics"]["wall_s"]
+    _says(f"takes a median of {wall['change']['median']:.4f} s of wall time "
+          f"per round over {len(wall['change_runs'])} runs (`BENCH_34.json`), "
+          f"against {wall['parent']['median']:.4f} s in the same pairs")
