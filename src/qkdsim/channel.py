@@ -134,22 +134,22 @@ def class_rates(drift: DriftState, source: SourceConfig,
     e_mis = link.intrinsic_misalignment_error + (1.0 - math.cos(phase)) / 2.0
     e_mis = 0.5 if 0.5 < e_mis else e_mis  # min(e_mis, 0.5), NaN kept
     no_dark = 1.0 - y0
-    # each class as in expected_rates, which it calls where the gain is <= 0
+    # each class as in expected_rates, whose result is (q, 0.5) where q <= 0
     no_photon = math.exp(-(source.mu * power) * eta_total)
     if (q := 1.0 - no_dark * no_photon) <= 0.0:
-        mu = expected_rates(source.mu * power, eta_total, y0, e_mis)
+        mu = q, 0.5
     else:
         e = (0.5 * (y0 * (1.0 - (s := 1.0 - no_photon))) + e_mis * s) / q
         mu = q, e if e < 0.5 else 0.5
     no_photon = math.exp(-(source.nu1 * power) * eta_total)
     if (q := 1.0 - no_dark * no_photon) <= 0.0:
-        nu1 = expected_rates(source.nu1 * power, eta_total, y0, e_mis)
+        nu1 = q, 0.5
     else:
         e = (0.5 * (y0 * (1.0 - (s := 1.0 - no_photon))) + e_mis * s) / q
         nu1 = q, e if e < 0.5 else 0.5
     no_photon = math.exp(-(source.nu2 * power) * eta_total)
     if (q := 1.0 - no_dark * no_photon) <= 0.0:
-        nu2 = expected_rates(source.nu2 * power, eta_total, y0, e_mis)
+        nu2 = q, 0.5
     else:
         e = (0.5 * (y0 * (1.0 - (s := 1.0 - no_photon))) + e_mis * s) / q
         nu2 = q, e if e < 0.5 else 0.5

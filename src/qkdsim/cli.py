@@ -216,10 +216,9 @@ def _run_keyrate(req: argparse.Namespace, cfg: Config) -> None:
                       e1_upper=result.bounds.e1_upper)
         files["keyrate.csv"].writelines([
             ",".join(values) + "\n",
-            ",".join(session._fmt(v) for v in values.values()) + "\n"])
-    sys.stdout.write("".join(f"{name}: {session._fmt(v)}\n"
-                             for name, v in values.items()
-                             if name != "epsilon_spent"))
+            ",".join(map(session.format_value, values.values())) + "\n"])
+    del values["epsilon_spent"]
+    sys.stdout.write(session.format_fields(values))
 
 
 def _run_efficiency_curve(req: argparse.Namespace, cfg: Config) -> None:
@@ -235,7 +234,8 @@ def _run_efficiency_curve(req: argparse.Namespace, cfg: Config) -> None:
         effs = finite_key.efficiency_curve(grid, cfg.source, cfg.link,
                                            cfg.security)
         lines = ["n_pulses,efficiency\n"] + [
-            f"{n:.9g},{eff:.9g}\n" for n, eff in zip(grid, effs)]
+            f"{session.format_value(n)},{session.format_value(eff)}\n"
+            for n, eff in zip(grid, effs)]
         files["efficiency_curve.csv"].writelines(lines)
     sys.stdout.writelines(lines)
 
@@ -248,14 +248,12 @@ def _run_optimize(req: argparse.Namespace, cfg: Config) -> None:
             cfg.link, cfg.security, req.n_pulses, start=cfg.source,
             sweeps=req.sweeps)
         best = result.best
-        report = (
-            f"rate_bits_per_pulse: {result.rate:.9g}\n"
-            f"rate_bps_at_clock: {result.rate * best.clock_rate:.9g}\n"
-            f"evaluations: {result.evaluations}\n"
-            f"mu: {best.mu:.9g}\nnu1: {best.nu1:.9g}\nnu2: {best.nu2:.9g}\n"
-            f"p_mu: {best.p_mu:.9g}\np_nu1: {best.p_nu1:.9g}\n"
-            f"p_nu2: {best.p_nu2:.9g}\n"
-        )
+        report = session.format_fields({
+            "rate_bits_per_pulse": result.rate,
+            "rate_bps_at_clock": result.rate * best.clock_rate,
+            "evaluations": result.evaluations,
+            **{name: getattr(best, name) for name in (
+                "mu", "nu1", "nu2", "p_mu", "p_nu1", "p_nu2")}})
         files["optimize.txt"].write(report)
         files["best_config.cfg"].write(
             config_mod.config_to_text(replace(cfg, source=best)))
@@ -269,7 +267,8 @@ def _run_calibrate(req: argparse.Namespace, cfg: Config) -> None:
         calibrated = replace(cfg, link=replace(
             cfg.link, intrinsic_misalignment_error=value))
         files["calibrated.cfg"].write(config_mod.config_to_text(calibrated))
-    sys.stdout.write(f"intrinsic_misalignment_error: {value:.9g}\n")
+    sys.stdout.write(session.format_fields(
+        {"intrinsic_misalignment_error": value}))
 
 
 def dispatch(request: argparse.Namespace) -> int:

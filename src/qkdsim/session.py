@@ -43,7 +43,7 @@ from .config import Config, steps_per
 from .finite_key import KeyResult, distill
 # Not called here: perfbench/tracing.BOUNDARIES looks them up in this module.
 from .finite_key import decoy_bounds, estimate_channel, secure_key_length
-from .stabilization import (ControllerState, apply_controls,
+from .stabilization import (ATTEN, ControllerState, apply_controls,
                             gate_delay_feedback, intensity_feedback,
                             polarization_feedback, step_drift,
                             stretcher_feedback)
@@ -101,9 +101,10 @@ class TelemetryRow(NamedTuple):
 
 TELEMETRY_HEADER = ",".join(TelemetryRow._fields)
 _WIDTH = len(TelemetryRow._fields)
-# A block of telemetry rows formats in one operation.  %.9g writes every NaN,
-# signed or not, as "nan", which no number's text contains, so replacing it
-# leaves the absent cells empty.
+# A block of telemetry rows formats in one operation, each cell as
+# `format_value` writes a float.  %.9g writes every NaN, signed or not, as
+# "nan", which no number's text contains, so replacing it leaves the absent
+# cells empty.
 _TELEMETRY_LINE = ",".join(["%.9g"] * _WIDTH) + "\n"
 # Steps run as one block: their environment draws are made at once and their
 # telemetry rows are kept as tuples until the block is packed as raw doubles,
@@ -293,20 +294,20 @@ def _run(config: Config, n_steps: int,
 
             if stabilize:
                 if i % stretcher_every == 0:
-                    ctrl = stretcher_feedback(last_qber, ctrl)
+                    stretcher_feedback(last_qber, ctrl)
                 if i % epc_every == 0:
-                    ctrl = polarization_feedback(last_count_rate, ctrl)
+                    polarization_feedback(last_count_rate, ctrl)
                 if i % gate_every == gate_offset:
                     # The mean rate over the loop's own interval: one step's
                     # shot noise can exceed the change one dither move makes.
-                    ctrl = gate_delay_feedback(
+                    gate_delay_feedback(
                         gate_counts / ((i - gate_from) * dt) if i > gate_from
                         else None, ctrl)
                     gate_counts, gate_from = 0, i
                 if i % intensity_every == 0:
                     measured = (nominal_flux * drift.power_factor
-                                * 10.0 ** (-ctrl.attenuator_setting / 10.0))
-                    ctrl = intensity_feedback(measured, source, ctrl)
+                                * 10.0 ** (-ctrl.settings[ATTEN] / 10.0))
+                    intensity_feedback(measured, source, ctrl)
 
             residual = apply_controls(drift, ctrl)
             rates = class_rates(residual, source, link)
@@ -319,8 +320,8 @@ def _run(config: Config, n_steps: int,
             last_count_rate = sifted / dt
             gate_counts += sifted
 
-            rows.append((i * dt, *seen, *ctrl.settings,  # TelemetryRow order
-                         ctrl.attenuator_setting, *drift))
+            # in TelemetryRow order
+            rows.append((i * dt, *seen, *ctrl.settings, *drift))
 
             window.append(tally)
             closes = (i + 1) % window_steps == 0
@@ -350,10 +351,12 @@ def _run(config: Config, n_steps: int,
 
 
 # ---------------------------------------------------------------------------
-# CSV export (9 significant digits, absent values as empty fields).
+# Text output (9 significant digits, absent values as empty fields).
 # ---------------------------------------------------------------------------
 
-def _fmt(value: float | int | None) -> str:
+def format_value(value: float | int | None) -> str:
+    """A value as every file and report writes it: an int in full, a float
+    to 9 significant digits, and None or NaN (absent) as empty text."""
     if value is None or value != value:   # None or NaN: absent
         return ""
     if isinstance(value, int):
@@ -361,17 +364,21 @@ def _fmt(value: float | int | None) -> str:
     return f"{value:.9g}"
 
 
+def format_fields(fields: dict[str, float | int | None]) -> str:
+    """A `name: value` line a field: summary.txt's and each report's layout."""
+    return "".join(f"{k}: {format_value(v)}\n" for k, v in fields.items())
+
+
 def format_summary(summary: SessionSummary) -> str:
-    lines = [
-        f"duration_s: {_fmt(summary.duration)}",
-        f"steps: {summary.n_steps}",
-        f"windows: {summary.n_windows}",
-        f"total_secure_bits: {summary.total_secure_bits}",
-        f"mean_secure_rate_bps: {_fmt(summary.mean_secure_rate_bps)}",
-        f"mean_qber_signal: {_fmt(summary.mean_qber_signal)}",
-        f"max_qber_signal: {_fmt(summary.max_qber_signal)}",
-    ]
-    return "\n".join(lines) + "\n"
+    return format_fields({
+        "duration_s": summary.duration,
+        "steps": summary.n_steps,
+        "windows": summary.n_windows,
+        "total_secure_bits": summary.total_secure_bits,
+        "mean_secure_rate_bps": summary.mean_secure_rate_bps,
+        "mean_qber_signal": summary.mean_qber_signal,
+        "max_qber_signal": summary.max_qber_signal,
+    })
 
 
 @contextmanager
@@ -412,7 +419,7 @@ def export_timeseries(result: SessionResult,
     `write_outputs(out, SESSION_FILES)` transaction, whose telemetry.csv it
     has streamed; closes all three and returns their paths."""
     files["keys.csv"].writelines([KEYS_HEADER + "\n"] + [",".join(
-        _fmt(v) for v in (
+        format_value(v) for v in (
             rec.window_start, rec.window_end,
             rec.tally.sifted_mu, rec.tally.errors_mu,
             rec.tally.sifted_nu1, rec.tally.errors_nu1,

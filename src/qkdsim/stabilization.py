@@ -1,13 +1,15 @@
 """Environmental drift evolution and the four feedback loops.
 
-The stretcher, EPC and gate-delay loops share one dither hill climb, `_move`:
-an update moves one actuator one step, first reversing its direction if its
-reading fell below the one at its previous move.  Their actuators form one
+Each loop updates a `ControllerState` in place.  Their actuators are one
 vector in telemetry.csv's column order: stretcher (rad-equivalent), EPC 1-4,
-gate delay (ps).  The stretcher reads -QBER, so `last[0]` holds -QBER.  The EPC
-and gate loops read a count rate and hold while the channel is dark: no counts
-now, and none or zero at the previous move.  The intensity loop instead applies
-a proportional attenuator correction computed from the monitored flux.
+gate delay (ps), attenuator (dB relative to nominal).  The stretcher, EPC and
+gate-delay loops share one dither hill climb, `_move`: an update moves one
+actuator one step, first reversing its direction if its reading fell below the
+one at its previous move.  The stretcher reads -QBER, so `last[0]` holds
+-QBER.  The EPC and gate loops read a count rate and hold while the channel is
+dark: no counts now, and none or zero at the previous move.  The intensity
+loop instead applies a proportional attenuator correction computed from the
+monitored flux.
 
 The four EPC channels act on a shared effective rotation with decreasing
 lever arms (channel 1 dominant); this reproduces four-trace actuator
@@ -23,7 +25,7 @@ from .channel import DriftState, _new
 from .config import ControlConfig, SourceConfig
 
 __all__ = [
-    "EPC_WEIGHTS", "STRETCHER", "EPC", "GATE",
+    "EPC_WEIGHTS", "STRETCHER", "EPC", "GATE", "ATTEN",
     "ControllerState",
     "step_drift",
     "stretcher_feedback",
@@ -37,24 +39,19 @@ __all__ = [
 EPC_WEIGHTS = (1.0, 0.25, 0.1, 0.04)
 
 # The vector's entries, as TelemetryRow's columns; EPC channel ch is EPC + ch.
-STRETCHER, EPC, GATE = 0, 1, 5
+STRETCHER, EPC, GATE, ATTEN = 0, 1, 5, 6
 
 
 @dataclass(slots=True)
 class ControllerState:
-    """Each dithered actuator's setting, direction and reading at its previous
-    move, and the attenuator.  Each loop updates it in place and returns it."""
+    """Every actuator's setting, and the direction and previous reading of
+    each dithered one (all but the attenuator).  Loops update it in place."""
 
     control: ControlConfig = ControlConfig()
-    settings: list[float] = field(default_factory=lambda: [0.0] * 6)
+    settings: list[float] = field(default_factory=lambda: [0.0] * 7)
     dirs: list[int] = field(default_factory=lambda: [1] * 6)
     last: list[float | None] = field(default_factory=lambda: [None] * 6)
     epc_cycle: int = 0                    # next EPC channel to dither
-    attenuator_setting: float = 0.0       # dB relative to nominal
-
-    def net_epc_angle(self) -> float:
-        (w1, w2, w3, w4), (_, s1, s2, s3, s4, _) = EPC_WEIGHTS, self.settings
-        return w1 * s1 + w2 * s2 + w3 * s3 + w4 * s4
 
 
 def step_drift(drift: DriftState, ramp: float,
@@ -82,56 +79,52 @@ def _move(state: ControllerState, k: int, reading: float,
 
 
 def stretcher_feedback(qber_estimate: float | None,
-                       state: ControllerState) -> ControllerState:
+                       state: ControllerState) -> None:
     """Dither-and-descend on the observed signal QBER."""
     if qber_estimate is not None:
         _move(state, STRETCHER, -qber_estimate, state.control.stretcher_step)
-    return state
 
 
 def polarization_feedback(count_rate: float | None,
-                          state: ControllerState) -> ControllerState:
+                          state: ControllerState) -> None:
     """Coordinate-wise hill climb on the detector count rate, cycling the
     four EPC channels one dither comparison per update."""
     if count_rate is None:
-        return state
+        return
     k = EPC + state.epc_cycle
     state.epc_cycle = (state.epc_cycle + 1) % 4
     if count_rate != 0.0 or state.last[k]:  # else dark: hold
         _move(state, k, count_rate, state.control.epc_step)
-    return state
 
 
 def gate_delay_feedback(count_rate: float | None,
-                        state: ControllerState) -> ControllerState:
+                        state: ControllerState) -> None:
     """Dither climb on count rate, tracking arrival time with the gate delay.
 
     A session passes the mean rate since the loop's previous update."""
     if count_rate is not None and (count_rate != 0.0 or state.last[GATE]):
         _move(state, GATE, count_rate, state.control.gate_step)
-    return state
 
 
 def intensity_feedback(measured_flux: float, source: SourceConfig,
-                       state: ControllerState) -> ControllerState:
+                       state: ControllerState) -> None:
     """Proportional attenuator correction pulling the monitored flux back to
     the configured source intensity."""
     target = source.nominal_flux
     if measured_flux <= 0.0 or target <= 0.0:
-        return state
+        return
     correction = 10.0 * math.log10(measured_flux / target)
-    state.attenuator_setting += state.control.intensity_gain * correction
-    return state
+    state.settings[ATTEN] += state.control.intensity_gain * correction
 
 
 def apply_controls(drift: DriftState, state: ControllerState) -> DriftState:
     """Residual drift seen by the optics after the actuators act."""
     phase, pol, timing, power = drift
-    (w1, w2, w3, w4), (stretcher, s1, s2, s3, s4, gate) = (EPC_WEIGHTS,
-                                                           state.settings)
+    (w1, w2, w3, w4), (stretcher, s1, s2, s3, s4, gate, atten) = (
+        EPC_WEIGHTS, state.settings)
     return _new(DriftState, (
         phase + stretcher,
-        pol + (w1 * s1 + w2 * s2 + w3 * s3 + w4 * s4),  # net_epc_angle()
+        pol + (w1 * s1 + w2 * s2 + w3 * s3 + w4 * s4),  # net EPC angle
         timing - gate,
-        power * 10.0 ** (-state.attenuator_setting / 10.0),
+        power * 10.0 ** (-atten / 10.0),
     ))

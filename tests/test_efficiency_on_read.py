@@ -82,8 +82,8 @@ def test_keyrate_reports_the_eager_efficiency(preset, tmp_path, capsys, kind):
     assert main(["keyrate", "--out", str(tmp_path), "--tally-file",
                  str(counts)]) == EXIT_OK
     key = distill(tally, preset.source, preset.security)
-    expected = session._fmt(_eager_efficiency(tally, key, preset.source,
-                                              preset.security))
+    expected = session.format_value(_eager_efficiency(
+        tally, key, preset.source, preset.security))
     header, row = (tmp_path / "keyrate.csv").read_text().splitlines()
     assert dict(zip(header.split(","), row.split(",")))["efficiency"] \
         == expected

@@ -7,10 +7,11 @@ import pytest
 
 from qkdsim.channel import DriftState
 from qkdsim.config import ControlConfig, LinkConfig
-from qkdsim.stabilization import (EPC, GATE, STRETCHER, ControllerState,
-                                  apply_controls, gate_delay_feedback,
-                                  intensity_feedback, polarization_feedback,
-                                  step_drift, stretcher_feedback)
+from qkdsim.stabilization import (ATTEN, EPC, GATE, STRETCHER,
+                                  ControllerState, apply_controls,
+                                  gate_delay_feedback, intensity_feedback,
+                                  polarization_feedback, step_drift,
+                                  stretcher_feedback)
 from qkdsim.config import SourceConfig
 
 FROZEN = LinkConfig(phase_diffusion=0, polarization_diffusion=0,
@@ -87,7 +88,7 @@ def _run_stretcher(phase_drift: float, updates: int,
                    step: float) -> ControllerState:
     ctrl = ControllerState(control=ControlConfig(stretcher_step=step))
     for _ in range(updates):
-        ctrl = stretcher_feedback(
+        stretcher_feedback(
             _qber_at(phase_drift + ctrl.settings[STRETCHER]), ctrl)
     return ctrl
 
@@ -104,33 +105,42 @@ def test_stretcher_converged_dither_stays_within_one_step():
     ctrl = ControllerState(control=ControlConfig(stretcher_step=step))
     seen = []
     for _ in range(50):
-        ctrl = stretcher_feedback(_qber_at(ctrl.settings[STRETCHER]), ctrl)
+        stretcher_feedback(_qber_at(ctrl.settings[STRETCHER]), ctrl)
         seen.append(ctrl.settings[STRETCHER])
     assert max(abs(s) for s in seen[4:]) <= step + 1e-12
 
 
 def test_stretcher_reverses_after_worse_reading():
     ctrl = ControllerState(control=ControlConfig())
-    ctrl = stretcher_feedback(0.04, ctrl)
+    stretcher_feedback(0.04, ctrl)
     direction = ctrl.dirs[STRETCHER]
-    ctrl = stretcher_feedback(0.05, ctrl)  # worse
+    stretcher_feedback(0.05, ctrl)  # worse
     assert ctrl.dirs[STRETCHER] == -direction
 
 
 def test_stretcher_holds_on_absent_feedback():
     ctrl = ControllerState(control=ControlConfig())
-    assert stretcher_feedback(None, copy.deepcopy(ctrl)) == ctrl
+    state = copy.deepcopy(ctrl)
+    stretcher_feedback(None, state)
+    assert state == ctrl
 
 
 # ---------------------------------------------------------------------------
 # polarization controller (count-rate hill climb over 4 channels)
 # ---------------------------------------------------------------------------
 
+def _net(pol_drift: float, ctrl: ControllerState) -> float:
+    """The polarization angle left once the EPC channels act on `pol_drift`,
+    as a session computes it."""
+    return apply_controls(DriftState(polarization_angle=pol_drift),
+                          ctrl).polarization_angle
+
+
 def _run_epc(pol_drift: float, updates: int, step: float) -> ControllerState:
     ctrl = ControllerState(control=ControlConfig(epc_step=step))
     for _ in range(updates):
-        net = pol_drift + ctrl.net_epc_angle()
-        ctrl = polarization_feedback(1e6 * math.cos(net) ** 2, ctrl)
+        net = _net(pol_drift, ctrl)
+        polarization_feedback(1e6 * math.cos(net) ** 2, ctrl)
     return ctrl
 
 
@@ -140,26 +150,27 @@ def test_epc_recovers_misalignment():
     # step * sum(weights), so allow two sweeps' headroom over the minimum
     budget = 8 * math.ceil(0.3 / step)
     ctrl = _run_epc(0.3, budget, step)
-    assert math.cos(0.3 + ctrl.net_epc_angle()) ** 2 >= 0.99
+    assert math.cos(_net(0.3, ctrl)) ** 2 >= 0.99
 
 
 def test_epc_converged_stays_near_optimum():
     step = 0.02
     ctrl = _run_epc(0.0, 200, step)
-    assert abs(ctrl.net_epc_angle()) <= 4 * step
+    assert abs(_net(0.0, ctrl)) <= 4 * step
 
 
 def test_epc_dark_channel_holds_settings():
     ctrl = ControllerState(control=ControlConfig())
     state = copy.deepcopy(ctrl)
     for _ in range(8):
-        state = polarization_feedback(0.0, state)
+        polarization_feedback(0.0, state)
     assert state.settings[EPC:GATE] == ctrl.settings[EPC:GATE]
 
 
 def test_epc_single_update_moves_one_channel_one_step():
     ctrl = ControllerState(control=ControlConfig(epc_step=0.02))
-    after = polarization_feedback(1000.0, copy.deepcopy(ctrl))
+    after = copy.deepcopy(ctrl)
+    polarization_feedback(1000.0, after)
     moved = [abs(b - a) for a, b in zip(ctrl.settings[EPC:GATE],
                                         after.settings[EPC:GATE])]
     assert sorted(moved) == [0.0, 0.0, 0.0, pytest.approx(0.02)]
@@ -176,11 +187,10 @@ def _gate_counts(offset: float, delay: float, sigma: float = 100.0) -> float:
 def test_gate_holds_at_optimum():
     step = 1.0
     ctrl = ControllerState(control=ControlConfig(gate_step=step),
-                           settings=[0.0] * GATE + [50.0])
+                           settings=[0.0] * GATE + [50.0, 0.0])
     seen = []
     for _ in range(40):
-        ctrl = gate_delay_feedback(_gate_counts(50.0, ctrl.settings[GATE]),
-                                   ctrl)
+        gate_delay_feedback(_gate_counts(50.0, ctrl.settings[GATE]), ctrl)
         seen.append(ctrl.settings[GATE])
     assert max(abs(d - 50.0) for d in seen[4:]) <= step + 1e-12
 
@@ -190,10 +200,12 @@ def test_gate_dark_channel_holds_delay():
     ctrl = ControllerState(control=ControlConfig())
     state = copy.deepcopy(ctrl)
     for _ in range(4):
-        state = gate_delay_feedback(0.0, state)
+        gate_delay_feedback(0.0, state)
     assert state == ctrl
     state.last[GATE] = 0.0
-    assert gate_delay_feedback(0.0, copy.deepcopy(state)) == state
+    after = copy.deepcopy(state)
+    gate_delay_feedback(0.0, after)
+    assert after == state
 
 
 def test_gate_tracks_constant_drift():
@@ -205,8 +217,8 @@ def test_gate_tracks_constant_drift():
     for t in range(1, 1201):
         offset += rate
         if t % int(tau) == 0:
-            ctrl = gate_delay_feedback(
-                _gate_counts(offset, ctrl.settings[GATE]), ctrl)
+            gate_delay_feedback(_gate_counts(offset, ctrl.settings[GATE]),
+                                ctrl)
         if t > 400:
             lags.append(abs(offset - ctrl.settings[GATE]))
     assert max(lags) <= step + rate * tau + 1e-9
@@ -220,8 +232,8 @@ def test_gate_loses_lock_when_drift_outruns_actuation():
     for t in range(1, 2001):
         offset += rate
         if t % int(tau) == 0:
-            ctrl = gate_delay_feedback(
-                _gate_counts(offset, ctrl.settings[GATE]), ctrl)
+            gate_delay_feedback(_gate_counts(offset, ctrl.settings[GATE]),
+                                ctrl)
         if t == 500:
             lag_early = abs(offset - ctrl.settings[GATE])
         if t == 2000:
@@ -237,15 +249,18 @@ def test_intensity_on_target_is_idle():
     source = SourceConfig()
     ctrl = ControllerState(control=ControlConfig())
     target = source.clock_rate * source.mean_intensity()
-    assert intensity_feedback(target, source, copy.deepcopy(ctrl)) == ctrl
+    state = copy.deepcopy(ctrl)
+    intensity_feedback(target, source, state)
+    assert state == ctrl
 
 
 @pytest.mark.parametrize("measured", [0.0, -1.0])
 def test_intensity_holds_without_a_positive_flux(measured):
     # no log of the flux ratio to correct by
     ctrl = ControllerState(control=ControlConfig())
-    assert intensity_feedback(measured, SourceConfig(),
-                              copy.deepcopy(ctrl)) == ctrl
+    state = copy.deepcopy(ctrl)
+    intensity_feedback(measured, SourceConfig(), state)
+    assert state == ctrl
 
 
 def test_intensity_corrects_in_one_update():
@@ -253,9 +268,9 @@ def test_intensity_corrects_in_one_update():
     ctrl = ControllerState(control=ControlConfig(intensity_gain=1.0))
     target = source.clock_rate * source.mean_intensity()
     power = 1.1
-    measured = target * power * 10 ** (-ctrl.attenuator_setting / 10)
-    ctrl = intensity_feedback(measured, source, ctrl)
-    restored = power * 10 ** (-ctrl.attenuator_setting / 10)
+    measured = target * power * 10 ** (-ctrl.settings[ATTEN] / 10)
+    intensity_feedback(measured, source, ctrl)
+    restored = power * 10 ** (-ctrl.settings[ATTEN] / 10)
     assert abs(restored - 1.0) < 1e-3
 
 
@@ -264,7 +279,7 @@ def test_intensity_cancels_power_drift_through_apply_controls():
     ctrl = ControllerState(control=ControlConfig())
     drift = DriftState(power_factor=1.25)
     target = source.clock_rate * source.mean_intensity()
-    ctrl = intensity_feedback(target * 1.25, source, ctrl)
+    intensity_feedback(target * 1.25, source, ctrl)
     residual = apply_controls(drift, ctrl)
     assert residual.power_factor == pytest.approx(1.0, rel=1e-9)
 
@@ -273,27 +288,28 @@ def test_intensity_cancels_power_drift_through_apply_controls():
 # actuation discipline
 # ---------------------------------------------------------------------------
 
-def _actuators(state: ControllerState):
-    return (state.settings[STRETCHER], state.settings[EPC:GATE],
-            state.settings[GATE], state.attenuator_setting)
-
-
 @pytest.mark.parametrize("update,feedback", [
     (stretcher_feedback, 0.04),
     (polarization_feedback, 1000.0),
     (gate_delay_feedback, 1000.0),
+    pytest.param(
+        lambda flux, state: intensity_feedback(flux, SourceConfig(), state),
+        1.1 * SourceConfig().nominal_flux, id="intensity_feedback"),
 ])
 def test_each_update_touches_exactly_one_actuator(update, feedback):
     before = ControllerState(control=ControlConfig())
-    after = update(feedback, copy.deepcopy(before))
-    changed = sum(a != b for a, b in zip(_actuators(before), _actuators(after)))
+    after = copy.deepcopy(before)
+    update(feedback, after)
+    changed = sum(a != b for a, b in zip(before.settings, after.settings))
     assert changed == 1
 
 
 def test_only_a_count_loop_holds_on_a_zero_reading():
     # A QBER of 0.0 is a perfect reading: the stretcher moves on it, also
     # after another 0.0.
-    state = stretcher_feedback(0.0, stretcher_feedback(0.0, ControllerState()))
+    state = ControllerState()
+    stretcher_feedback(0.0, state)
+    stretcher_feedback(0.0, state)
     assert state.settings[STRETCHER] == 2 * state.control.stretcher_step
     # A count rate of 0.0 after no reading or another 0.0 is a dark channel,
     # and the EPC and gate loops hold; after counts it is a fall, and the
@@ -305,7 +321,7 @@ def test_only_a_count_loop_holds_on_a_zero_reading():
             state = ControllerState(control=control)
             state.last[k] = previous
             update(0.0, state)
-            assert state.settings == [0.0] * k + [moved] + [0.0] * (5 - k)
+            assert state.settings == [0.0] * k + [moved] + [0.0] * (6 - k)
 
 
 def test_states_share_no_list():
@@ -317,13 +333,12 @@ def test_states_share_no_list():
     for name in lists:
         assert getattr(a, name) is not getattr(b, name)
     polarization_feedback(1000.0, a)
-    assert (b.settings, b.dirs, b.last) == ([0.0] * 6, [1] * 6, [None] * 6)
+    assert (b.settings, b.dirs, b.last) == ([0.0] * 7, [1] * 6, [None] * 6)
 
 
 def test_apply_controls_composition():
     ctrl = ControllerState(control=ControlConfig(),
-                           settings=[0.1, 0.2, 0.0, 0.0, 0.0, 4.0],
-                           attenuator_setting=1.0)
+                           settings=[0.1, 0.2, 0.0, 0.0, 0.0, 4.0, 1.0])
     drift = DriftState(phase_error=-0.1, polarization_angle=-0.2,
                        timing_offset=4.0, power_factor=10 ** 0.1)
     residual = apply_controls(drift, ctrl)
