@@ -23,7 +23,6 @@ __all__ = [
     "ControlConfig",
     "Config",
     "load_config",
-    "parse_key_values",
     "read_key_values",
     "read_values",
     "apply_overrides",
@@ -232,18 +231,16 @@ class Config:
         by `session_steps`."""
         problems = [problem for key in _KEYS.values()
                     if (problem := key.check(key.value(self)))]
-        problems += self.rule_problems(problems)
+        problems += self.rule_problems()
         if problems:
             raise ConfigError(problems)
         return self
 
-    def rule_problems(self, problems: list[str]) -> list[str]:
+    def rule_problems(self) -> list[str]:
         """Every rule that joins keys, such as `mu must exceed nu1`, that this
-        config breaks.  The rules compare numbers: after `problems`, those
-        of its values, they are checked only if every value is of its key's
-        type, which no problem shows at once."""
-        if problems and not all(key.is_typed(key.value(self))
-                                for key in _KEYS.values()):
+        config breaks.  The rules compare numbers, so none is judged while
+        any value is not of its key's type (`ConfigKey.is_typed`)."""
+        if not all(key.is_typed(key.value(self)) for key in _KEYS.values()):
             return []
         source, sim = self.source, self.sim
         broken = []
@@ -387,14 +384,20 @@ def apply_overrides(config: Config, overrides: Mapping[str, Any],
     return config
 
 
-def parse_key_values(text: str, path: str, keys: Container[str],
-                     problems: list[str]) -> dict[str, str]:
-    """Parse the flat key = value format of config and tally files: `#`
-    starts a comment, blank lines are skipped, and every other line is
-    `key = value` with a key from `keys`.  Returns key -> value text of the
-    good lines, and appends to `problems` every line without `=`, unknown
-    key and repeated key, named as path:line:, so that a caller can name
-    them beside its other problems."""
+def read_key_values(path: str | Path, keys: Container[str],
+                    problems: list[str]) -> dict[str, str]:
+    """Read the flat key = value format of config and tally files from a
+    file of UTF-8 text, which may begin with a byte-order mark: `#` starts a
+    comment, blank lines are skipped, and every other line is `key = value`
+    with a key from `keys`.  Returns key -> value text of the good lines,
+    and appends to `problems` every line without `=`, unknown key and
+    repeated key, named as path:line:, so that a caller can name them beside
+    its other problems.  OSError if the file cannot be read or is not UTF-8
+    text."""
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path} is not UTF-8 text: {exc}") from None
     values: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -414,21 +417,6 @@ def parse_key_values(text: str, path: str, keys: Container[str],
     return values
 
 
-def _read_utf8(path: str | Path) -> str:
-    """A file's UTF-8 text, which may begin with a byte-order mark; OSError
-    if it cannot be read or is not UTF-8 text."""
-    try:
-        return Path(path).read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise OSError(f"{path} is not UTF-8 text: {exc}") from None
-
-
-def read_key_values(path: str | Path, keys: Container[str],
-                    problems: list[str]) -> dict[str, str]:
-    """`parse_key_values` of a file of UTF-8 text (`_read_utf8`)."""
-    return parse_key_values(_read_utf8(path), str(path), keys, problems)
-
-
 def load_config(path: str | Path | None, overrides: Mapping[str, Any],
                 problems: list[str]) -> Config:
     """The defaults, then a config file's values if `path` is given, then
@@ -437,7 +425,7 @@ def load_config(path: str | Path | None, overrides: Mapping[str, Any],
     after its path, and, once every line of the file is read (a refused
     line's key keeps its earlier value) and every value is of its key's
     type, every broken rule that joins keys.  OSError if the file cannot be
-    read or is not UTF-8 text (`_read_utf8`)."""
+    read or is not UTF-8 text (`read_key_values`)."""
     config, refused = Config(), []   # the file's refused lines
     if path is not None:
         texts = read_key_values(path, _KEYS, refused)
@@ -445,7 +433,7 @@ def load_config(path: str | Path | None, overrides: Mapping[str, Any],
         config = apply_overrides(config, texts, problems, f"{path}: ")
     config = apply_overrides(config, overrides, problems)
     if not refused:
-        problems += config.rule_problems(problems)
+        problems += config.rule_problems()
     return config
 
 

@@ -57,6 +57,9 @@ __all__ = [
     "distill_window",
     "export_timeseries",
     "write_outputs",
+    "format_value",
+    "format_fields",
+    "format_summary",
     "load_telemetry_csv",
     "load_keys_csv",
     "SESSION_FILES",

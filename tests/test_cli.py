@@ -1,4 +1,8 @@
+import ast
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -832,3 +836,36 @@ def test_keyrate_unreadable_tally_file_exits_with_input_status(tmp_path,
     assert err.count("\n") == 1 and "Traceback" not in err
     assert "cannot read tally file" in err
     assert not (tmp_path / "keyrate.csv").exists()
+
+
+def test_python_m_qkdsim_runs_the_command_line(tmp_path, capsys):
+    # `python -m qkdsim` from the source tree that this process imports
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]),
+                      os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-m", "qkdsim", "keyrate", "--out",
+         str(tmp_path / "m")], env=env, capture_output=True, text=True)
+    assert run.returncode == EXIT_OK, run.stderr
+    assert main(["keyrate", "--out", str(tmp_path / "main")]) == EXIT_OK
+    assert run.stdout == capsys.readouterr().out
+    assert ((tmp_path / "m" / "keyrate.csv").read_bytes()
+            == (tmp_path / "main" / "keyrate.csv").read_bytes())
+    run = subprocess.run(
+        [sys.executable, "-m", "qkdsim", "keyrate", "--out", str(tmp_path),
+         "--tally-file", str(tmp_path / "missing.txt")],
+        env=env, capture_output=True, text=True)
+    assert run.returncode == EXIT_CONFIG_FILE
+    assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
+    assert run.stderr.startswith("qkdsim: cannot read tally file")
+
+
+def test_cli_reads_only_what_session_declares():
+    # every `session.<name>` that cli.py reads is public in session.__all__
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "session"}
+    assert {"format_value", "format_fields", "format_summary"} <= read
+    assert read <= set(session.__all__)

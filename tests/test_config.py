@@ -11,7 +11,7 @@ from qkdsim.config import (MAX_PULSES, MAX_SESSION_STEPS, Config, ConfigError,
                            ControlConfig, LinkConfig, Range, SecurityConfig,
                            SimConfig, SourceConfig, apply_overrides,
                            config_keys, config_to_text, load_config,
-                           parse_key_values)
+                           read_key_values)
 from qkdsim.optimizer import MU_BOUNDS
 from qkdsim.session import run_session
 
@@ -62,6 +62,13 @@ def test_one_diagnostic_per_violation():
     assert any("loss_coefficient" in p for p in problems)
     assert any("epsilon" in p for p in problems)
     assert any("intensity_gain" in p for p in problems)
+
+
+def test_rules_are_judged_on_typed_values_alone():
+    # a value of another type than its key's leaves no rule to compare
+    assert Config(source=SourceConfig(mu="x")).rule_problems() == []
+    assert Config(source=SourceConfig(mu=0.05)).rule_problems() == [
+        "mu must exceed nu1"]
 
 
 def _session(duration: float, time_step: float = 1.0) -> Config:
@@ -254,20 +261,31 @@ def test_unknown_key_is_error():
     assert problems == ["unknown configuration key: not_a_key"]
 
 
+def _read(text: str, keys: set[str],
+          problems: list[str]) -> tuple[Path, dict[str, str]]:
+    """The path of a file of `text`, written in a temporary directory of its
+    own as `_loaded` writes one, and `read_key_values` of it."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "link.cfg"
+        path.write_text(text, encoding="utf-8")
+        return path, read_key_values(path, keys, problems)
+
+
 def test_reader_names_every_bad_line_at_once():
     text = "mu = 0.6\nfibre_len = 10\njust words\n\nmu = 0.7 # again\n"
     problems: list[str] = []
-    assert parse_key_values(text, "link.cfg", {"mu"}, problems) == {"mu": "0.6"}
+    path, values = _read(text, {"mu"}, problems)
+    assert values == {"mu": "0.6"}
     assert problems == [
-        "link.cfg:2: unknown key 'fibre_len'",
-        "link.cfg:3: expected key = value, got 'just words'",
-        "link.cfg:5: repeated key 'mu'"]
+        f"{path}:2: unknown key 'fibre_len'",
+        f"{path}:3: expected key = value, got 'just words'",
+        f"{path}:5: repeated key 'mu'"]
 
 
 def test_reader_returns_stripped_value_text():
     problems: list[str] = []
-    assert parse_key_values(" a =  1 \n# b = 2\nb=x # y\n", "f",
-                            {"a", "b"}, problems) == {"a": "1", "b": "x"}
+    _, values = _read(" a =  1 \n# b = 2\nb=x # y\n", {"a", "b"}, problems)
+    assert values == {"a": "1", "b": "x"}
     assert problems == []
 
 
