@@ -1,4 +1,5 @@
 """`python -m qkdsim`: the command line of `qkdsim.cli`."""
 from .cli import main
 
-raise SystemExit(main())
+if __name__ == "__main__":
+    raise SystemExit(main())
