@@ -286,7 +286,3 @@ def dispatch(request: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     request = parse_command(sys.argv[1:] if argv is None else argv)
     return dispatch(request)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
