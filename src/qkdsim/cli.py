@@ -214,9 +214,8 @@ def _run_keyrate(req: argparse.Namespace, cfg: Config) -> None:
             "finite_size_bits", "efficiency", "epsilon_spent")}
         values.update(y1_lower=result.bounds.y1_lower,
                       e1_upper=result.bounds.e1_upper)
-        files["keyrate.csv"].writelines([
-            ",".join(values) + "\n",
-            ",".join(map(session.format_value, values.values())) + "\n"])
+        files["keyrate.csv"].write(
+            session.format_table(values, [values.values()]))
     del values["epsilon_spent"]
     sys.stdout.write(session.format_fields(values))
 
@@ -233,11 +232,10 @@ def _run_efficiency_curve(req: argparse.Namespace, cfg: Config) -> None:
     with session.write_outputs(req.out, ("efficiency_curve.csv",)) as files:
         effs = finite_key.efficiency_curve(grid, cfg.source, cfg.link,
                                            cfg.security)
-        lines = ["n_pulses,efficiency\n"] + [
-            f"{session.format_value(n)},{session.format_value(eff)}\n"
-            for n, eff in zip(grid, effs)]
-        files["efficiency_curve.csv"].writelines(lines)
-    sys.stdout.writelines(lines)
+        table = session.format_table(("n_pulses", "efficiency"),
+                                     zip(grid, effs))
+        files["efficiency_curve.csv"].write(table)
+    sys.stdout.write(table)
 
 
 def _run_optimize(req: argparse.Namespace, cfg: Config) -> None:

@@ -59,6 +59,7 @@ __all__ = [
     "write_outputs",
     "format_value",
     "format_fields",
+    "format_table",
     "format_summary",
     "load_telemetry_csv",
     "load_keys_csv",
@@ -372,6 +373,13 @@ def format_fields(fields: dict[str, float | int | None]) -> str:
     return "".join(f"{k}: {format_value(v)}\n" for k, v in fields.items())
 
 
+def format_table(columns: Iterable[str], rows: Iterable[Iterable]) -> str:
+    """A header line of the column names, then a line a row, each cell by
+    `format_value`: the layout of every CSV file but telemetry.csv."""
+    return "".join(",".join(line) + "\n" for line in chain(
+        [columns], (map(format_value, row) for row in rows)))
+
+
 def format_summary(summary: SessionSummary) -> str:
     return format_fields({
         "duration_s": summary.duration,
@@ -421,16 +429,13 @@ def export_timeseries(result: SessionResult,
     """Write a session's keys.csv and summary.txt into the open files of its
     `write_outputs(out, SESSION_FILES)` transaction, whose telemetry.csv it
     has streamed; closes all three and returns their paths."""
-    files["keys.csv"].writelines([KEYS_HEADER + "\n"] + [",".join(
-        format_value(v) for v in (
-            rec.window_start, rec.window_end,
-            rec.tally.sifted_mu, rec.tally.errors_mu,
-            rec.tally.sifted_nu1, rec.tally.errors_nu1,
-            rec.tally.sifted_nu2, rec.tally.errors_nu2,
-            observed(rec.tally)[0], rec.key.bounds.y1_lower,
-            rec.key.bounds.e1_upper,
-            rec.key.secure_bits, rec.secure_rate,
-            rec.key.efficiency)) + "\n" for rec in result.records])
+    files["keys.csv"].write(format_table(KEYS_HEADER.split(","), [(
+        rec.window_start, rec.window_end,
+        rec.tally.sifted_mu, rec.tally.errors_mu, rec.tally.sifted_nu1,
+        rec.tally.errors_nu1, rec.tally.sifted_nu2, rec.tally.errors_nu2,
+        observed(rec.tally)[0], rec.key.bounds.y1_lower,
+        rec.key.bounds.e1_upper, rec.key.secure_bits, rec.secure_rate,
+        rec.key.efficiency) for rec in result.records]))
     files["summary.txt"].write(format_summary(result.summary))
     for fh in files.values():
         fh.close()

@@ -867,5 +867,28 @@ def test_cli_reads_only_what_session_declares():
             if isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name)
             and node.value.id == "session"}
-    assert {"format_value", "format_fields", "format_summary"} <= read
+    assert {"format_fields", "format_summary", "format_table"} <= read
     assert read <= set(session.__all__)
+
+
+def test_every_csv_a_command_writes_is_laid_out_by_format_table(
+        tmp_path, capsys, monkeypatch):
+    # keyrate.csv, efficiency_curve.csv and keys.csv are each the text of
+    # one format_table call, and efficiency-curve prints the same text
+    tables = []
+    format_table = session.format_table
+
+    def recorded(columns, rows):
+        tables.append(format_table(columns, rows))
+        return tables[-1]
+
+    monkeypatch.setattr(session, "format_table", recorded)
+    for argv, name in ((["keyrate"], "keyrate.csv"),
+                       (["efficiency-curve", "--points", "3"],
+                        "efficiency_curve.csv"),
+                       (["simulate", "--duration", "1200"], "keys.csv")):
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+        assert (tmp_path / name).read_text() == tables[-1]
+        out = capsys.readouterr().out
+        assert (out == tables[-1]) == (name == "efficiency_curve.csv")
+    assert len(tables) == 3

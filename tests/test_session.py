@@ -265,6 +265,12 @@ def test_format_summary_fields(short_session):
     assert text.endswith("\n")
 
 
+def test_format_table_writes_a_header_then_a_line_a_row():
+    assert session.format_table(("a", "b"), [(1, 0.5), (None, float("nan"))]
+                                ) == "a,b\n1,0.5\n,\n"
+    assert session.format_table(("a", "b"), []) == "a,b\n"
+
+
 def test_export_to_unwritable_destination_raises(preset, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("x")
